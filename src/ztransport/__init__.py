@@ -44,7 +44,6 @@ from .graph import (
 from .identify import (
     DistLabel,
     FailedFactor,
-    IdentContext,
     IdentResult,
     Witness,
     bi,

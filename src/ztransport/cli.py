@@ -303,13 +303,24 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "validate":
         env_seed = os.environ.get("ZTRANSPORT_SEED")
-        start = int(env_seed) if env_seed else 1
+        try:
+            start = int(env_seed) if env_seed else 1
+        except ValueError:
+            print(f"error: ZTRANSPORT_SEED must be an integer, got {env_seed!r}", file=sys.stderr)
+            return 1
         try:
             seeds = _parse_seed_range(args.seeds, start)
         except ValueError:
             print("error: --seeds expects A..B", file=sys.stderr)
             return 1
-        code, doc = validate(qf, seeds, arity=args.arity, corrupt=args.inject_corruption)
+        if not seeds:
+            print(f"error: --seeds {args.seeds} is an empty range", file=sys.stderr)
+            return 1
+        try:
+            code, doc = validate(qf, seeds, arity=args.arity, corrupt=args.inject_corruption)
+        except InputError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 1
         print(json.dumps(doc, indent=2, sort_keys=True))
         return code
 

@@ -6,7 +6,9 @@ Z to overlap X.  ``sid_z`` decides z-transportability over a selection
 diagram, postponing the use of experiments until after the c-component
 factorization and choosing, per factor, between the source (directly
 transportable components) and the target (trivially transportable ones).
-Failures surface as hedge or s-hedge witnesses.
+``sid_z`` identifies each c-factor with the same recursion run with no
+controllable experiments left (the paper's BI).  Failures surface as
+hedge or s-hedge witnesses, raised inside the recursion as ``FailedFactor``.
 
 The recursion threads a symbolic stand-in for its current distribution:
 a labeled base distribution (domain, do-set), a chain of conditional
@@ -39,20 +41,6 @@ class InternalError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class IdentContext:
-    """Active experiments: those switched on while covering X and W
-    (``active_line3``) and those switched on at decomposition time
-    (``active_decomp``)."""
-
-    active_line3: frozenset[str] = frozenset()
-    active_decomp: frozenset[str] = frozenset()
-
-    @property
-    def active(self) -> frozenset[str]:
-        return self.active_line3 | self.active_decomp
-
-
-@dataclass(frozen=True)
 class DistLabel:
     """Which base distribution the current call reads: a domain plus the
     do-set of the experiment it came from."""
@@ -76,9 +64,10 @@ class Witness:
             raise InputError(f"bad witness kind: {self.kind}")
 
 
-@dataclass(frozen=True)
+@dataclass
 class IdentTrace:
-    """Per-call instrumentation used by the consistency test suites."""
+    """Per-call instrumentation used by the consistency test suites.  The
+    recursion fills it in place; it is not changed after the call returns."""
 
     line3_activations: int = 0
     decompositions: int = 0
@@ -92,7 +81,7 @@ class IdentResult:
     formula: ProbExpr | None = None
     witness: Witness | None = None
     warnings: tuple[str, ...] = ()
-    trace: IdentTrace = field(default=IdentTrace(), compare=False)
+    trace: IdentTrace = field(default_factory=IdentTrace, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -103,24 +92,12 @@ class IdentResult:
             raise InternalError("exactly one of formula/witness must be set")
 
 
-class _Fail(Exception):
-    """Internal control flow for FAIL<F, F'>."""
+class FailedFactor(Exception):
+    """FAIL<F, F'>: a c-factor is not identifiable; carries the witness."""
 
-    def __init__(self, f_graph: SemiMarkovianGraph, f_sub: SemiMarkovianGraph):
-        self.f_graph = f_graph
-        self.f_sub = f_sub
-
-
-class _Trace:
-    __slots__ = ("line3", "decomp", "partition")
-
-    def __init__(self):
-        self.line3 = 0
-        self.decomp = 0
-        self.partition: tuple[frozenset[str], ...] | None = None
-
-    def frozen(self) -> IdentTrace:
-        return IdentTrace(self.line3, self.decomp, self.partition)
+    def __init__(self, witness: Witness):
+        self.witness = witness
+        super().__init__(witness.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -264,19 +241,21 @@ def _chain_over(
 
 
 # ---------------------------------------------------------------------------
-# GID^z
+# GID^z, and BI as GID^z with no controllable experiments left
 
 def _gid(
     y: frozenset[str],
     x: frozenset[str],
     z: frozenset[str],
-    i_set: frozenset[str],
-    j_set: frozenset[str],
+    active: frozenset[str],
     P: _Dist,
     g: SemiMarkovianGraph,
-    trace: _Trace,
+    trace: IdentTrace,
     depth: int,
 ) -> ProbExpr:
+    """Identify P_x(y) from P, switching on experiments on subsets of z.
+    ``g`` has the incoming edges of the ``active`` experiments cut and P
+    reads them; ``active`` may name nodes outside ``g``."""
     if depth <= 0:
         raise InternalError("recursion depth guard exceeded")
     V = g.node_set
@@ -289,31 +268,34 @@ def _gid(
     an_y = ancestors(g, y)
     if V - an_y:
         g2 = induced_subgraph(g, an_y)
-        return _gid(y, x & an_y, z, i_set, j_set, P.restrict(g2.nodes), g2, trace, depth - 1)
+        return _gid(y, x & an_y, z, active, P.restrict(g2.nodes), g2, trace, depth - 1)
 
     # cover x with the non-ancestors it creates, switching on experiments
-    # where the controllable set allows it
-    xij = (x | i_set | j_set) & V
-    w = V - xij - ancestors(mutilate(g, xij), y)
+    # where the controllable set allows it; y is among its own ancestors, so
+    # only nodes outside x, the active set and y can be non-ancestors
+    xa = (x | active) & V
+    w = V - xa - y
+    if w:
+        w -= ancestors(mutilate(g, xa), y)
     z_w = z & (x | w)
     if z_w | w:
         if z_w:
-            trace.line3 += 1
-            if trace.line3 > 1:
+            trace.line3_activations += 1
+            if trace.line3_activations > 1:
                 raise InternalError("experiments were activated twice in one trace")
             if not isinstance(P, _Base):
                 raise InternalError("activation requires a base distribution")
             P = P.activate(z_w)
             g = mutilate(g, z_w)
-        return _gid(y, (x | w) - z_w, z - z_w, i_set | z_w, j_set, P, g, trace, depth - 1)
+        return _gid(y, (x | w) - z_w, z - z_w, active | z_w, P, g, trace, depth - 1)
 
     # factorize over the confounded components
-    comps = c_components(induced_subgraph(g, V - xij))
+    comps = c_components(induced_subgraph(g, V - xa))
     if trace.partition is None:
         trace.partition = tuple(c.members for c in comps)
     if len(comps) > 1:
-        trace.decomp += 1
-        if trace.decomp > 1:
+        trace.decompositions += 1
+        if trace.decompositions > 1:
             raise InternalError("decomposition executed twice in one trace")
         factors = []
         for c in comps:
@@ -327,38 +309,30 @@ def _gid(
                     c.members,
                     (V - c.members) - z,
                     z & c.members,
-                    i_set,
-                    j_set | newly,
+                    active | newly,
                     p_i,
                     g_i,
                     trace,
                     depth - 1,
                 )
             )
-        bound = V - (y | x | ((i_set | j_set) & V))
-        return sum_over(g.sorted(bound), product(factors))
+        return sum_over(g.sorted(V - (y | xa)), product(factors))
     c = comps[0].members
 
     g_comps = c_components(g)
     # a single confounded component spanning the whole graph is a dead end
     if len(g_comps) == 1:
-        raise _Fail(g, induced_subgraph(g, c))
+        raise FailedFactor(Witness("hedge", g, induced_subgraph(g, c)))
 
     containing = next(s.members for s in g_comps if c <= s.members)
-    order = P.preferred_order(g)
+    chain = _chain_over(P, g, containing)
     # the component is intact in g: emit its factor chain directly
     if c == containing:
-        factors = [
-            P.conditional_expr(v, tuple(order[:i]))
-            for i, v in enumerate(order)
-            if v in c
-        ]
-        return marginal_sum(g.sorted(c - y), product(factors))
+        return marginal_sum(g.sorted(c - y), product(f for _, f in chain.factors))
 
     # otherwise descend into the strictly larger component
-    chain = _chain_over(P, g, containing)
     g2 = induced_subgraph(g, containing)
-    return _gid(y, x & containing, z, i_set, j_set, chain, g2, trace, depth - 1)
+    return _gid(y, x & containing, z, active, chain, g2, trace, depth - 1)
 
 
 def _entry_checks(
@@ -386,86 +360,18 @@ def gid_z(
     x: Iterable[str],
     z: Iterable[str],
     g: SemiMarkovianGraph,
-    ctx: IdentContext | None = None,
-    dist: DistLabel | None = None,
 ) -> IdentResult:
-    """Generalized z-identification of P_x(y) from P plus experiments on
-    subsets of z.  Returns a source-only formula or a hedge witness.
-
-    The initial call leaves ``ctx`` empty and ``dist`` as the source
-    observational distribution; when a nonempty context is supplied the
-    graph must already have the incoming edges of the active experiments
-    removed.
-    """
+    """Generalized z-identification of P_x(y) from the source observational
+    distribution plus experiments on subsets of z.  Returns a source-only
+    formula or a hedge witness."""
     ys, xs, zs, warnings = _entry_checks(y, x, z, g)
-    ctx = ctx or IdentContext()
-    label = dist or DistLabel()
-    if label.domain == E.TARGET and (zs or ctx.active):
-        raise InputError("experiments are only available in the source domain")
-    trace = _Trace()
-    base = _Base(label, g.nodes)
+    trace = IdentTrace()
+    base = _Base(DistLabel(), g.nodes)
     try:
-        f = _gid(
-            ys, xs, zs, ctx.active_line3, ctx.active_decomp, base, g, trace, 4 * len(g.nodes) + 8
-        )
-    except _Fail as e:
-        w = Witness("hedge", e.f_graph, e.f_sub)
-        return IdentResult(witness=w, warnings=tuple(warnings), trace=trace.frozen())
-    return IdentResult(formula=f, warnings=tuple(warnings), trace=trace.frozen())
-
-
-# ---------------------------------------------------------------------------
-# sID^z and BI
-
-def _bi(
-    y: frozenset[str],
-    x: frozenset[str],
-    P: _Dist,
-    g: SemiMarkovianGraph,
-    active: frozenset[str],
-    depth: int,
-) -> ProbExpr:
-    """Identify the c-factor for y from the current distribution.
-
-    ``g`` already has the incoming edges of ``active`` removed.
-    """
-    if depth <= 0:
-        raise InternalError("recursion depth guard exceeded")
-    V = g.node_set
-
-    if not x:
-        return P.marginal_expr(g.sorted(y))
-
-    an_y = ancestors(g, y)
-    if V != an_y:
-        g2 = induced_subgraph(g, an_y)
-        return _bi(y, x & an_y, P.restrict(g2.nodes), g2, active & an_y, depth - 1)
-
-    comps = c_components(induced_subgraph(g, V - (x | active)))
-    holding = [s.members for s in comps if y <= s.members]
-    if not holding:
-        # a call from the transport decision always lands in one component;
-        # direct callers must ask about a single factor at a time
-        raise InputError("y must lie inside one confounded component of g minus x")
-    c = holding[0]
-
-    g_comps = c_components(g)
-    if len(g_comps) == 1:
-        raise _Fail(g, induced_subgraph(g, c))
-
-    containing = next(s.members for s in g_comps if c <= s.members)
-    order = P.preferred_order(g)
-    if c == containing:
-        factors = [
-            P.conditional_expr(v, tuple(order[:i]))
-            for i, v in enumerate(order)
-            if v in c
-        ]
-        return marginal_sum(g.sorted(c - y), product(factors))
-
-    chain = _chain_over(P, g, containing)
-    g2 = induced_subgraph(g, containing)
-    return _bi(y, x & containing, chain, g2, active & containing, depth - 1)
+        f = _gid(ys, xs, zs, frozenset(), base, g, trace, 4 * len(g.nodes) + 8)
+    except FailedFactor as e:
+        return IdentResult(witness=e.witness, warnings=tuple(warnings), trace=trace)
+    return IdentResult(formula=f, warnings=tuple(warnings), trace=trace)
 
 
 def bi(
@@ -475,7 +381,9 @@ def bi(
     g: SemiMarkovianGraph,
     active: Iterable[str] = (),
 ) -> ProbExpr:
-    """Public c-factor identification; raises a hedge-shaped failure.
+    """Public c-factor identification: P_x(y) from ``dist`` by gID^z with no
+    controllable experiments left, the c-factor of y when x and ``active``
+    hold every other node.  Raises ``FailedFactor`` with a hedge witness.
 
     ``g`` must already have the incoming edges into ``active`` removed, and
     ``dist`` names the table the emitted terms read (its do-set is the
@@ -488,19 +396,13 @@ def bi(
         raise InputError("outcome set y must be nonempty")
     if ys & (xs | act):
         raise InputError("y overlaps x or the active experiments")
+    # callers must ask about a single factor at a time
+    if xs:
+        rest = induced_subgraph(g, ancestors(g, ys) - xs - act)
+        if not any(ys <= c.members for c in c_components(rest)):
+            raise InputError("y must lie inside one confounded component of g minus x")
     base = _Base(dist, g.nodes)
-    try:
-        return _bi(ys, xs, base, g, act, 4 * len(g.nodes) + 8)
-    except _Fail as e:
-        raise FailedFactor(Witness("hedge", e.f_graph, e.f_sub))
-
-
-class FailedFactor(Exception):
-    """Raised by ``bi`` when a c-factor is not identifiable; carries the witness."""
-
-    def __init__(self, witness: Witness):
-        self.witness = witness
-        super().__init__(witness.kind)
+    return _gid(ys, xs, frozenset(), act, base, g, IdentTrace(), 4 * len(g.nodes) + 8)
 
 
 def direct_transportable(c: CComponent, d: SelectionDiagram) -> bool:
@@ -515,7 +417,7 @@ def _sid(
     x: frozenset[str],
     d: SelectionDiagram,
     z: frozenset[str],
-    trace: _Trace,
+    trace: IdentTrace,
     depth: int,
 ) -> ProbExpr:
     if depth <= 0:
@@ -533,42 +435,28 @@ def _sid(
     w = V - x - ancestors(mutilate(g, x), y)
     if w:
         return _sid(y, x | w, d, z, trace, depth - 1)
-    # factorize over the confounded components
+    # factorize over the confounded components; each factor call gets x and
+    # active covering V - c, so it neither activates nor decomposes again
     comps = c_components(induced_subgraph(g, V - x))
     trace.partition = tuple(c.members for c in comps)
     factors = []
     for c in comps:
-        # the factor transports directly iff no marked node lies in the component
-        if direct_transportable(c, d):
-            do_set = z & (V - c.members)
-            g_i = mutilate(g, do_set)
-            base = _Base(DistLabel(E.SOURCE, do_set), g_i.nodes)
-            try:
-                factors.append(
-                    _bi(c.members, (V - c.members) - z, base, g_i, do_set, depth - 1)
-                )
-            except _Fail as e:
-                raise _SidFail(Witness("hedge", e.f_graph, e.f_sub))
-        else:
-            base = _Base(DistLabel(E.TARGET), g.nodes)
-            try:
-                factors.append(_bi(c.members, V - c.members, base, g, frozenset(), depth - 1))
-            except _Fail as e:
-                raise _SidFail(
-                    Witness(
-                        "shedge",
-                        e.f_graph,
-                        e.f_sub,
-                        s_targets_in_component=d.s_targets & c.members,
-                    )
-                )
-    bound = V - (y | x)
-    return sum_over(g.sorted(bound), product(factors))
-
-
-class _SidFail(Exception):
-    def __init__(self, witness: Witness):
-        self.witness = witness
+        # the factor transports directly iff no marked node lies in the
+        # component; it then reads the source experiment on z outside it
+        direct = direct_transportable(c, d)
+        do_set = z & (V - c.members) if direct else frozenset()
+        g_i = mutilate(g, do_set) if do_set else g
+        base = _Base(DistLabel(E.SOURCE if direct else E.TARGET, do_set), g_i.nodes)
+        try:
+            factors.append(
+                _gid(c.members, V - c.members - do_set, frozenset(), do_set, base, g_i, trace, depth - 1)
+            )
+        except FailedFactor as e:
+            if direct:
+                raise
+            w = e.witness
+            raise FailedFactor(Witness("shedge", w.f_graph, w.f_sub, d.s_targets & c.members)) from e
+    return sum_over(g.sorted(V - (y | x)), product(factors))
 
 
 def sid_z(
@@ -582,12 +470,12 @@ def sid_z(
     subsets of z, or fail with a hedge / s-hedge witness."""
     g = d.graph
     ys, xs, zs, warnings = _entry_checks(y, x, z, g)
-    trace = _Trace()
+    trace = IdentTrace()
     try:
         f = _sid(ys, xs, d, zs, trace, 4 * len(g.nodes) + 8)
-    except _SidFail as e:
-        return IdentResult(witness=e.witness, warnings=tuple(warnings), trace=trace.frozen())
-    return IdentResult(formula=f, warnings=tuple(warnings), trace=trace.frozen())
+    except FailedFactor as e:
+        return IdentResult(witness=e.witness, warnings=tuple(warnings), trace=trace)
+    return IdentResult(formula=f, warnings=tuple(warnings), trace=trace)
 
 
 def transportable(y: Iterable[str], x: Iterable[str], d: SelectionDiagram) -> IdentResult:

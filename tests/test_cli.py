@@ -218,3 +218,24 @@ def test_main_validate_env_seed(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert doc["results"][0]["seed"] == 7
     assert len(doc["results"]) == 20
+
+
+def test_main_validate_empty_seed_range_is_a_usage_error(tmp_path, capsys):
+    code = cli.main(["validate", fig2a_file(tmp_path), "--seeds", "5..1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_main_validate_non_integer_env_seed(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("ZTRANSPORT_SEED", "abc")
+    code = cli.main(["validate", fig2a_file(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_main_validate_arity_below_two(tmp_path, capsys):
+    code = cli.main(["validate", fig2a_file(tmp_path), "--seeds", "1", "--arity", "1"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")

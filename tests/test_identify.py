@@ -32,6 +32,7 @@ from helpers import (
     front_door_graph,
     napkin_graph,
     random_diagram,
+    random_graph,
     term_shapes_ok,
 )
 
@@ -113,6 +114,17 @@ def test_gid_longer_napkins_stay_sound(k):
     assert check_sound(f, D(g, []), ["X"], ["Y"], [], seeds=(1,), arity=3) <= TOL
 
 
+@pytest.mark.parametrize("seed, x", [(2425, "V4"), (2848, "V3")])
+def test_gid_joint_quotient_path_stays_sound(seed, x):
+    # rare random graphs whose recursion marginalizes a factor chain over a
+    # non-suffix of its order, so later conditionals become quotients
+    g, _ = random_graph(seed, master=99, max_nodes=9, max_bi=6)
+    r = gid_z(["V7"], [x], [], g)
+    assert r.ok
+    assert "ratio" in E.render(E.normalize(r.formula), "json")
+    assert check_sound(r.formula, D(g, []), [x], ["V7"], []) <= TOL
+
+
 def test_gid_rejects_overlapping_x_y():
     with pytest.raises(InputError):
         gid_z(["Y"], ["Y"], [], chain_graph())
@@ -159,6 +171,14 @@ def test_bi_single_factor_leaves_context_free():
             got = E.evaluate(f, tables, {"Z": z, "X": x, "Y": y})
             want = ground_truth_effect(pair.target, {"Z": z, "X": x}, ["Y"]).prob({"Y": y})
             assert got == pytest.approx(want, abs=TOL)
+
+
+def test_bi_with_x_short_of_the_factor_identifies_the_effect():
+    # x and the active set need not hold every node outside y; bi then
+    # identifies P_x(y), here P_z(y) = sum_x P(x|z) P(y|z,x)
+    g = chain_graph()
+    f = bi(["Y"], ["Z"], DistLabel(E.SOURCE), g)
+    assert check_sound(f, D(g, []), ["Z"], ["Y"], []) <= TOL
 
 
 def test_bi_rejects_y_spanning_components():
