@@ -1,25 +1,32 @@
 """Exact numerical ground truth for transport formulas.
 
 Builds pairs of fully specified finite structural models that share a
-diagram and differ only at the selection-pointed nodes, enumerates their
+diagram and differ only at the selection-pointed nodes, computes their
 observational and interventional distributions exactly, and measures the
 worst-case error of a symbolic formula against the true effect.
 
 Each bidirected edge is realized as one shared hidden variable; every node
 additionally owns a private noise input so that strictly positive joints
 are attainable with deterministic mechanism tables.
+
+Distributions are variable-elimination contractions of the truncated
+factorization (Koller & Friedman 2009, ch. 9).  An intervened variable has
+no mechanism, only a free axis, so one contraction holds the distribution
+under every assignment of its do-set.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .expr import EvalError, ProbExpr, SOURCE, TARGET, base_var, evaluate, free_variables
-from .graph import InputError, Query, SelectionDiagram, SemiMarkovianGraph
+from .graph import InputError, Query, SelectionDiagram, SemiMarkovianGraph, topological_order
 
 MAX_NODES = 12
 MAX_TABLE_ENTRIES = 10_000_000
@@ -91,6 +98,11 @@ def _positive_simplex(rng: np.random.Generator, k: int) -> np.ndarray:
     return floor + (1.0 - floor * k) * d
 
 
+def _sorted_edges(g: SemiMarkovianGraph, edges: Iterable[frozenset[str]]) -> list[frozenset[str]]:
+    """Bidirected edges in edge order: by their endpoints' node order."""
+    return sorted(edges, key=lambda e: tuple(sorted(g.index[n] for n in e)))
+
+
 @dataclass(frozen=True)
 class DiscreteSCM:
     """Finite structural model over a semi-Markovian diagram.
@@ -99,7 +111,8 @@ class DiscreteSCM:
     distribution.  ``functions[v]`` is a deterministic lookup array indexed
     by (observed parents of v in node order, shared latents at v in edge
     order, private noise of v) yielding v's value.  ``noise[v]`` is the
-    private noise distribution.
+    private noise distribution.  ``cpts[v]`` is ``cpt(v)``, computed once
+    at construction for every node whose table is not passed in.
     """
 
     diagram: SemiMarkovianGraph
@@ -107,75 +120,107 @@ class DiscreteSCM:
     latents: dict[frozenset[str], np.ndarray]
     noise: dict[str, np.ndarray]
     functions: dict[str, np.ndarray]
-    _memo: dict = field(default_factory=dict, compare=False, repr=False)
+    cpts: Mapping[str, np.ndarray] = field(default_factory=dict, compare=False, repr=False)
 
-    def edges_at(self, v: str) -> list[frozenset[str]]:
-        return [e for e in self._edge_order if v in e]
-
-    @property
-    def _edge_order(self) -> list[frozenset[str]]:
-        g = self.diagram
-        return sorted(self.latents.keys(), key=lambda e: tuple(sorted(g.index[n] for n in e)))
+    def __post_init__(self):
+        given = self.cpts
+        cpts = {v: given[v] if v in given else self.cpt(v) for v in self.diagram.nodes}
+        object.__setattr__(self, "cpts", MappingProxyType(cpts))
 
     def cpt(self, v: str) -> np.ndarray:
         """P(v | observed parents, shared latents at v), private noise folded in.
 
         Axes: parents (node order), shared latents at v (edge order), v.
         """
-        if v in self._memo:
-            return self._memo[v]
-        fn = self.functions[v]
-        k = self.arities[v]
-        shape = fn.shape[:-1]  # parents x latents; last axis is private noise
-        noise = self.noise[v]
-        out = np.zeros(shape + (k,))
-        for u, p_u in enumerate(noise):
-            vals = fn[..., u]
-            for val in range(k):
-                out[..., val] += p_u * (vals == val)
-        self._memo[v] = out
-        return out
-
-    def intervened(self, do: Mapping[str, int]) -> "DiscreteSCM":
-        """Submodel with the mechanisms of ``do`` replaced by constants."""
-        self.diagram.check_nodes(do.keys())
-        functions = dict(self.functions)
-        for v, val in do.items():
-            if not (0 <= val < self.arities[v]):
-                raise InputError(f"value {val} out of range for {v}")
-            functions[v] = np.full_like(self.functions[v], val)
-        return DiscreteSCM(self.diagram, self.arities, self.latents, self.noise, functions)
+        return np.eye(self.arities[v])[self.functions[v]].swapaxes(-1, -2) @ self.noise[v]
 
     def exogenized(self, nodes: Iterable[str]) -> "DiscreteSCM":
         """Replace mechanisms so the given nodes depend on private noise only."""
-        self.diagram.check_nodes(nodes)
+        nodes = self.diagram.check_nodes(nodes)
         functions = dict(self.functions)
         for v in nodes:
             k = self.arities[v]
             fn = self.functions[v]
             flat = np.arange(fn.shape[-1]) % k
             functions[v] = np.broadcast_to(flat, fn.shape).copy()
-        return DiscreteSCM(self.diagram, self.arities, self.latents, self.noise, functions)
+        kept = {v: c for v, c in self.cpts.items() if v not in nodes}
+        return DiscreteSCM(self.diagram, self.arities, self.latents, self.noise, functions, kept)
 
 
-def _draw_scm(
-    d: SelectionDiagram, rng: np.random.Generator, arity: int, latent_arity: int
-) -> DiscreteSCM:
+def _plan(g: SemiMarkovianGraph, arities: Mapping[str, int], latent_arities: Mapping[frozenset[str], int],
+          do: Iterable[str], onehot: int = 1) -> list[tuple]:
+    """Elimination steps under do(), from structure alone: mechanisms in
+    topological order, a hidden prior just before the first mechanism that
+    reads it, its variable summed out right after the last (one no mechanism
+    reads sums to 1 and is skipped).  A step is (v, priors opened, operand
+    labels, output labels); an intervened v contributes only a ones-axis.
+    Labels are node indices, then ids recycled among the open hidden
+    variables.  Raises InputError if an intermediate, or a CPT times
+    ``onehot`` (the one-hot mechanism table that builds it), exceeds the
+    cell budget."""
+    order, index = topological_order(g), g.index
+    at: dict[str, list[frozenset[str]]] = {v: [] for v in g.nodes}
+    for e in _sorted_edges(g, latent_arities):
+        for v in e:
+            at[v].append(e)
+    last = {e: v for v in order if v not in do for e in at[v]}
+    size = [arities[v] for v in g.nodes]
+    label: dict[frozenset[str], int] = {}
+    free, acc, steps, cells = [], [], [], 1
+    for v in order:
+        if v in do:
+            opened, subs, closed = [], [[index[v]]], []
+        else:
+            opened = [e for e in at[v] if e not in label]
+            for e in opened:
+                label[e] = free.pop() if free else len(size)
+                size[label[e]:label[e] + 1] = [latent_arities[e]]
+            cpt = sorted(index[p] for p in g.parents[v]) + [label[e] for e in at[v]] + [index[v]]
+            subs = [[label[e]] for e in opened] + [cpt]
+            closed = [label[e] for e in at[v] if last[e] == v]
+            cells = max(cells, onehot * math.prod([size[i] for i in cpt]))
+        acc = sorted(set(acc).union(*subs).difference(closed))
+        free += sorted(closed, reverse=True)
+        steps.append((v, opened, subs, acc))
+        cells = max(cells, math.prod([size[i] for i in acc]))
+    if cells > MAX_TABLE_ENTRIES:
+        raise InputError(f"enumeration needs {cells} cells at once; budget is {MAX_TABLE_ENTRIES}")
+    return steps
+
+
+def _contract(m: DiscreteSCM, do: Iterable[str]) -> np.ndarray:
+    """Array over every node (node order) whose do() axes are free: fixing
+    them to an assignment gives the distribution of the rest under it."""
+    do = frozenset(do)
+    steps = _plan(m.diagram, m.arities, {e: len(u) for e, u in m.latents.items()}, do)
+    acc, acc_sub = np.ones(()), []
+    for v, opened, subs, out in steps:
+        ops = [np.ones(m.arities[v])] if v in do else [m.latents[e] for e in opened] + [m.cpts[v]]
+        acc, acc_sub = np.einsum(acc, acc_sub, *itertools.chain(*zip(ops, subs)), out), out
+    totals = acc.sum(axis=tuple(i for i, v in enumerate(m.diagram.nodes) if v not in do))
+    if np.abs(totals - 1.0).max(initial=0.0) > 1e-9:
+        raise OracleError(f"enumerated tables sum to {totals.min()}..{totals.max()}, not 1")
+    return acc
+
+
+def _table(m: DiscreteSCM, joint: np.ndarray, do: Mapping[str, int]) -> Table:
+    """The slice of a contraction at one assignment of its do() axes."""
+    nodes = m.diagram.nodes
+    keep = tuple(v for v in nodes if v not in do)
+    index = tuple(do[v] if v in do else slice(None) for v in nodes)
+    return Table(keep, {v: m.arities[v] for v in keep}, joint[index])
+
+
+def _draw_scm(d: SelectionDiagram, rng: np.random.Generator, arity: int, latent_arity: int) -> DiscreteSCM:
     g = d.graph
-    arities = {v: arity for v in g.nodes}
     noise_arity = _private_noise_arity(arity)
-    latents: dict[frozenset[str], np.ndarray] = {}
-    edge_order = sorted(g.bidirected_edges, key=lambda e: tuple(sorted(g.index[n] for n in e)))
-    for e in edge_order:
-        latents[e] = _positive_simplex(rng, latent_arity)
+    latents = {e: _positive_simplex(rng, latent_arity) for e in _sorted_edges(g, g.bidirected_edges)}
     noise = {v: _positive_simplex(rng, noise_arity) for v in g.nodes}
     functions = {}
     for v in g.nodes:
-        pa = g.sorted(g.parents[v])
-        n_edges = sum(1 for e in edge_order if v in e)
-        shape = tuple(arities[p] for p in pa) + (latent_arity,) * n_edges + (noise_arity,)
-        functions[v] = rng.integers(0, arities[v], size=shape)
-    return DiscreteSCM(g, arities, latents, noise, functions)
+        shape = (arity,) * len(g.parents[v]) + (latent_arity,) * len(g.siblings[v]) + (noise_arity,)
+        functions[v] = rng.integers(0, arity, size=shape)
+    return DiscreteSCM(g, dict.fromkeys(g.nodes, arity), latents, noise, functions)
 
 
 @dataclass(frozen=True)
@@ -194,25 +239,29 @@ def generate_pair(
     """Deterministic-in-seed model pair compatible with the selection diagram.
 
     Rejects and regenerates (incrementing a sub-seed) until both induced
-    observational joints are strictly positive.
+    observational joints are strictly positive.  Before drawing anything,
+    checks that the observational contraction (the largest of any do-set)
+    and the one-hot mechanism tables fit the cell budget.
     """
     if arity < 2:
         raise InputError("arity must be at least 2")
-    if len(d.graph.nodes) > MAX_NODES:
+    g = d.graph
+    if len(g.nodes) > MAX_NODES:
         raise InputError(f"diagram exceeds the {MAX_NODES}-node enumeration budget")
+    latent_arities = dict.fromkeys(g.bidirected_edges, latent_arity)
+    _plan(g, dict.fromkeys(g.nodes, arity), latent_arities, (), _private_noise_arity(arity))
     for attempt in range(500):
         rng = np.random.default_rng([seed, attempt])
         source = _draw_scm(d, rng, arity, latent_arity)
+        target = source
         if d.s_targets:
             rng_t = np.random.default_rng([seed, attempt, 1])
-            noise = dict(source.noise)
-            functions = dict(source.functions)
-            for v in d.graph.sorted(d.s_targets):
+            noise, functions = dict(source.noise), dict(source.functions)
+            for v in g.sorted(d.s_targets):
                 noise[v] = _positive_simplex(rng_t, _private_noise_arity(arity))
                 functions[v] = rng_t.integers(0, arity, size=source.functions[v].shape)
-            target = DiscreteSCM(d.graph, source.arities, source.latents, noise, functions)
-        else:
-            target = source
+            shared = {v: c for v, c in source.cpts.items() if v not in d.s_targets}
+            target = DiscreteSCM(g, source.arities, source.latents, noise, functions, shared)
         if enumerate_joint(source, {}).probs.min() > 0 and (
             target is source or enumerate_joint(target, {}).probs.min() > 0
         ):
@@ -221,54 +270,14 @@ def generate_pair(
 
 
 def enumerate_joint(m: DiscreteSCM, do_set: Mapping[str, int] | None = None) -> Table:
-    """Exact distribution over the non-intervened observables under do(do_set).
-
-    Works on one grid whose axes are the observables followed by the shared
-    hidden variables; every mechanism and hidden prior is broadcast onto it
-    and the hidden axes are summed out at the end.
-    """
+    """Exact distribution over the non-intervened observables under do(do_set):
+    the contraction with free do() axes, sliced at the assignment."""
     do = dict(do_set or {})
     m.diagram.check_nodes(do.keys())
     for v, val in do.items():
         if not (0 <= val < m.arities[v]):
             raise InputError(f"value {val} out of range for {v}")
-    model = m.intervened(do) if do else m
-    g = m.diagram
-    nodes = list(g.nodes)
-    n = len(nodes)
-    edge_order = model._edge_order
-    axis = {v: i for i, v in enumerate(nodes)}
-    axis.update({e: n + k for k, e in enumerate(edge_order)})
-    dims = [m.arities[v] for v in nodes] + [len(model.latents[e]) for e in edge_order]
-    total_axes = len(dims)
-
-    grid = np.ones(dims) if dims else np.array(1.0)
-    for e in edge_order:
-        shape = [1] * total_axes
-        shape[axis[e]] = dims[axis[e]]
-        grid = grid * model.latents[e].reshape(shape)
-    for v in nodes:
-        pa = g.sorted(g.parents[v])
-        v_edges = model.edges_at(v)
-        cpt = model.cpt(v)  # axes: parents, shared latents at v, v
-        involved = [axis[p] for p in pa] + [axis[e] for e in v_edges] + [axis[v]]
-        perm = np.argsort(involved)
-        cpt_t = np.transpose(cpt, perm)
-        shape = [1] * total_axes
-        for i_ax, a in zip(sorted(involved), cpt_t.shape):
-            shape[i_ax] = a
-        grid = grid * cpt_t.reshape(shape)
-    if edge_order:
-        grid = grid.sum(axis=tuple(range(n, total_axes)))
-
-    keep = [v for v in nodes if v not in do]
-    if do:
-        index = tuple(do[v] if v in do else slice(None) for v in nodes)
-        grid = grid[index]
-    table = Table(tuple(keep), {v: m.arities[v] for v in keep}, grid)
-    if abs(table.total() - 1.0) > 1e-9:
-        raise OracleError(f"enumerated table sums to {table.total()}, not 1")
-    return table
+    return _table(m, _contract(m, do), do)
 
 
 @dataclass(frozen=True)
@@ -304,30 +313,23 @@ def build_distribution_set(p: DiscreteModelPair, z: Iterable[str]) -> Distributi
     """Target joint plus source tables for every do() over a subset of z.
 
     The index set is every Z' with Z' a subset of z and Z' != V, including
-    the empty set (the source observational distribution).
+    the empty set (the source observational distribution).  Each Z' is one
+    contraction, sliced per assignment.
     """
     g = p.diagram.graph
     zs = g.sorted(g.check_nodes(z))
-    n = len(g.nodes)
-    entries = 0
-    subsets = []
-    for r in range(len(zs) + 1):
-        for combo in itertools.combinations(zs, r):
-            if len(combo) == n:
-                continue  # experiments on all of V are not available
-            n_assign = int(np.prod([p.source.arities[v] for v in combo])) if combo else 1
-            cells = int(np.prod([p.source.arities[v] for v in g.nodes if v not in combo]))
-            entries += n_assign * cells
-            subsets.append(combo)
+    # experiments on all of V are not available; each Z' holds every cell of V
+    subsets = [c for r in range(len(zs) + 1) for c in itertools.combinations(zs, r) if len(c) < len(g.nodes)]
+    entries = len(subsets) * math.prod(p.source.arities.values())
     if entries > MAX_TABLE_ENTRIES:
         raise InputError(f"distribution set needs {entries} table entries; budget is {MAX_TABLE_ENTRIES}")
 
     source_tables: dict[frozenset, Table] = {}
     for combo in subsets:
-        ranges = [range(p.source.arities[v]) for v in combo]
-        for values in itertools.product(*ranges):
+        joint = _contract(p.source, combo)
+        for values in itertools.product(*[range(p.source.arities[v]) for v in combo]):
             assignment = dict(zip(combo, values))
-            source_tables[frozenset(assignment.items())] = enumerate_joint(p.source, assignment)
+            source_tables[frozenset(assignment.items())] = _table(p.source, joint, assignment)
     return DistributionSet(
         target_joint=enumerate_joint(p.target, {}),
         source_interventional=source_tables,
@@ -366,15 +368,13 @@ def validate_formula(
     xs = g.sorted(q.x)
     ys = g.sorted(q.y)
     aux = sorted(free_variables(e) - q.x - q.y)
+    effects = _contract(p.target, xs)
     worst = 0.0
     for x_vals in itertools.product(*[range(p.source.arities[v]) for v in xs]):
         x_assign = dict(zip(xs, x_vals))
-        truth = ground_truth_effect(p.target, x_assign, ys)
+        truth = _table(p.target, effects, x_assign)
         for y_vals in itertools.product(*[range(p.source.arities[v]) for v in ys]):
-            binding = dict(x_assign)
-            binding.update(zip(ys, y_vals))
-            for v in aux:
-                binding[v] = 0
+            binding = {**x_assign, **dict(zip(ys, y_vals)), **dict.fromkeys(aux, 0)}
             got = evaluate(e, tables, binding)
             want = truth.prob(dict(zip(ys, y_vals)))
             worst = max(worst, abs(got - want))

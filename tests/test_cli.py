@@ -239,3 +239,10 @@ def test_main_validate_arity_below_two(tmp_path, capsys):
     code = cli.main(["validate", fig2a_file(tmp_path), "--seeds", "1", "--arity", "1"])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_main_validate_arity_over_the_cell_budget(tmp_path, capsys):
+    # 100^4 observed cells: rejected from structure before any model is drawn
+    code = cli.main(["validate", fig2a_file(tmp_path), "--seeds", "1", "--arity", "100"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")

@@ -27,7 +27,7 @@ def brute_force_joint(m: DiscreteSCM, do: dict) -> dict:
     """Independent pure-python enumeration over every hidden configuration."""
     g = m.diagram
     order = zt.topological_order(g)
-    edge_order = m._edge_order
+    edge_order = sorted(m.latents, key=lambda e: sorted(g.index[n] for n in e))
     out: dict[tuple, float] = {}
     noise_space = itertools.product(*[range(len(m.noise[v])) for v in g.nodes])
     for noise_vals in noise_space:
@@ -46,7 +46,7 @@ def brute_force_joint(m: DiscreteSCM, do: dict) -> dict:
                     values[v] = do[v]
                     continue
                 idx = tuple(values[p] for p in g.sorted(g.parents[v]))
-                idx += tuple(u_of[e] for e in m.edges_at(v))
+                idx += tuple(u_of[e] for e in edge_order if v in e)
                 idx += (noise_of[v],)
                 values[v] = int(m.functions[v][idx])
             key = tuple(values[v] for v in g.nodes if v not in do)
@@ -107,6 +107,22 @@ def test_distribution_set_entry_budget():
     pair = generate_pair(D(g, []), seed=1, arity=4)
     with pytest.raises(InputError, match="budget"):
         build_distribution_set(pair, [f"V{i}" for i in range(8)])
+
+
+def test_generate_pair_cell_budget_checked_from_structure():
+    # fig2a at arity 100 would need 10^8 observed cells; nothing is drawn
+    with pytest.raises(InputError, match="budget"):
+        generate_pair(fig2a(), seed=1, arity=100)
+
+
+def test_target_reuses_source_cpts_outside_the_marks():
+    d = fig2a()  # marks Z
+    pair = generate_pair(d, seed=2)
+    for v in d.graph.nodes:
+        shared = pair.target.cpts[v] is pair.source.cpts[v]
+        assert shared == (v not in d.s_targets)
+    with pytest.raises(TypeError):
+        pair.source.cpts["Z"] = None  # read-only after construction
 
 
 def test_generate_pair_node_budget():
@@ -194,6 +210,46 @@ def test_truncated_factorization_on_markovian_graphs():
             assert got.prob(assign) == pytest.approx(want, abs=1e-10)
 
 
+def _assert_matches_brute_force(m, do):
+    got = enumerate_joint(m, do)
+    want = brute_force_joint(m, do)
+    assert got.probs.size == len(want)
+    for key, p in want.items():
+        assert got.probs[key] == pytest.approx(p, abs=1e-12)
+
+
+def test_contraction_matches_brute_force_with_random_do_sets():
+    checked = 0
+    for seed in range(16):
+        g, rng = random_graph(seed, master=31, max_nodes=4, max_bi=2)
+        if not g.bidirected_edges:
+            continue
+        pair = generate_pair(D(g, []), seed)
+        for _ in range(2):
+            do = {v: int(rng.integers(0, 2)) for v in g.nodes if rng.random() < 0.4}
+            _assert_matches_brute_force(pair.source, do)
+        checked += 1
+    assert checked >= 8
+
+
+def test_contraction_do_variable_without_children():
+    # Y is a sink: intervening on it leaves a ones-axis that no mechanism reads
+    g = zt.SemiMarkovianGraph.create(["X", "Y", "W"], [("X", "Y")], [("Y", "W"), ("X", "W")])
+    pair = generate_pair(D(g, []), seed=4)
+    for do in ({"Y": 1}, {"Y": 0, "X": 1}):
+        _assert_matches_brute_force(pair.source, do)
+
+
+def test_contraction_bidirected_edge_with_both_endpoints_intervened():
+    # the hidden variable of X <-> Z has no reader left and sums out to 1
+    g = zt.SemiMarkovianGraph.create(
+        ["X", "Z", "Y"], [("X", "Y"), ("Z", "Y")], [("X", "Z"), ("Z", "Y")]
+    )
+    pair = generate_pair(D(g, []), seed=5)
+    for do in ({"X": 0, "Z": 1}, {"X": 1, "Z": 0}):
+        _assert_matches_brute_force(pair.source, do)
+
+
 def test_enumerate_rejects_out_of_range():
     pair = generate_pair(D(chain_graph(), []), seed=1)
     with pytest.raises(InputError):
@@ -228,6 +284,20 @@ def test_distribution_set_never_includes_experiments_on_everything():
     ds = build_distribution_set(pair, ["X", "Y"])
     for key in ds.source_interventional:
         assert len(key) < 2  # do() on all of V is not part of the index set
+
+
+def test_distribution_set_tables_equal_per_assignment_enumeration():
+    for seed in range(8):
+        g, rng = random_graph(seed, master=37, max_nodes=5, max_bi=3)
+        d = D(g, [v for v in g.nodes if rng.random() < 0.3])
+        pair = generate_pair(d, seed)
+        z = [v for v in g.nodes if rng.random() < 0.5]
+        ds = build_distribution_set(pair, z)
+        assert np.array_equal(ds.target_joint.probs, enumerate_joint(pair.target, {}).probs)
+        for key, table in ds.source_interventional.items():
+            want = enumerate_joint(pair.source, dict(key))
+            assert table.vars == want.vars
+            assert np.array_equal(table.probs, want.probs)
 
 
 def test_distribution_set_no_marks_target_equals_source():
