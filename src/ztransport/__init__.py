@@ -17,6 +17,7 @@ from .expr import (
     Quotient,
     Sum,
     Term,
+    compile_expr,
     evaluate,
     free_variables,
     from_json,

@@ -13,9 +13,13 @@ a single base-distribution term; it never appears in the golden formulas.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
+
+import numpy as np
+
+from .graph import InputError
 
 SOURCE = "source"
 TARGET = "target"
@@ -409,56 +413,131 @@ def from_json(obj: dict) -> ProbExpr:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def evaluate(e: ProbExpr, tables, binding: Mapping[str, int]) -> float:
-    """Evaluate against a DistributionSet-like table supply.
+# einsum takes at most 31 operands in one call under numpy 1.x (63 under 2.x)
+_MAX_OPERANDS = 31
 
-    ``tables`` must provide ``arity(var) -> int`` and
-    ``table_for(domain, do_assignment) -> Table`` where Table has
-    ``conditional(outcome_assignment, given_assignment) -> float``.
-    Every free variable of ``e`` must be bound.
+
+def compile_expr(e: ProbExpr, tables) -> tuple[tuple[str, ...], np.ndarray]:
+    """The value of ``e`` at every assignment of its free slots, as one array.
+
+    Returns ``(slots, values)``: axis i of ``values`` runs over the values
+    of ``slots[i]``.  A term becomes the conditional array of its
+    distribution's joint, a product (or a sum of a product) one ``einsum``,
+    a quotient a guarded divide.  NaN marks an assignment at which a
+    conditioning event or a denominator has zero probability.
+
+    ``tables`` must provide ``nodes`` (the variables in axis order),
+    ``arity(slot) -> int``, ``joint(domain, do_vars) -> array`` over
+    ``nodes`` with the do() axes free, and ``max_cells``: an array with more
+    cells than that raises InputError before it is allocated.
     """
-    missing = free_variables(e) - set(binding)
+    return _compile(e, tables, {})
+
+
+def align_axes(slots: tuple[str, ...], values: np.ndarray, order: Iterable[str]) -> np.ndarray:
+    """``values`` (one axis per slot) with its axes permuted into ``order``
+    and a length-1 axis for each slot of ``order`` it lacks; every slot of
+    ``slots`` must occur in ``order``."""
+    order = list(order)
+    perm = [slots.index(s) for s in order if s in slots]
+    shape = [values.shape[slots.index(s)] if s in slots else 1 for s in order]
+    return values.transpose(perm).reshape(shape)
+
+
+def evaluate(e: ProbExpr, tables, binding: Mapping[str, int]) -> float:
+    """Value of ``e`` at one binding: the cell of ``compile_expr`` at it.
+
+    Every free variable of ``e`` must be bound.  Raises EvalError if the
+    binding meets a zero-probability conditioning event or denominator.
+    """
+    slots, values = compile_expr(e, tables)
+    missing = set(slots) - set(binding)
     if missing:
         raise EvalError(f"unbound variables: {sorted(missing)}")
-    return _eval(e, tables, dict(binding))
+    index = tuple(binding[s] for s in slots)
+    if not all(0 <= i < n for i, n in zip(index, values.shape)):
+        raise EvalError(f"value out of range in {dict(binding)}")
+    out = float(values[index])
+    if math.isnan(out):
+        raise EvalError(f"zero-probability conditioning event or denominator at {dict(binding)}")
+    return out
 
 
-def _eval(e: ProbExpr, tables, binding: dict[str, int]) -> float:
-    if isinstance(e, One):
-        return 1.0
+def _compile(e: ProbExpr, tables, terms: dict) -> tuple[tuple[str, ...], np.ndarray]:
     if isinstance(e, Term):
-        t = e.term
-        do_assign = {base_var(v): binding[v] for v in t.do}
-        table = tables.table_for(t.domain, do_assign)
-        return table.conditional(
-            {base_var(v): binding[v] for v in t.outcome},
-            {base_var(v): binding[v] for v in t.given},
-        )
+        return _term_array(e.term, tables, terms)
+    if isinstance(e, One):
+        return (), np.ones(())
     if isinstance(e, Product):
-        out = 1.0
-        for f in e.factors:
-            out *= _eval(f, tables, binding)
-            if out == 0.0:
-                return 0.0
-        return out
+        return _einsum([_compile(f, tables, terms) for f in e.factors], frozenset(), tables)
     if isinstance(e, Sum):
-        bound = sorted(e.over)
-        saved = {v: binding[v] for v in bound if v in binding}
-        total = 0.0
-        ranges = [range(tables.arity(v)) for v in bound]
-        for combo in itertools.product(*ranges):
-            for v, val in zip(bound, combo):
-                binding[v] = val
-            total += _eval(e.body, tables, binding)
-        for v in bound:
-            if v in saved:
-                binding[v] = saved[v]
-            else:
-                del binding[v]
-        return total
+        parts = e.body.factors if isinstance(e.body, Product) else (e.body,)
+        ops = [_compile(f, tables, terms) for f in parts]
+        slots, values = _einsum(ops, e.over, tables)
+        # a bound slot the body never reads counts each of its values once
+        unread = e.over.difference(*(s for s, _ in ops))
+        if unread:
+            values = values * math.prod(tables.arity(v) for v in unread)
+        return slots, values
     if isinstance(e, Quotient):
-        den = _eval(e.den, tables, binding)
-        if den <= 0.0:
-            raise EvalError("zero or negative denominator in quotient")
-        return _eval(e.num, tables, binding) / den
+        (ns, num), (ds, den) = _compile(e.num, tables, terms), _compile(e.den, tables, terms)
+        slots = tuple(dict.fromkeys(ns + ds))
+        size = dict(zip(ns, num.shape)) | dict(zip(ds, den.shape))
+        _check_cells(math.prod(size.values()), tables)
+        return slots, _divide(align_axes(ns, num, slots), align_axes(ds, den, slots))
     raise ExprError(f"not a ProbExpr: {e!r}")
+
+
+def _term_array(t: ProbTerm, tables, terms: dict) -> tuple[tuple[str, ...], np.ndarray]:
+    """P_do(outcome | given) over its slots; ``terms`` holds the arrays of
+    terms already compiled in this expression, by base variables."""
+    named = t.outcome + t.given + t.do
+    bases = tuple(base_var(v) for v in named)
+    key = (t.domain, bases, len(t.outcome), len(t.given))
+    if key not in terms:
+        if len(set(bases)) < len(bases):
+            raise EvalError(f"term names one variable twice: {list(named)}")
+        unknown = set(bases).difference(tables.nodes)
+        if unknown:
+            raise EvalError(f"variables not in table: {sorted(unknown)}")
+        joint = tables.joint(t.domain, frozenset(bases[len(t.outcome) + len(t.given):]))
+        kept = [v for v in tables.nodes if v in bases]
+        drop = tuple(i for i, v in enumerate(tables.nodes) if v not in bases)
+        values = joint.sum(axis=drop) if drop else joint
+        if t.given:
+            outcome = bases[:len(t.outcome)]
+            axes = tuple(i for i, v in enumerate(kept) if v in outcome)
+            values = _divide(values, values.sum(axis=axes, keepdims=True))
+        terms[key] = (kept, values)
+    kept, values = terms[key]
+    slot_of = dict(zip(bases, named))
+    return tuple(slot_of[v] for v in kept), values
+
+
+def _einsum(ops: list, over: frozenset[str], tables) -> tuple[tuple[str, ...], np.ndarray]:
+    """The product of ``ops`` (each (slots, array)) summed over ``over``."""
+    while len(ops) > _MAX_OPERANDS:
+        ops = [_einsum(ops[:_MAX_OPERANDS], frozenset(), tables)] + ops[_MAX_OPERANDS:]
+    size: dict[str, int] = {}
+    for slots, values in ops:
+        size.update(zip(slots, values.shape))
+    out = tuple(s for s in size if s not in over)
+    if len(ops) == 1 and len(out) == len(size):
+        return ops[0]
+    _check_cells(math.prod(size[s] for s in out), tables)
+    label = {s: i for i, s in enumerate(size)}
+    args: list = []
+    for slots, values in ops:
+        args += (values, [label[s] for s in slots])
+    return out, np.einsum(*args, [label[s] for s in out])
+
+
+def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den where den > 0, NaN elsewhere."""
+    out = np.full(np.broadcast_shapes(num.shape, den.shape), np.nan)
+    return np.divide(num, den, out=out, where=den > 0)
+
+
+def _check_cells(cells: int, tables) -> None:
+    if cells > tables.max_cells:
+        raise InputError(f"evaluation needs {cells} cells at once; budget is {tables.max_cells}")

@@ -10,9 +10,11 @@ additionally owns a private noise input so that strictly positive joints
 are attainable with deterministic mechanism tables.
 
 Distributions are variable-elimination contractions of the truncated
-factorization (Koller & Friedman 2009, ch. 9).  An intervened variable has
-no mechanism, only a free axis, so one contraction holds the distribution
-under every assignment of its do-set.
+factorization (Koller & Friedman 2009, ch. 9), all run from one plan per
+model pair.  An intervened variable has no mechanism, only a free axis, so
+one contraction holds the distribution under every assignment of its
+do-set.  A formula is checked as one array over all of its free slots
+(``expr.compile_expr``) against the true effect.
 """
 
 from __future__ import annotations
@@ -21,11 +23,12 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import ClassVar, Iterable, Mapping
 
 import numpy as np
 
-from .expr import EvalError, ProbExpr, SOURCE, TARGET, base_var, evaluate, free_variables
+from .expr import EvalError, ProbExpr, SOURCE, TARGET, align_axes, base_var, compile_expr
+from .expr import evaluate  # noqa: F401  (scalar evaluation, also importable from here)
 from .graph import InputError, Query, SelectionDiagram, SemiMarkovianGraph, topological_order
 
 MAX_NODES = 12
@@ -46,12 +49,11 @@ class OracleError(RuntimeError):
 
 @dataclass(frozen=True)
 class Table:
-    """Exact probability table over ``vars`` (node order), cached marginals."""
+    """Exact probability table over ``vars`` (node order)."""
 
     vars: tuple[str, ...]
     arities: dict[str, int]
     probs: np.ndarray
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def total(self) -> float:
         return float(self.probs.sum())
@@ -62,12 +64,8 @@ class Table:
         unknown = keep_set - set(self.vars)
         if unknown:
             raise EvalError(f"variables not in table: {sorted(unknown)}")
-        if keep_set in self._cache:
-            return self._cache[keep_set]
         drop_axes = tuple(i for i, v in enumerate(self.vars) if v not in keep_set)
-        out = self.probs.sum(axis=drop_axes) if drop_axes else self.probs
-        self._cache[keep_set] = out
-        return out
+        return self.probs.sum(axis=drop_axes) if drop_axes else self.probs
 
     def prob(self, assignment: Mapping[str, int]) -> float:
         """Marginal probability of a (possibly partial) assignment."""
@@ -112,7 +110,9 @@ class DiscreteSCM:
     by (observed parents of v in node order, shared latents at v in edge
     order, private noise of v) yielding v's value.  ``noise[v]`` is the
     private noise distribution.  ``cpts[v]`` is ``cpt(v)``, computed once
-    at construction for every node whose table is not passed in.
+    at construction for every node whose table is not passed in.  ``plan``
+    is the elimination plan every contraction of the model runs, made at
+    construction unless passed in (models over one diagram share it).
     """
 
     diagram: SemiMarkovianGraph
@@ -121,11 +121,15 @@ class DiscreteSCM:
     noise: dict[str, np.ndarray]
     functions: dict[str, np.ndarray]
     cpts: Mapping[str, np.ndarray] = field(default_factory=dict, compare=False, repr=False)
+    plan: tuple[tuple, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         given = self.cpts
         cpts = {v: given[v] if v in given else self.cpt(v) for v in self.diagram.nodes}
         object.__setattr__(self, "cpts", MappingProxyType(cpts))
+        if not self.plan:
+            latent_arities = {e: len(u) for e, u in self.latents.items()}
+            object.__setattr__(self, "plan", _plan(self.diagram, self.arities, latent_arities))
 
     def cpt(self, v: str) -> np.ndarray:
         """P(v | observed parents, shared latents at v), private noise folded in.
@@ -144,74 +148,79 @@ class DiscreteSCM:
             flat = np.arange(fn.shape[-1]) % k
             functions[v] = np.broadcast_to(flat, fn.shape).copy()
         kept = {v: c for v, c in self.cpts.items() if v not in nodes}
-        return DiscreteSCM(self.diagram, self.arities, self.latents, self.noise, functions, kept)
+        return DiscreteSCM(self.diagram, self.arities, self.latents, self.noise, functions, kept, self.plan)
 
 
 def _plan(g: SemiMarkovianGraph, arities: Mapping[str, int], latent_arities: Mapping[frozenset[str], int],
-          do: Iterable[str], onehot: int = 1) -> list[tuple]:
-    """Elimination steps under do(), from structure alone: mechanisms in
-    topological order, a hidden prior just before the first mechanism that
-    reads it, its variable summed out right after the last (one no mechanism
-    reads sums to 1 and is skipped).  A step is (v, priors opened, operand
-    labels, output labels); an intervened v contributes only a ones-axis.
-    Labels are node indices, then ids recycled among the open hidden
-    variables.  Raises InputError if an intermediate, or a CPT times
-    ``onehot`` (the one-hot mechanism table that builds it), exceeds the
-    cell budget."""
+          onehot: int = 1) -> tuple[tuple, ...]:
+    """Elimination steps of the observational contraction, from structure
+    alone: mechanisms in topological order, a hidden prior just before the
+    first mechanism that reads it, its variable summed out right after the
+    last.  A step is (v, priors opened, their labels, labels of v's CPT,
+    output labels).  Labels are node indices, then ids recycled among the
+    open hidden variables.
+
+    A contraction under do() runs the same steps with an intervened v's CPT
+    replaced by a ones-axis over v's label; the output labels stay the
+    same, so one plan and one budget check serve every do-set.  Raises
+    InputError if an intermediate, or a CPT times ``onehot`` (the one-hot
+    mechanism table that builds it), exceeds the cell budget."""
     order, index = topological_order(g), g.index
     at: dict[str, list[frozenset[str]]] = {v: [] for v in g.nodes}
     for e in _sorted_edges(g, latent_arities):
         for v in e:
             at[v].append(e)
-    last = {e: v for v in order if v not in do for e in at[v]}
+    last = {e: v for v in order for e in at[v]}
     size = [arities[v] for v in g.nodes]
     label: dict[frozenset[str], int] = {}
-    free, acc, steps, cells = [], [], [], 1
+    free, acc, steps, cells = [], (), [], 1
     for v in order:
-        if v in do:
-            opened, subs, closed = [], [[index[v]]], []
-        else:
-            opened = [e for e in at[v] if e not in label]
-            for e in opened:
-                label[e] = free.pop() if free else len(size)
-                size[label[e]:label[e] + 1] = [latent_arities[e]]
-            cpt = sorted(index[p] for p in g.parents[v]) + [label[e] for e in at[v]] + [index[v]]
-            subs = [[label[e]] for e in opened] + [cpt]
-            closed = [label[e] for e in at[v] if last[e] == v]
-            cells = max(cells, onehot * math.prod([size[i] for i in cpt]))
-        acc = sorted(set(acc).union(*subs).difference(closed))
+        opened = tuple(e for e in at[v] if e not in label)
+        for e in opened:
+            label[e] = free.pop() if free else len(size)
+            size[label[e]:label[e] + 1] = [latent_arities[e]]
+        cpt = tuple(sorted(index[p] for p in g.parents[v])) + tuple(label[e] for e in at[v]) + (index[v],)
+        closed = [label[e] for e in at[v] if last[e] == v]
+        acc = tuple(sorted(set(acc).union(cpt).difference(closed)))
         free += sorted(closed, reverse=True)
-        steps.append((v, opened, subs, acc))
-        cells = max(cells, math.prod([size[i] for i in acc]))
+        steps.append((v, opened, tuple((label[e],) for e in opened), cpt, acc))
+        cells = max(cells, onehot * math.prod([size[i] for i in cpt]), math.prod([size[i] for i in acc]))
     if cells > MAX_TABLE_ENTRIES:
         raise InputError(f"enumeration needs {cells} cells at once; budget is {MAX_TABLE_ENTRIES}")
-    return steps
+    return tuple(steps)
 
 
-def _contract(m: DiscreteSCM, do: Iterable[str]) -> np.ndarray:
-    """Array over every node (node order) whose do() axes are free: fixing
-    them to an assignment gives the distribution of the rest under it."""
+def _contract(m: DiscreteSCM, do: Iterable[str] = ()) -> np.ndarray:
+    """Read-only array over every node (node order) whose do() axes are free:
+    fixing them to an assignment gives the distribution of the rest under it."""
     do = frozenset(do)
-    steps = _plan(m.diagram, m.arities, {e: len(u) for e, u in m.latents.items()}, do)
-    acc, acc_sub = np.ones(()), []
-    for v, opened, subs, out in steps:
-        ops = [np.ones(m.arities[v])] if v in do else [m.latents[e] for e in opened] + [m.cpts[v]]
-        acc, acc_sub = np.einsum(acc, acc_sub, *itertools.chain(*zip(ops, subs)), out), out
+    acc, acc_sub = np.ones(()), ()
+    for v, opened, opened_subs, cpt_sub, out in m.plan:
+        args = [acc, acc_sub]
+        for e, sub in zip(opened, opened_subs):
+            args += (m.latents[e], sub)
+        if v in do:
+            args += (np.ones(m.arities[v]), cpt_sub[-1:])
+        else:
+            args += (m.cpts[v], cpt_sub)
+        acc, acc_sub = np.einsum(*args, out), out
     totals = acc.sum(axis=tuple(i for i, v in enumerate(m.diagram.nodes) if v not in do))
     if np.abs(totals - 1.0).max(initial=0.0) > 1e-9:
         raise OracleError(f"enumerated tables sum to {totals.min()}..{totals.max()}, not 1")
+    acc.flags.writeable = False
     return acc
 
 
-def _table(m: DiscreteSCM, joint: np.ndarray, do: Mapping[str, int]) -> Table:
+def _table(nodes: tuple[str, ...], arities: Mapping[str, int], joint: np.ndarray, do: Mapping[str, int]) -> Table:
     """The slice of a contraction at one assignment of its do() axes."""
-    nodes = m.diagram.nodes
     keep = tuple(v for v in nodes if v not in do)
     index = tuple(do[v] if v in do else slice(None) for v in nodes)
-    return Table(keep, {v: m.arities[v] for v in keep}, joint[index])
+    return Table(keep, {v: arities[v] for v in keep}, joint[index])
 
 
-def _draw_scm(d: SelectionDiagram, rng: np.random.Generator, arity: int, latent_arity: int) -> DiscreteSCM:
+def _draw_scm(
+    d: SelectionDiagram, rng: np.random.Generator, arity: int, latent_arity: int, plan: tuple[tuple, ...]
+) -> DiscreteSCM:
     g = d.graph
     noise_arity = _private_noise_arity(arity)
     latents = {e: _positive_simplex(rng, latent_arity) for e in _sorted_edges(g, g.bidirected_edges)}
@@ -220,17 +229,30 @@ def _draw_scm(d: SelectionDiagram, rng: np.random.Generator, arity: int, latent_
     for v in g.nodes:
         shape = (arity,) * len(g.parents[v]) + (latent_arity,) * len(g.siblings[v]) + (noise_arity,)
         functions[v] = rng.integers(0, arity, size=shape)
-    return DiscreteSCM(g, dict.fromkeys(g.nodes, arity), latents, noise, functions)
+    return DiscreteSCM(g, dict.fromkeys(g.nodes, arity), latents, noise, functions, plan=plan)
 
 
 @dataclass(frozen=True)
 class DiscreteModelPair:
     """Source and target models sharing diagram, arities and hidden structure;
-    mechanism discrepancies are confined to the selection-pointed nodes."""
+    mechanism discrepancies are confined to the selection-pointed nodes.
+
+    ``source_joint`` and ``target_joint`` are the models' observational
+    joints (node order), contracted at construction unless passed in.
+    """
 
     diagram: SelectionDiagram
     source: DiscreteSCM
     target: DiscreteSCM
+    source_joint: np.ndarray | None = field(default=None, compare=False, repr=False)
+    target_joint: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.source_joint is None:
+            object.__setattr__(self, "source_joint", _contract(self.source))
+        if self.target_joint is None:
+            same = self.target is self.source
+            object.__setattr__(self, "target_joint", self.source_joint if same else _contract(self.target))
 
 
 def generate_pair(
@@ -240,8 +262,9 @@ def generate_pair(
 
     Rejects and regenerates (incrementing a sub-seed) until both induced
     observational joints are strictly positive.  Before drawing anything,
-    checks that the observational contraction (the largest of any do-set)
-    and the one-hot mechanism tables fit the cell budget.
+    plans the contraction once for every model and do-set it will serve,
+    checking that its intermediates and the one-hot mechanism tables fit
+    the cell budget.
     """
     if arity < 2:
         raise InputError("arity must be at least 2")
@@ -249,10 +272,10 @@ def generate_pair(
     if len(g.nodes) > MAX_NODES:
         raise InputError(f"diagram exceeds the {MAX_NODES}-node enumeration budget")
     latent_arities = dict.fromkeys(g.bidirected_edges, latent_arity)
-    _plan(g, dict.fromkeys(g.nodes, arity), latent_arities, (), _private_noise_arity(arity))
+    plan = _plan(g, dict.fromkeys(g.nodes, arity), latent_arities, _private_noise_arity(arity))
     for attempt in range(500):
         rng = np.random.default_rng([seed, attempt])
-        source = _draw_scm(d, rng, arity, latent_arity)
+        source = _draw_scm(d, rng, arity, latent_arity, plan)
         target = source
         if d.s_targets:
             rng_t = np.random.default_rng([seed, attempt, 1])
@@ -261,11 +284,13 @@ def generate_pair(
                 noise[v] = _positive_simplex(rng_t, _private_noise_arity(arity))
                 functions[v] = rng_t.integers(0, arity, size=source.functions[v].shape)
             shared = {v: c for v, c in source.cpts.items() if v not in d.s_targets}
-            target = DiscreteSCM(g, source.arities, source.latents, noise, functions, shared)
-        if enumerate_joint(source, {}).probs.min() > 0 and (
-            target is source or enumerate_joint(target, {}).probs.min() > 0
-        ):
-            return DiscreteModelPair(d, source, target)
+            target = DiscreteSCM(g, source.arities, source.latents, noise, functions, shared, plan)
+        source_joint = enumerate_joint(source, {}).probs
+        if source_joint.min() <= 0:
+            continue
+        target_joint = source_joint if target is source else enumerate_joint(target, {}).probs
+        if target_joint.min() > 0:
+            return DiscreteModelPair(d, source, target, source_joint, target_joint)
     raise OracleError(f"could not draw a strictly positive pair for seed {seed}")
 
 
@@ -277,17 +302,27 @@ def enumerate_joint(m: DiscreteSCM, do_set: Mapping[str, int] | None = None) -> 
     for v, val in do.items():
         if not (0 <= val < m.arities[v]):
             raise InputError(f"value {val} out of range for {v}")
-    return _table(m, _contract(m, do), do)
+    return _table(m.diagram.nodes, m.arities, _contract(m, do), do)
 
 
 @dataclass(frozen=True)
 class DistributionSet:
-    """Concrete tables backing formula evaluation: the target observational
-    joint plus one source table per available do() assignment."""
+    """Concrete distributions backing formula evaluation: the target
+    observational joint, and for each available do-set of the source one
+    contraction over every node, with the do() axes free.
+
+    It is the table supply of ``expr.compile_expr`` and ``expr.evaluate``;
+    ``table_for`` slices one assignment out on demand.
+    """
 
     target_joint: Table
-    source_interventional: dict[frozenset, Table]
-    node_arities: dict[str, int]
+    source_joints: Mapping[frozenset[str], np.ndarray]
+    node_arities: Mapping[str, int]
+    max_cells: ClassVar[int] = MAX_TABLE_ENTRIES
+
+    @property
+    def nodes(self) -> tuple[str, ...]:
+        return self.target_joint.vars
 
     def arity(self, v: str) -> int:
         try:
@@ -295,26 +330,36 @@ class DistributionSet:
         except KeyError:
             raise EvalError(f"unknown variable: {v}")
 
-    def table_for(self, domain: str, do_assignment: Mapping[str, int]) -> Table:
+    def joint(self, domain: str, do: frozenset[str]) -> np.ndarray:
+        """The array over ``nodes`` of a domain's distribution under do() on
+        the given variables, their axes free."""
         if domain == TARGET:
-            if do_assignment:
+            if do:
                 raise EvalError("target terms carry no interventions")
-            return self.target_joint
+            return self.target_joint.probs
         if domain == SOURCE:
-            key = frozenset(do_assignment.items())
             try:
-                return self.source_interventional[key]
+                return self.source_joints[do]
             except KeyError:
-                raise EvalError(f"no source table for do({dict(do_assignment)})")
+                raise EvalError(f"no source table for do({sorted(do)})")
         raise EvalError(f"bad domain: {domain!r}")
+
+    def table_for(self, domain: str, do_assignment: Mapping[str, int]) -> Table:
+        """The distribution under one do() assignment."""
+        joint = self.joint(domain, frozenset(do_assignment))
+        for v, val in do_assignment.items():
+            if not (0 <= val < self.node_arities[v]):
+                raise EvalError(f"value {val} out of range for {v}")
+        return _table(self.nodes, self.node_arities, joint, do_assignment)
 
 
 def build_distribution_set(p: DiscreteModelPair, z: Iterable[str]) -> DistributionSet:
-    """Target joint plus source tables for every do() over a subset of z.
+    """Target joint plus one source contraction per do() over a subset of z.
 
     The index set is every Z' with Z' a subset of z and Z' != V, including
-    the empty set (the source observational distribution).  Each Z' is one
-    contraction, sliced per assignment.
+    the empty set (the source observational distribution).  The
+    observational joints are the pair's own; every other Z' is one
+    contraction, whose free Z' axes hold every assignment.
     """
     g = p.diagram.graph
     zs = g.sorted(g.check_nodes(z))
@@ -323,18 +368,9 @@ def build_distribution_set(p: DiscreteModelPair, z: Iterable[str]) -> Distributi
     entries = len(subsets) * math.prod(p.source.arities.values())
     if entries > MAX_TABLE_ENTRIES:
         raise InputError(f"distribution set needs {entries} table entries; budget is {MAX_TABLE_ENTRIES}")
-
-    source_tables: dict[frozenset, Table] = {}
-    for combo in subsets:
-        joint = _contract(p.source, combo)
-        for values in itertools.product(*[range(p.source.arities[v]) for v in combo]):
-            assignment = dict(zip(combo, values))
-            source_tables[frozenset(assignment.items())] = _table(p.source, joint, assignment)
-    return DistributionSet(
-        target_joint=enumerate_joint(p.target, {}),
-        source_interventional=source_tables,
-        node_arities=dict(p.source.arities),
-    )
+    source = {frozenset(c): _contract(p.source, c) if c else p.source_joint for c in subsets}
+    arities = dict(p.source.arities)
+    return DistributionSet(Table(g.nodes, arities, p.target_joint), MappingProxyType(source), arities)
 
 
 def ground_truth_effect(m: DiscreteSCM, x: Mapping[str, int], y: Iterable[str]) -> Table:
@@ -355,27 +391,32 @@ def validate_formula(
     tables: DistributionSet | None = None,
 ) -> float:
     """Max absolute error of the formula against the true target effect,
-    over every assignment of the query's x and y.
+    over every assignment of the query's x and y and of every other free
+    slot of the formula.
 
-    Free slots outside x and y (auxiliary context variables introduced by
-    the algorithm) are bound to 0; a correct formula's value does not
-    depend on them.
+    Those other slots are auxiliary context variables introduced by the
+    algorithm; a correct formula's value does not depend on them, and
+    this checks it at each of their values.  The formula is compiled to
+    one array over its free slots (``expr.compile_expr``) and compared
+    with the truth tensor P*_x(y) at once.  Raises EvalError if any
+    assignment meets a zero-probability conditioning event or denominator,
+    and InputError if the comparison exceeds the cell budget.
     """
     g = p.diagram.graph
     q.validate_against(g)
     if tables is None:
         tables = build_distribution_set(p, q.z)
     xs = g.sorted(q.x)
-    ys = g.sorted(q.y)
-    aux = sorted(free_variables(e) - q.x - q.y)
-    effects = _contract(p.target, xs)
-    worst = 0.0
-    for x_vals in itertools.product(*[range(p.source.arities[v]) for v in xs]):
-        x_assign = dict(zip(xs, x_vals))
-        truth = _table(p.target, effects, x_assign)
-        for y_vals in itertools.product(*[range(p.source.arities[v]) for v in ys]):
-            binding = {**x_assign, **dict(zip(ys, y_vals)), **dict.fromkeys(aux, 0)}
-            got = evaluate(e, tables, binding)
-            want = truth.prob(dict(zip(ys, y_vals)))
-            worst = max(worst, abs(got - want))
-    return worst
+    effects = _contract(p.target, xs) if xs else p.target_joint
+    xy = [v for v in g.nodes if v in q.x or v in q.y]
+    truth = effects.sum(axis=tuple(i for i, v in enumerate(g.nodes) if v not in xy))
+    slots, got = compile_expr(e, tables)
+    aux = [s for s in slots if s not in q.x and s not in q.y]
+    got = align_axes(slots, got, xy + aux)
+    truth = truth.reshape(truth.shape + (1,) * len(aux))
+    cells = math.prod(np.broadcast_shapes(got.shape, truth.shape))
+    if cells > MAX_TABLE_ENTRIES:
+        raise InputError(f"validation needs {cells} cells at once; budget is {MAX_TABLE_ENTRIES}")
+    if np.isnan(got).any():
+        raise EvalError("zero-probability conditioning event or denominator in the formula")
+    return float(np.abs(got - truth).max())

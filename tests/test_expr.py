@@ -155,10 +155,13 @@ def tiny_tables():
         for combo in itertools.combinations(VARS, r):
             if len(combo) == len(VARS):
                 continue
+            joint = np.empty((2,) * len(VARS))  # do() axes free: one distribution per slice
             for values in itertools.product(range(2), repeat=len(combo)):
                 keep = [v for v in VARS if v not in combo]
                 p = rng.dirichlet(np.ones(2 ** len(keep))).reshape((2,) * len(keep))
-                source[frozenset(zip(combo, values))] = Table(tuple(keep), arities, p)
+                assignment = dict(zip(combo, values))
+                joint[tuple(assignment.get(v, slice(None)) for v in VARS)] = p
+            source[frozenset(combo)] = joint
     p = rng.dirichlet(np.ones(8)).reshape((2, 2, 2))
     return DistributionSet(Table(tuple(VARS), arities, p), source, arities)
 
@@ -183,6 +186,29 @@ def test_evaluate_missing_table():
 def test_evaluate_unbound_variable():
     with pytest.raises(EvalError):
         E.evaluate(t_target_y(), tiny_tables(), {})
+
+
+def test_evaluate_zero_denominator_raises_only_at_that_binding():
+    # P*(A=1) = 0: conditioning on A=1 is undefined, on A=0 it is not
+    tab = Table(("A", "B"), {"A": 2, "B": 2}, np.array([[0.3, 0.7], [0.0, 0.0]]))
+    ds = DistributionSet(tab, {}, {"A": 2, "B": 2})
+    cond = E.term(E.TARGET, ["B"], given=["A"])
+    assert E.evaluate(cond, ds, {"A": 0, "B": 1}) == pytest.approx(0.7)
+    with pytest.raises(EvalError):
+        E.evaluate(cond, ds, {"A": 1, "B": 1})
+    ratio = E.Quotient(E.term(E.TARGET, ["B"]), E.term(E.TARGET, ["A"]))
+    assert E.evaluate(ratio, ds, {"A": 0, "B": 0}) == pytest.approx(0.3)
+    with pytest.raises(EvalError):
+        E.evaluate(ratio, ds, {"A": 1, "B": 0})
+
+
+def test_compiled_evaluation_checks_the_cell_budget(monkeypatch):
+    ds = tiny_tables()
+    e = E.product([E.term(E.TARGET, ["A"]), E.term(E.TARGET, ["B"])])  # 4 cells
+    assert E.compile_expr(e, ds)[1].size == 4
+    monkeypatch.setattr(DistributionSet, "max_cells", 3)
+    with pytest.raises(zt.InputError, match="budget"):
+        E.compile_expr(e, ds)
 
 
 def test_evaluate_conditional_is_ratio():

@@ -1,10 +1,12 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 import ztransport as zt
 from ztransport import expr as E
+from ztransport import oracle
 from ztransport.graph import InputError
 from ztransport.oracle import (
     DiscreteModelPair,
@@ -258,16 +260,30 @@ def test_enumerate_rejects_out_of_range():
 
 # -- build_distribution_set ------------------------------------------------------
 
+def source_tables(ds) -> dict:
+    """Every source table ``table_for`` serves, keyed by its do() assignment."""
+    out = {}
+    for r in range(len(ds.nodes) + 1):
+        for combo in itertools.combinations(ds.nodes, r):
+            for values in itertools.product(*[range(ds.arity(v)) for v in combo]):
+                assignment = dict(zip(combo, values))
+                try:
+                    out[frozenset(assignment.items())] = ds.table_for(E.SOURCE, assignment)
+                except E.EvalError:
+                    pass
+    return out
+
+
 def test_distribution_set_empty_z():
     pair = generate_pair(D(chain_graph(), []), seed=1)
     ds = build_distribution_set(pair, [])
-    assert set(ds.source_interventional) == {frozenset()}
+    assert set(source_tables(ds)) == {frozenset()}
 
 
 def test_distribution_set_single_z():
     pair = generate_pair(D(chain_graph(), []), seed=1)
     ds = build_distribution_set(pair, ["Z"])
-    keys = set(ds.source_interventional)
+    keys = set(source_tables(ds))
     assert keys == {frozenset(), frozenset({("Z", 0)}), frozenset({("Z", 1)})}
 
 
@@ -275,14 +291,14 @@ def test_distribution_set_table_count_two_z():
     pair = generate_pair(fig5a(), seed=1)
     ds = build_distribution_set(pair, ["Z1", "Z2"])
     # one observational + 2 per singleton + 4 for the pair
-    assert len(ds.source_interventional) == 1 + 2 + 2 + 4
+    assert len(source_tables(ds)) == 1 + 2 + 2 + 4
 
 
 def test_distribution_set_never_includes_experiments_on_everything():
     g = zt.SemiMarkovianGraph.create(["X", "Y"], [("X", "Y")])
     pair = generate_pair(D(g, []), seed=1)
     ds = build_distribution_set(pair, ["X", "Y"])
-    for key in ds.source_interventional:
+    for key in source_tables(ds):
         assert len(key) < 2  # do() on all of V is not part of the index set
 
 
@@ -294,7 +310,7 @@ def test_distribution_set_tables_equal_per_assignment_enumeration():
         z = [v for v in g.nodes if rng.random() < 0.5]
         ds = build_distribution_set(pair, z)
         assert np.array_equal(ds.target_joint.probs, enumerate_joint(pair.target, {}).probs)
-        for key, table in ds.source_interventional.items():
+        for key, table in source_tables(ds).items():
             want = enumerate_joint(pair.source, dict(key))
             assert table.vars == want.vars
             assert np.array_equal(table.probs, want.probs)
@@ -303,7 +319,7 @@ def test_distribution_set_tables_equal_per_assignment_enumeration():
 def test_distribution_set_no_marks_target_equals_source():
     pair = generate_pair(D(chain_graph(), []), seed=5)
     ds = build_distribution_set(pair, [])
-    src = ds.source_interventional[frozenset()]
+    src = ds.table_for(E.SOURCE, {})
     assert np.array_equal(ds.target_joint.probs, src.probs)
 
 
@@ -360,3 +376,167 @@ def test_table_zero_conditioning_event_raises():
     t = Table(("X", "Y"), {"X": 2, "Y": 2}, np.array([[0.5, 0.5], [0.0, 0.0]]))
     with pytest.raises(E.EvalError):
         t.conditional({"Y": 1}, {"X": 1})
+
+
+def test_validate_formula_checks_every_auxiliary_value():
+    # Z -> X -> Y plus Z -> Y: P*(y|x,z) is not P_x(y), by an amount that depends on z
+    g = zt.SemiMarkovianGraph.create(["Z", "X", "Y"], [("Z", "X"), ("X", "Y"), ("Z", "Y")])
+    q = zt.Query.create(["X"], ["Y"], [])
+    formula = E.term(E.TARGET, ["Y"], given=["X", "Z"])
+    worst_past_zero = 0
+    for seed in range(1, 9):
+        pair = generate_pair(D(g, []), seed)
+        obs = enumerate_joint(pair.target, {})
+        worst = [0.0, 0.0]  # per value of z
+        for z, x, y in itertools.product(range(2), repeat=3):
+            truth = ground_truth_effect(pair.target, {"X": x}, ["Y"]).prob({"Y": y})
+            got = obs.conditional({"Y": y}, {"X": x, "Z": z})
+            worst[z] = max(worst[z], abs(got - truth))
+        assert validate_formula(formula, pair, q) == pytest.approx(max(worst), abs=1e-12)
+        worst_past_zero += worst[1] > worst[0]
+    assert worst_past_zero > 0  # binding z to 0 alone would understate these
+
+
+# -- compiled evaluation ---------------------------------------------------------
+
+def _random_term(rng, nodes, z):
+    domain = E.SOURCE if rng.random() < 0.6 else E.TARGET
+    do = [v for v in z if rng.random() < 0.5] if domain == E.SOURCE else []
+    rest = [v for v in nodes if v not in do]
+    outcome = [v for v in rest if rng.random() < 0.3] or [rest[rng.integers(0, len(rest))]]
+    given = [v for v in rest if v not in outcome and rng.random() < 0.35]
+    return E.term(domain, outcome, given, do)
+
+
+def _random_formula(rng, nodes, z, depth=3):
+    r = rng.random()
+    if depth == 0 or r < 0.25:
+        return _random_term(rng, nodes, z)
+    if r < 0.35:
+        return E.Product((E.ONE, _random_formula(rng, nodes, z, depth - 1)))
+    if r < 0.55:
+        return E.Product(tuple(_random_formula(rng, nodes, z, depth - 1) for _ in range(2)))
+    if r < 0.7:
+        return E.Quotient(_random_formula(rng, nodes, z, depth - 1), _random_formula(rng, nodes, z, depth - 1))
+    body = _random_formula(rng, nodes, z, depth - 1)
+    free = sorted(E.free_variables(body))
+    unread = [v for v in nodes if v not in free]
+    if unread and rng.random() < 0.1:  # a bound slot the body never reads
+        return E.Sum(frozenset([unread[rng.integers(0, len(unread))]]), body)
+    if not free:
+        return body
+    v = free[rng.integers(0, len(free))]
+    if rng.random() < 0.5:
+        return E.marginal_sum([v], body)  # binds a primed dummy
+    return E.Sum(frozenset([v]), body)
+
+
+def _kinds(e) -> set:
+    """Node kinds in e, plus "Primed" and "NestedSum" where a sum binds a
+    primed dummy or holds another sum."""
+    out = {type(e).__name__}
+    if isinstance(e, E.Sum):
+        inner = _kinds(e.body)
+        out |= inner | ({"NestedSum"} if "Sum" in inner else set())
+        if any(v.endswith("'") for v in e.over):
+            out.add("Primed")
+    elif isinstance(e, E.Product):
+        out = out.union(*map(_kinds, e.factors))
+    elif isinstance(e, E.Quotient):
+        out |= _kinds(e.num) | _kinds(e.den)
+    return out
+
+
+def reference_value(e, pair, binding, tables) -> float:
+    """Scalar recursion over one binding, on per-assignment enumerations;
+    raises ZeroDivisionError on a zero conditioning event or denominator."""
+    if isinstance(e, E.One):
+        return 1.0
+    if isinstance(e, E.Term):
+        t = e.term
+        do = {E.base_var(v): binding[v] for v in t.do}
+        key = (t.domain, frozenset(do.items()))
+        if key not in tables:
+            tables[key] = enumerate_joint(pair.source if t.domain == E.SOURCE else pair.target, do)
+        outcome = {E.base_var(v): binding[v] for v in t.outcome}
+        given = {E.base_var(v): binding[v] for v in t.given}
+        den = tables[key].prob(given) if given else 1.0
+        if den <= 0.0:
+            raise ZeroDivisionError
+        return tables[key].prob({**outcome, **given}) / den
+    if isinstance(e, E.Product):
+        return math.prod(reference_value(f, pair, binding, tables) for f in e.factors)
+    if isinstance(e, E.Sum):
+        over = sorted(e.over)
+        ranges = [range(pair.source.arities[E.base_var(v)]) for v in over]
+        return sum(
+            reference_value(e.body, pair, {**binding, **dict(zip(over, vals))}, tables)
+            for vals in itertools.product(*ranges)
+        )
+    den = reference_value(e.den, pair, binding, tables)
+    if den <= 0.0:
+        raise ZeroDivisionError
+    return reference_value(e.num, pair, binding, tables) / den
+
+
+def test_compiled_evaluation_matches_scalar_reference():
+    rng = np.random.default_rng(2027)
+    kinds, checked = set(), 0
+    for seed in range(12):
+        g, _ = random_graph(seed, master=43, max_nodes=5, max_bi=3)
+        marks = [v for v in g.nodes if rng.random() < 0.3]
+        z = [v for v in g.nodes if rng.random() < 0.4][: len(g.nodes) - 1]
+        pair = generate_pair(D(g, marks), seed)
+        ds = build_distribution_set(pair, z)
+        tables: dict = {}
+        for _ in range(6):
+            e = _random_formula(rng, list(g.nodes), z)
+            if len(E.free_variables(e)) > 6:
+                continue
+            slots, values = E.compile_expr(e, ds)
+            assert set(slots) == E.free_variables(e)
+            for vals in itertools.product(*[range(2)] * len(slots)):
+                binding = dict(zip(slots, vals))
+                want = reference_value(e, pair, binding, tables)
+                assert values[vals] == pytest.approx(want, rel=1e-9, abs=1e-12)
+            assert E.evaluate(e, ds, binding) == values[vals]
+            kinds |= _kinds(e)
+            checked += 1
+    assert checked >= 40
+    assert {"Quotient", "NestedSum", "Primed", "One", "Sum", "Product"} <= kinds
+
+
+def test_one_plan_and_no_repeat_contraction_per_row(monkeypatch):
+    plans, contractions = [], []
+    topological_order, contract = oracle.topological_order, oracle._contract
+
+    def counted_order(g):
+        plans.append(g)
+        return topological_order(g)
+
+    def counted_contract(m, do=()):
+        contractions.append((m, frozenset(do)))  # holds m, so ids stay distinct
+        return contract(m, do)
+
+    monkeypatch.setattr(oracle, "topological_order", counted_order)
+    monkeypatch.setattr(oracle, "_contract", counted_contract)
+    d = fig2a()  # marks Z; formula P_{z}(y|x), with z an auxiliary slot
+    q = zt.Query.create(["X"], ["Y"], ["Z"])
+    formula = E.term(E.SOURCE, ["Y"], given=["X"], do=["Z"])
+    for seed in range(1, 11):
+        plans.clear()
+        contractions.clear()
+        pair = generate_pair(d, seed)
+        tables = build_distribution_set(pair, q.z)
+        assert validate_formula(formula, pair, q, tables=tables) <= 1e-9
+        assert len(plans) == 1
+        keys = [(id(m), do) for m, do in contractions]
+        assert len(keys) == len(set(keys))
+        ours = {(m is pair.source, m is pair.target, do) for m, do in contractions
+                if m is pair.source or m is pair.target}
+        assert ours == {
+            (True, False, frozenset()),  # positivity check, reused as the Z' = {} table
+            (False, True, frozenset()),  # positivity check, reused as the target joint
+            (True, False, frozenset({"Z"})),
+            (False, True, frozenset({"X"})),  # the truth P*_x(y)
+        }
