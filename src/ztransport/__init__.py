@@ -26,10 +26,10 @@ from .expr import (
     render,
     sum_over,
     term,
+    term_corruptions,
     to_json,
 )
 from .graph import (
-    CComponent,
     GraphError,
     InputError,
     Query,

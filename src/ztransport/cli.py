@@ -22,7 +22,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import expr as E
 from .graph import NAME_RE, GraphError, InputError, Query, SelectionDiagram, SemiMarkovianGraph
@@ -39,18 +39,9 @@ class ParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class Options:
-    format: str = "text"
-    seed: int = 1
-    validation_count: int = 20
-    arity: int = 2
-
-
-@dataclass(frozen=True)
 class QueryFile:
     diagram: SelectionDiagram
     query: Query
-    options: Options = field(default=Options())
 
 
 def parse_diagram(text: str) -> QueryFile:
@@ -136,11 +127,7 @@ def write_diagram(qf: QueryFile) -> str:
     lines = [f"node {n}" for n in g.nodes]
     seen_d = sorted(g.directed_edges, key=lambda e: (g.index[e[0]], g.index[e[1]]))
     lines += [f"{a} -> {b}" for a, b in seen_d]
-    seen_b = sorted(
-        (tuple(g.sorted(e)) for e in g.bidirected_edges),
-        key=lambda e: (g.index[e[0]], g.index[e[1]]),
-    )
-    lines += [f"{a} <-> {b}" for a, b in seen_b]
+    lines += [f"{a} <-> {b}" for a, b in map(g.sorted, g.bidirected_order)]
     lines += [f"select {n}" for n in g.sorted(qf.diagram.s_targets)]
     q = qf.query
     if q.x:
@@ -180,33 +167,9 @@ def run(qf: QueryFile) -> tuple[int, dict]:
 
 
 def _corrupt_formula(e: E.ProbExpr) -> E.ProbExpr:
-    """Test hook: damage one term (drop a conditioner, or graft one on)."""
-
-    def walk(node: E.ProbExpr) -> tuple[E.ProbExpr, bool]:
-        if isinstance(node, E.Term):
-            t = node.term
-            if t.given:
-                return E.term(t.domain, t.outcome, t.given[1:], t.do), True
-            return node, False
-        if isinstance(node, E.Product):
-            out, done = [], False
-            for f in node.factors:
-                if done:
-                    out.append(f)
-                else:
-                    nf, done = walk(f)
-                    out.append(nf)
-            return E.Product(tuple(out)), done
-        if isinstance(node, E.Sum):
-            body, done = walk(node.body)
-            return (E.Sum(node.over, body), done) if done else (node, False)
-        if isinstance(node, E.Quotient):
-            num, done = walk(node.num)
-            return (E.Quotient(num, node.den), done) if done else (node, False)
-        return node, False
-
-    corrupted, done = walk(e)
-    if not done:
+    """Test hook: drop the first conditioner of the first conditioned term."""
+    kind, corrupted = next(E.term_corruptions(e), (None, None))
+    if kind != "drop":
         raise InputError("formula has no conditioned term to corrupt")
     return corrupted
 
@@ -252,8 +215,16 @@ def _parse_seed_range(spec: str, default_start: int) -> range:
     return range(n, n + 1)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 1, like every other bad input: exit status 2
+    means "not transportable"."""
+
+    def error(self, message: str):
+        self.exit(1, f"error: {message}\n{self.format_usage()}")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="ztransport",
         description="Decide whether a causal effect transports from source "
         "experiments on controllable variables, and emit or validate the formula.",
@@ -278,10 +249,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with open(args.file, encoding="utf-8") as fh:
             qf = parse_diagram(fh.read())
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ParseError as e:
+    except (OSError, UnicodeDecodeError, ParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 
@@ -328,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
         from .graph import c_components
 
         for comp in c_components(qf.diagram.graph):
-            print("{" + ", ".join(qf.diagram.graph.sorted(comp.members)) + "}")
+            print("{" + ", ".join(qf.diagram.graph.sorted(comp)) + "}")
         return 0
 
     return 1

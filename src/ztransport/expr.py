@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -203,6 +203,45 @@ def marginal_sum(removed: Iterable[str], body: ProbExpr) -> ProbExpr:
         taken.add(fresh)
         mapping[v] = fresh
     return Sum(frozenset(mapping.values()), substitute(body, mapping))
+
+
+def _each_term_rewritten(
+    e: ProbExpr, rewrite: Callable[[ProbTerm], Iterable[ProbTerm]]
+) -> Iterator[ProbExpr]:
+    """Every copy of ``e`` with one term, quotient denominators included,
+    replaced by one of ``rewrite(term)``; terms in depth-first order."""
+    if isinstance(e, Term):
+        yield from map(Term, rewrite(e.term))
+    elif isinstance(e, Product):
+        for i, f in enumerate(e.factors):
+            for new in _each_term_rewritten(f, rewrite):
+                yield Product(e.factors[:i] + (new,) + e.factors[i + 1:])
+    elif isinstance(e, Sum):
+        yield from (Sum(e.over, new) for new in _each_term_rewritten(e.body, rewrite))
+    elif isinstance(e, Quotient):
+        yield from (Quotient(new, e.den) for new in _each_term_rewritten(e.num, rewrite))
+        yield from (Quotient(e.num, new) for new in _each_term_rewritten(e.den, rewrite))
+
+
+def term_corruptions(e: ProbExpr) -> Iterator[tuple[str, ProbExpr]]:
+    """Every variant of ``e`` with one term's conditioners changed, as
+    (kind, variant): first each ``"drop"`` of one conditioner, then each
+    ``"graft"`` of one variable of ``e`` that the term does not mention."""
+
+    def drop(t: ProbTerm) -> Iterator[ProbTerm]:
+        for i in range(len(t.given)):
+            yield ProbTerm(t.domain, t.do, t.outcome, t.given[:i] + t.given[i + 1:])
+
+    names = sorted({base_var(v) for v in all_slots(e)})
+
+    def graft(t: ProbTerm) -> Iterator[ProbTerm]:
+        mentioned = {*t.given, *t.outcome, *map(base_var, t.do)}
+        for v in names:
+            if v not in mentioned:
+                yield ProbTerm(t.domain, t.do, t.outcome, tuple(sorted(t.given + (v,))))
+
+    yield from (("drop", v) for v in _each_term_rewritten(e, drop))
+    yield from (("graft", v) for v in _each_term_rewritten(e, graft))
 
 
 def validate(e: ProbExpr, bound: frozenset[str] = frozenset()) -> None:

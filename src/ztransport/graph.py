@@ -106,6 +106,12 @@ class SemiMarkovianGraph:
             ne[b].add(a)
         return {n: frozenset(s) for n, s in ne.items()}
 
+    @cached_property
+    def bidirected_order(self) -> tuple[frozenset[str], ...]:
+        """Bidirected edges ordered by their endpoints' node order: the
+        order of the hidden variables wherever they are enumerated."""
+        return tuple(sorted(self.bidirected_edges, key=lambda e: sorted(self.index[v] for v in e)))
+
     def sorted(self, nodes: Iterable[str]) -> tuple[str, ...]:
         """Return the given nodes in declaration order."""
         return tuple(sorted(nodes, key=self.index.__getitem__))
@@ -159,16 +165,6 @@ class Query:
         g.check_nodes(self.z)
 
 
-@dataclass(frozen=True)
-class CComponent:
-    """A maximal set of nodes connected through bidirected edges."""
-
-    members: frozenset[str]
-
-    def __contains__(self, node: str) -> bool:
-        return node in self.members
-
-
 def ancestors(g: SemiMarkovianGraph, w: Iterable[str]) -> frozenset[str]:
     """Directed-path ancestors of w within g, inclusive of w itself.
 
@@ -195,34 +191,27 @@ def induced_subgraph(g: SemiMarkovianGraph, w: Iterable[str]) -> SemiMarkovianGr
     )
 
 
-def mutilate(
-    g: SemiMarkovianGraph,
-    cut_incoming: Iterable[str] = (),
-    cut_outgoing: Iterable[str] = (),
-) -> SemiMarkovianGraph:
-    """Delete arrows into ``cut_incoming`` and arrows out of ``cut_outgoing``.
+def mutilate(g: SemiMarkovianGraph, cut_incoming: Iterable[str] = ()) -> SemiMarkovianGraph:
+    """Delete arrows into ``cut_incoming``.
 
     A bidirected edge is an arrow from a hidden parent, so it is deleted
     whenever either endpoint has its incoming arrows cut.
     """
     inc = g.check_nodes(cut_incoming)
-    out = g.check_nodes(cut_outgoing)
     return SemiMarkovianGraph(
         nodes=g.nodes,
-        directed_edges=frozenset(
-            (a, b) for a, b in g.directed_edges if b not in inc and a not in out
-        ),
+        directed_edges=frozenset((a, b) for a, b in g.directed_edges if b not in inc),
         bidirected_edges=frozenset(e for e in g.bidirected_edges if not (e & inc)),
     )
 
 
-def c_components(g: SemiMarkovianGraph) -> list[CComponent]:
+def c_components(g: SemiMarkovianGraph) -> list[frozenset[str]]:
     """Partition of g's nodes into maximal bidirected-connected components.
 
     Ordered by the declaration index of each component's earliest member.
     """
     visited: set[str] = set()
-    comps: list[CComponent] = []
+    comps: list[frozenset[str]] = []
     for start in g.nodes:
         if start in visited:
             continue
@@ -236,7 +225,7 @@ def c_components(g: SemiMarkovianGraph) -> list[CComponent]:
                     visited.add(m)
                     members.add(m)
                     stack.append(m)
-        comps.append(CComponent(frozenset(members)))
+        comps.append(frozenset(members))
     return comps
 
 
@@ -258,22 +247,6 @@ def topological_order(g: SemiMarkovianGraph) -> list[str]:
     return order
 
 
-def _latent_expansion(g: SemiMarkovianGraph) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
-    """DAG view with one explicit latent node per bidirected edge.
-
-    Returns (parents, children) maps over observed plus latent names.
-    """
-    pa: dict[str, set[str]] = {n: set(g.parents[n]) for n in g.nodes}
-    ch: dict[str, set[str]] = {n: set(g.children[n]) for n in g.nodes}
-    for k, e in enumerate(sorted(g.bidirected_edges, key=lambda e: tuple(sorted(g.index[v] for v in e)))):
-        u = f"__u{k}"
-        pa[u] = set()
-        ch[u] = set(e)
-        for v in e:
-            pa[v].add(u)
-    return pa, ch
-
-
 def m_separated(
     g: SemiMarkovianGraph,
     a: Iterable[str],
@@ -290,7 +263,13 @@ def m_separated(
         raise InputError("a, b, c must be pairwise disjoint")
     if not sa or not sb:
         return True
-    pa, ch = _latent_expansion(g)
+    # DAG view with one hidden parent per bidirected edge, keyed by the edge
+    # itself so that it cannot clash with a node name
+    pa: dict[str | frozenset[str], set] = {n: set(g.parents[n]) for n in g.nodes}
+    for e in g.bidirected_edges:
+        pa[e] = set()
+        for v in e:
+            pa[v].add(e)
 
     # restrict to ancestors of a | b | c in the latent-expanded DAG
     relevant = set(sa | sb | sc)

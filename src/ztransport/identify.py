@@ -10,22 +10,25 @@ transportable components) and the target (trivially transportable ones).
 controllable experiments left (the paper's BI).  Failures surface as
 hedge or s-hedge witnesses, raised inside the recursion as ``FailedFactor``.
 
-The recursion threads a symbolic stand-in for its current distribution:
-a labeled base distribution (domain, do-set), a chain of conditional
-factors built over a c-component, or an opaque joint expression when a
-chain had to be marginalized over a non-suffix of its order.
+The recursion threads a symbolic stand-in for its current distribution.
+A base distribution is its ``DistLabel`` (domain, do-set), each of whose
+marginals and conditionals is one term.  A derived one is a chain of
+conditional factors built over a c-component, or an opaque joint
+expression when a chain had to be marginalized over a non-suffix of its
+order.  All three answer ``restrict``, ``marginal_expr`` and
+``conditional_expr``; only a base distribution can switch on experiments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import expr as E
 from .expr import ONE, ProbExpr, marginal_sum, product, sum_over, term
 from .graph import (
-    CComponent,
     InputError,
+    Query,
     SelectionDiagram,
     SemiMarkovianGraph,
     ancestors,
@@ -43,10 +46,22 @@ class InternalError(RuntimeError):
 @dataclass(frozen=True)
 class DistLabel:
     """Which base distribution the current call reads: a domain plus the
-    do-set of the experiment it came from."""
+    do-set of the experiment it came from.  The recursion uses the label
+    itself as the stand-in for that distribution: each of its marginals and
+    conditionals is one term of it."""
 
     domain: str = E.SOURCE
     do: frozenset[str] = frozenset()
+
+    def restrict(self, keep: tuple[str, ...]) -> "DistLabel":
+        return self
+
+    def marginal_expr(self, y: tuple[str, ...]) -> ProbExpr:
+        return term(self.domain, outcome=y, do=self.do) if y else ONE
+
+    def conditional_expr(self, v: str, given: tuple[str, ...]) -> ProbExpr:
+        cond = [w for w in given if w not in self.do]
+        return term(self.domain, outcome=(v,), given=cond, do=self.do)
 
 
 @dataclass(frozen=True)
@@ -101,58 +116,12 @@ class FailedFactor(Exception):
 
 
 # ---------------------------------------------------------------------------
-# symbolic stand-ins for the current distribution
-
-
-class _Dist:
-    """Interface: the current distribution over the random variables of the
-    current graph, able to emit marginal and conditional expressions."""
-
-    def restrict(self, keep: tuple[str, ...]) -> "_Dist":
-        raise NotImplementedError
-
-    def marginal_expr(self, y: tuple[str, ...]) -> ProbExpr:
-        raise NotImplementedError
-
-    def conditional_expr(self, v: str, given: tuple[str, ...]) -> ProbExpr:
-        raise NotImplementedError
-
-    def preferred_order(self, g: SemiMarkovianGraph) -> list[str]:
-        """Order used when emitting factor chains.  A chain must keep the
-        order its factors were built with (a valid topological order of any
-        later subgraph); other stand-ins follow the graph's canonical order."""
-        return topological_order(g)
+# symbolic stand-ins for a derived current distribution; a base one is its
+# DistLabel
 
 
 @dataclass(frozen=True)
-class _Base(_Dist):
-    """A marginal of one of the supplied base distributions."""
-
-    label: DistLabel
-    vars: tuple[str, ...]  # current graph nodes, in node order
-
-    @property
-    def rand(self) -> tuple[str, ...]:
-        return tuple(v for v in self.vars if v not in self.label.do)
-
-    def activate(self, newly: frozenset[str]) -> "_Base":
-        return _Base(DistLabel(self.label.domain, self.label.do | newly), self.vars)
-
-    def restrict(self, keep: tuple[str, ...]) -> "_Base":
-        return _Base(self.label, keep)
-
-    def marginal_expr(self, y: tuple[str, ...]) -> ProbExpr:
-        if not y:
-            return ONE
-        return term(self.label.domain, outcome=y, do=self.label.do)
-
-    def conditional_expr(self, v: str, given: tuple[str, ...]) -> ProbExpr:
-        cond = tuple(w for w in given if w not in self.label.do)
-        return term(self.label.domain, outcome=(v,), given=cond, do=self.label.do)
-
-
-@dataclass(frozen=True)
-class _Chain(_Dist):
+class _Chain:
     """A product of conditional factors, one per variable, in graph order.
 
     Prefix marginals telescope, so dropping a suffix of factors is the
@@ -163,29 +132,19 @@ class _Chain(_Dist):
     factors: tuple[tuple[str, ProbExpr], ...]
 
     @property
-    def rand(self) -> tuple[str, ...]:
-        return tuple(v for v, _ in self.factors)
+    def joint(self) -> ProbExpr:
+        return product(f for _, f in self.factors)
 
-    def restrict(self, keep: tuple[str, ...]) -> "_Dist":
+    def restrict(self, keep: tuple[str, ...]) -> "_Chain | _Joint":
         keep_set = frozenset(keep)
-        kept = [(v, f) for v, f in self.factors if v in keep_set]
+        kept = tuple((v, f) for v, f in self.factors if v in keep_set)
+        if all(v in keep_set for v, _ in self.factors[:len(kept)]):  # a suffix is removed
+            return _Chain(kept)
         removed = [v for v, _ in self.factors if v not in keep_set]
-        if not removed:
-            return self
-        first_removed = min(i for i, (v, _) in enumerate(self.factors) if v not in keep_set)
-        if first_removed >= len(kept):  # removed set is a suffix of the order
-            return _Chain(tuple(kept))
-        joint = marginal_sum(removed, product(f for _, f in self.factors))
-        return _Joint(joint, tuple(v for v, _ in kept))
+        return _Joint(marginal_sum(removed, self.joint), tuple(v for v, _ in kept))
 
     def marginal_expr(self, y: tuple[str, ...]) -> ProbExpr:
-        y_set = frozenset(y)
-        removed = [v for v, _ in self.factors if v not in y_set]
-        if removed and min(
-            i for i, (v, _) in enumerate(self.factors) if v not in y_set
-        ) >= len(self.factors) - len(removed):
-            return product(f for v, f in self.factors if v in y_set)
-        return marginal_sum(removed, product(f for _, f in self.factors))
+        return self.restrict(y).joint
 
     def conditional_expr(self, v: str, given: tuple[str, ...]) -> ProbExpr:
         for w, f in self.factors:
@@ -193,21 +152,14 @@ class _Chain(_Dist):
                 return f
         raise InternalError(f"no chain factor for {v}")
 
-    def preferred_order(self, g: SemiMarkovianGraph) -> list[str]:
-        return [v for v, _ in self.factors if v in g.node_set]
-
 
 @dataclass(frozen=True)
-class _Joint(_Dist):
-    """An opaque joint expression over ``rand``; conditionals become
+class _Joint:
+    """An opaque joint expression over ``rand_vars``; conditionals become
     quotients of its partial sums."""
 
     joint: ProbExpr
     rand_vars: tuple[str, ...]
-
-    @property
-    def rand(self) -> tuple[str, ...]:
-        return self.rand_vars
 
     def restrict(self, keep: tuple[str, ...]) -> "_Joint":
         keep_set = frozenset(keep)
@@ -216,8 +168,7 @@ class _Joint(_Dist):
         return _Joint(marginal_sum(removed, self.joint), kept)
 
     def marginal_expr(self, y: tuple[str, ...]) -> ProbExpr:
-        y_set = frozenset(y)
-        return marginal_sum([v for v in self.rand_vars if v not in y_set], self.joint)
+        return self.restrict(y).joint
 
     def conditional_expr(self, v: str, given: tuple[str, ...]) -> ProbExpr:
         given_r = frozenset(given) & frozenset(self.rand_vars)
@@ -227,16 +178,17 @@ class _Joint(_Dist):
 
 
 def _chain_over(
-    P: _Dist, g: SemiMarkovianGraph, members: frozenset[str]
+    P: DistLabel | _Chain | _Joint, g: SemiMarkovianGraph, members: frozenset[str]
 ) -> _Chain:
     """Chain of P's conditionals for ``members``, each given every
-    predecessor of the variable in P's factorization order."""
-    order = P.preferred_order(g)
+    predecessor of the variable in P's factorization order.  A chain keeps
+    the order its factors were built with (a valid topological order of any
+    later subgraph); other stand-ins follow the graph's canonical order."""
+    order = [v for v, _ in P.factors] if isinstance(P, _Chain) else topological_order(g)
     factors = []
     for i, v in enumerate(order):
         if v in members:
-            preds = tuple(order[:i])
-            factors.append((v, P.conditional_expr(v, preds)))
+            factors.append((v, P.conditional_expr(v, tuple(order[:i]))))
     return _Chain(tuple(factors))
 
 
@@ -248,7 +200,7 @@ def _gid(
     x: frozenset[str],
     z: frozenset[str],
     active: frozenset[str],
-    P: _Dist,
+    P: DistLabel | _Chain | _Joint,
     g: SemiMarkovianGraph,
     trace: IdentTrace,
     depth: int,
@@ -283,76 +235,71 @@ def _gid(
             trace.line3_activations += 1
             if trace.line3_activations > 1:
                 raise InternalError("experiments were activated twice in one trace")
-            if not isinstance(P, _Base):
+            if not isinstance(P, DistLabel):
                 raise InternalError("activation requires a base distribution")
-            P = P.activate(z_w)
+            P = DistLabel(P.domain, P.do | z_w)
             g = mutilate(g, z_w)
         return _gid(y, (x | w) - z_w, z - z_w, active | z_w, P, g, trace, depth - 1)
 
     # factorize over the confounded components
     comps = c_components(induced_subgraph(g, V - xa))
     if trace.partition is None:
-        trace.partition = tuple(c.members for c in comps)
+        trace.partition = tuple(comps)
     if len(comps) > 1:
         trace.decompositions += 1
         if trace.decompositions > 1:
             raise InternalError("decomposition executed twice in one trace")
         factors = []
         for c in comps:
-            newly = z & (V - c.members)
-            if newly and not isinstance(P, _Base):
+            newly = z & (V - c)
+            if newly and not isinstance(P, DistLabel):
                 raise InternalError("activation requires a base distribution")
-            p_i = P.activate(newly) if newly else P
+            p_i = DistLabel(P.domain, P.do | newly) if newly else P
             g_i = mutilate(g, newly) if newly else g
-            factors.append(
-                _gid(
-                    c.members,
-                    (V - c.members) - z,
-                    z & c.members,
-                    active | newly,
-                    p_i,
-                    g_i,
-                    trace,
-                    depth - 1,
-                )
-            )
+            factors.append(_gid(c, V - c - z, z & c, active | newly, p_i, g_i, trace, depth - 1))
         return sum_over(g.sorted(V - (y | xa)), product(factors))
-    c = comps[0].members
+    c = comps[0]
 
     g_comps = c_components(g)
     # a single confounded component spanning the whole graph is a dead end
     if len(g_comps) == 1:
         raise FailedFactor(Witness("hedge", g, induced_subgraph(g, c)))
 
-    containing = next(s.members for s in g_comps if c <= s.members)
+    containing = next(s for s in g_comps if c <= s)
     chain = _chain_over(P, g, containing)
     # the component is intact in g: emit its factor chain directly
     if c == containing:
-        return marginal_sum(g.sorted(c - y), product(f for _, f in chain.factors))
+        return marginal_sum(g.sorted(c - y), chain.joint)
 
     # otherwise descend into the strictly larger component
     g2 = induced_subgraph(g, containing)
     return _gid(y, x & containing, z, active, chain, g2, trace, depth - 1)
 
 
-def _entry_checks(
-    y: Iterable[str], x: Iterable[str], z: Iterable[str], g: SemiMarkovianGraph
-) -> tuple[frozenset[str], frozenset[str], frozenset[str], list[str]]:
-    ys = g.check_nodes(y)
-    xs = g.check_nodes(x)
-    zs = g.check_nodes(z)
-    if not ys:
-        raise InputError("outcome set y must be nonempty")
-    if xs & ys:
-        raise InputError(f"x and y overlap: {sorted(xs & ys)}")
-    warnings = []
-    if zs & ys:
-        warnings.append(
+def _identify(
+    y: Iterable[str],
+    x: Iterable[str],
+    z: Iterable[str],
+    g: SemiMarkovianGraph,
+    run: Callable[[Query, IdentTrace, int], ProbExpr],
+) -> IdentResult:
+    """Check the query, then call ``run(query, trace, depth)`` with a fresh
+    trace and a depth guard; a ``FailedFactor`` becomes the result's witness."""
+    q = Query.create(x, y, z)
+    q.validate_against(g)
+    warnings: tuple[str, ...] = ()
+    if q.z & q.y:
+        warnings = (
             "dropped controllable variables inside y (experiments on them "
-            f"have no bearing): {sorted(zs & ys)}"
+            f"have no bearing): {sorted(q.z & q.y)}",
         )
-        zs = zs - ys
-    return ys, xs, zs, warnings
+        q = Query(q.x, q.y, q.z - q.y)
+    trace = IdentTrace()
+    try:
+        f = run(q, trace, 4 * len(g.nodes) + 8)
+    except FailedFactor as e:
+        return IdentResult(witness=e.witness, warnings=warnings, trace=trace)
+    return IdentResult(formula=f, warnings=warnings, trace=trace)
 
 
 def gid_z(
@@ -364,14 +311,9 @@ def gid_z(
     """Generalized z-identification of P_x(y) from the source observational
     distribution plus experiments on subsets of z.  Returns a source-only
     formula or a hedge witness."""
-    ys, xs, zs, warnings = _entry_checks(y, x, z, g)
-    trace = IdentTrace()
-    base = _Base(DistLabel(), g.nodes)
-    try:
-        f = _gid(ys, xs, zs, frozenset(), base, g, trace, 4 * len(g.nodes) + 8)
-    except FailedFactor as e:
-        return IdentResult(witness=e.witness, warnings=tuple(warnings), trace=trace)
-    return IdentResult(formula=f, warnings=tuple(warnings), trace=trace)
+    return _identify(
+        y, x, z, g, lambda q, trace, depth: _gid(q.y, q.x, q.z, frozenset(), DistLabel(), g, trace, depth)
+    )
 
 
 def bi(
@@ -399,17 +341,15 @@ def bi(
     # callers must ask about a single factor at a time
     if xs:
         rest = induced_subgraph(g, ancestors(g, ys) - xs - act)
-        if not any(ys <= c.members for c in c_components(rest)):
+        if not any(ys <= c for c in c_components(rest)):
             raise InputError("y must lie inside one confounded component of g minus x")
-    base = _Base(dist, g.nodes)
-    return _gid(ys, xs, frozenset(), act, base, g, IdentTrace(), 4 * len(g.nodes) + 8)
+    return _gid(ys, xs, frozenset(), act, dist, g, IdentTrace(), 4 * len(g.nodes) + 8)
 
 
-def direct_transportable(c: CComponent, d: SelectionDiagram) -> bool:
+def direct_transportable(c: frozenset[str], d: SelectionDiagram) -> bool:
     """True iff no selection-pointed node lies in the component, in which
     case the component's factor is invariant across the two domains."""
-    d.graph.check_nodes(c.members)
-    return not (d.s_targets & c.members)
+    return not (d.s_targets & d.graph.check_nodes(c))
 
 
 def _sid(
@@ -438,24 +378,22 @@ def _sid(
     # factorize over the confounded components; each factor call gets x and
     # active covering V - c, so it neither activates nor decomposes again
     comps = c_components(induced_subgraph(g, V - x))
-    trace.partition = tuple(c.members for c in comps)
+    trace.partition = tuple(comps)
     factors = []
     for c in comps:
         # the factor transports directly iff no marked node lies in the
         # component; it then reads the source experiment on z outside it
         direct = direct_transportable(c, d)
-        do_set = z & (V - c.members) if direct else frozenset()
+        do_set = z & (V - c) if direct else frozenset()
         g_i = mutilate(g, do_set) if do_set else g
-        base = _Base(DistLabel(E.SOURCE if direct else E.TARGET, do_set), g_i.nodes)
+        base = DistLabel(E.SOURCE if direct else E.TARGET, do_set)
         try:
-            factors.append(
-                _gid(c.members, V - c.members - do_set, frozenset(), do_set, base, g_i, trace, depth - 1)
-            )
+            factors.append(_gid(c, V - c - do_set, frozenset(), do_set, base, g_i, trace, depth - 1))
         except FailedFactor as e:
             if direct:
                 raise
             w = e.witness
-            raise FailedFactor(Witness("shedge", w.f_graph, w.f_sub, d.s_targets & c.members)) from e
+            raise FailedFactor(Witness("shedge", w.f_graph, w.f_sub, d.s_targets & c)) from e
     return sum_over(g.sorted(V - (y | x)), product(factors))
 
 
@@ -468,14 +406,7 @@ def sid_z(
     """Decide z-transportability of P_x(y) and emit a transport formula
     over the target observational distribution and source experiments on
     subsets of z, or fail with a hedge / s-hedge witness."""
-    g = d.graph
-    ys, xs, zs, warnings = _entry_checks(y, x, z, g)
-    trace = IdentTrace()
-    try:
-        f = _sid(ys, xs, d, zs, trace, 4 * len(g.nodes) + 8)
-    except FailedFactor as e:
-        return IdentResult(witness=e.witness, warnings=tuple(warnings), trace=trace)
-    return IdentResult(formula=f, warnings=tuple(warnings), trace=trace)
+    return _identify(y, x, z, d.graph, lambda q, trace, depth: _sid(q.y, q.x, d, q.z, trace, depth))
 
 
 def transportable(y: Iterable[str], x: Iterable[str], d: SelectionDiagram) -> IdentResult:

@@ -33,7 +33,7 @@ from .graph import InputError, Query, SelectionDiagram, SemiMarkovianGraph, topo
 
 MAX_NODES = 12
 MAX_TABLE_ENTRIES = 10_000_000
-DEFAULT_LATENT_ARITY = 4
+LATENT_ARITY = 4
 MIN_ATOM = 0.05
 
 
@@ -96,19 +96,14 @@ def _positive_simplex(rng: np.random.Generator, k: int) -> np.ndarray:
     return floor + (1.0 - floor * k) * d
 
 
-def _sorted_edges(g: SemiMarkovianGraph, edges: Iterable[frozenset[str]]) -> list[frozenset[str]]:
-    """Bidirected edges in edge order: by their endpoints' node order."""
-    return sorted(edges, key=lambda e: tuple(sorted(g.index[n] for n in e)))
-
-
 @dataclass(frozen=True)
 class DiscreteSCM:
     """Finite structural model over a semi-Markovian diagram.
 
     ``latents`` maps one hidden variable per bidirected edge to its
     distribution.  ``functions[v]`` is a deterministic lookup array indexed
-    by (observed parents of v in node order, shared latents at v in edge
-    order, private noise of v) yielding v's value.  ``noise[v]`` is the
+    by (observed parents of v in node order, shared latents at v in the
+    graph's ``bidirected_order``, private noise of v) yielding v's value.  ``noise[v]`` is the
     private noise distribution.  ``cpts[v]`` is ``cpt(v)``, computed once
     at construction for every node whose table is not passed in.  ``plan``
     is the elimination plan every contraction of the model runs, made at
@@ -128,8 +123,8 @@ class DiscreteSCM:
         cpts = {v: given[v] if v in given else self.cpt(v) for v in self.diagram.nodes}
         object.__setattr__(self, "cpts", MappingProxyType(cpts))
         if not self.plan:
-            latent_arities = {e: len(u) for e, u in self.latents.items()}
-            object.__setattr__(self, "plan", _plan(self.diagram, self.arities, latent_arities))
+            hidden_arities = {e: len(u) for e, u in self.latents.items()}
+            object.__setattr__(self, "plan", _plan(self.diagram, self.arities, hidden_arities))
 
     def cpt(self, v: str) -> np.ndarray:
         """P(v | observed parents, shared latents at v), private noise folded in.
@@ -151,7 +146,7 @@ class DiscreteSCM:
         return DiscreteSCM(self.diagram, self.arities, self.latents, self.noise, functions, kept, self.plan)
 
 
-def _plan(g: SemiMarkovianGraph, arities: Mapping[str, int], latent_arities: Mapping[frozenset[str], int],
+def _plan(g: SemiMarkovianGraph, arities: Mapping[str, int], hidden_arities: Mapping[frozenset[str], int],
           onehot: int = 1) -> tuple[tuple, ...]:
     """Elimination steps of the observational contraction, from structure
     alone: mechanisms in topological order, a hidden prior just before the
@@ -167,7 +162,7 @@ def _plan(g: SemiMarkovianGraph, arities: Mapping[str, int], latent_arities: Map
     mechanism table that builds it), exceeds the cell budget."""
     order, index = topological_order(g), g.index
     at: dict[str, list[frozenset[str]]] = {v: [] for v in g.nodes}
-    for e in _sorted_edges(g, latent_arities):
+    for e in g.bidirected_order:
         for v in e:
             at[v].append(e)
     last = {e: v for v in order for e in at[v]}
@@ -178,7 +173,7 @@ def _plan(g: SemiMarkovianGraph, arities: Mapping[str, int], latent_arities: Map
         opened = tuple(e for e in at[v] if e not in label)
         for e in opened:
             label[e] = free.pop() if free else len(size)
-            size[label[e]:label[e] + 1] = [latent_arities[e]]
+            size[label[e]:label[e] + 1] = [hidden_arities[e]]
         cpt = tuple(sorted(index[p] for p in g.parents[v])) + tuple(label[e] for e in at[v]) + (index[v],)
         closed = [label[e] for e in at[v] if last[e] == v]
         acc = tuple(sorted(set(acc).union(cpt).difference(closed)))
@@ -219,15 +214,15 @@ def _table(nodes: tuple[str, ...], arities: Mapping[str, int], joint: np.ndarray
 
 
 def _draw_scm(
-    d: SelectionDiagram, rng: np.random.Generator, arity: int, latent_arity: int, plan: tuple[tuple, ...]
+    d: SelectionDiagram, rng: np.random.Generator, arity: int, plan: tuple[tuple, ...]
 ) -> DiscreteSCM:
     g = d.graph
     noise_arity = _private_noise_arity(arity)
-    latents = {e: _positive_simplex(rng, latent_arity) for e in _sorted_edges(g, g.bidirected_edges)}
+    latents = {e: _positive_simplex(rng, LATENT_ARITY) for e in g.bidirected_order}
     noise = {v: _positive_simplex(rng, noise_arity) for v in g.nodes}
     functions = {}
     for v in g.nodes:
-        shape = (arity,) * len(g.parents[v]) + (latent_arity,) * len(g.siblings[v]) + (noise_arity,)
+        shape = (arity,) * len(g.parents[v]) + (LATENT_ARITY,) * len(g.siblings[v]) + (noise_arity,)
         functions[v] = rng.integers(0, arity, size=shape)
     return DiscreteSCM(g, dict.fromkeys(g.nodes, arity), latents, noise, functions, plan=plan)
 
@@ -255,9 +250,7 @@ class DiscreteModelPair:
             object.__setattr__(self, "target_joint", self.source_joint if same else _contract(self.target))
 
 
-def generate_pair(
-    d: SelectionDiagram, seed: int, arity: int = 2, latent_arity: int = DEFAULT_LATENT_ARITY
-) -> DiscreteModelPair:
+def generate_pair(d: SelectionDiagram, seed: int, arity: int = 2) -> DiscreteModelPair:
     """Deterministic-in-seed model pair compatible with the selection diagram.
 
     Rejects and regenerates (incrementing a sub-seed) until both induced
@@ -268,14 +261,16 @@ def generate_pair(
     """
     if arity < 2:
         raise InputError("arity must be at least 2")
+    if seed < 0:
+        raise InputError(f"seed must be at least 0, got {seed}")
     g = d.graph
     if len(g.nodes) > MAX_NODES:
         raise InputError(f"diagram exceeds the {MAX_NODES}-node enumeration budget")
-    latent_arities = dict.fromkeys(g.bidirected_edges, latent_arity)
-    plan = _plan(g, dict.fromkeys(g.nodes, arity), latent_arities, _private_noise_arity(arity))
+    hidden_arities = dict.fromkeys(g.bidirected_edges, LATENT_ARITY)
+    plan = _plan(g, dict.fromkeys(g.nodes, arity), hidden_arities, _private_noise_arity(arity))
     for attempt in range(500):
         rng = np.random.default_rng([seed, attempt])
-        source = _draw_scm(d, rng, arity, latent_arity, plan)
+        source = _draw_scm(d, rng, arity, plan)
         target = source
         if d.s_targets:
             rng_t = np.random.default_rng([seed, attempt, 1])

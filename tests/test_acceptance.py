@@ -348,8 +348,7 @@ def test_criterion_6_structural_suites(randomized_run, capsys):
     # c-component partition versus an independent union-find oracle
     for seed in range(1000):
         g, _ = random_graph(seed, master=MASTER + 3, max_nodes=10)
-        comps = zt.c_components(g)
-        members = [c.members for c in comps]
+        members = zt.c_components(g)
         assert set().union(*members) == set(g.nodes) if members else not g.nodes
         for a, b in itertools.combinations(members, 2):
             assert not (a & b)
@@ -373,8 +372,8 @@ def test_criterion_6_structural_suites(randomized_run, capsys):
     while n_pairs < 500:
         d, *_ = random_diagram(seed, master=MASTER + 4)
         for comp in zt.c_components(d.graph):
-            expected = not (d.s_targets & comp.members)
-            assert s_admissible_by_separation(d, comp.members) == expected
+            expected = not (d.s_targets & comp)
+            assert s_admissible_by_separation(d, comp) == expected
             n_pairs += 1
         seed += 1
     announce(
@@ -382,54 +381,6 @@ def test_criterion_6_structural_suites(randomized_run, capsys):
         f"\nACCEPTANCE 6 PASS: 1000 partitions match union-find, "
         f"{n_partitions} decomposition traces agree, {n_pairs} separation pairs agree"
     )
-
-
-def _single_term_corruptions(e):
-    """Every formula variant with exactly one term's conditioners changed."""
-    sites = []
-
-    def walk(node, path):
-        if isinstance(node, E.Term):
-            sites.append((path, node))
-        elif isinstance(node, E.Product):
-            for i, f in enumerate(node.factors):
-                walk(f, path + [("p", i)])
-        elif isinstance(node, E.Sum):
-            walk(node.body, path + [("s", None)])
-        elif isinstance(node, E.Quotient):
-            walk(node.num, path + [("qn", None)])
-            walk(node.den, path + [("qd", None)])
-
-    def rebuild(node, path, repl):
-        if not path:
-            return repl
-        step, rest = path[0], path[1:]
-        if step[0] == "p":
-            fs = list(node.factors)
-            fs[step[1]] = rebuild(fs[step[1]], rest, repl)
-            return E.Product(tuple(fs))
-        if step[0] == "s":
-            return E.Sum(node.over, rebuild(node.body, rest, repl))
-        if step[0] == "qn":
-            return E.Quotient(rebuild(node.num, rest, repl), node.den)
-        return E.Quotient(node.num, rebuild(node.den, rest, repl))
-
-    walk(e, [])
-    all_vars = sorted({E.base_var(v) for v in E.all_slots(e)})
-    for path, t in sites:
-        term = t.term
-        for i in range(len(term.given)):  # drop one conditioner
-            new = E.Term(
-                E.ProbTerm(term.domain, term.do, term.outcome, term.given[:i] + term.given[i + 1:])
-            )
-            yield rebuild(e, path, new)
-        for v in all_vars:  # graft one on
-            if v in term.given or v in term.outcome or v in {E.base_var(w) for w in term.do}:
-                continue
-            new = E.Term(
-                E.ProbTerm(term.domain, term.do, term.outcome, tuple(sorted(term.given + (v,))))
-            )
-            yield rebuild(e, path, new)
 
 
 def test_criterion_7_mutation_power(capsys):
@@ -444,7 +395,7 @@ def test_criterion_7_mutation_power(capsys):
             (generate_pair(d, s), None) for s in range(1, 6)
         ]
         found = None
-        for corrupted in _single_term_corruptions(f):
+        for _, corrupted in E.term_corruptions(f):
             worst = 0.0
             try:
                 for pair, _ in pairs:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -246,3 +249,34 @@ def test_main_validate_arity_over_the_cell_budget(tmp_path, capsys):
     code = cli.main(["validate", fig2a_file(tmp_path), "--seeds", "1", "--arity", "100"])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_exit_codes_through_a_real_process(tmp_path):
+    # every bad input exits 1 with an error line and no traceback; 2 is
+    # reserved for "not transportable"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    good = fig2a_file(tmp_path)
+    hedge = fig2a_file(tmp_path, FIG2A_TEXT.replace("Z: Z", "Z: W"), "w.graph")
+    latin1 = tmp_path / "latin1.graph"
+    latin1.write_bytes(FIG2A_TEXT.replace("W", "\xc9").encode("latin-1"))
+
+    def ztransport(*args, env=()):
+        return subprocess.run(
+            [sys.executable, "-m", "ztransport.cli", *args],
+            env={**os.environ, "PYTHONPATH": src, **dict(env)},
+            capture_output=True, text=True, timeout=120,
+        )
+
+    usage_errors = {
+        "diagram not UTF-8": ztransport("run", str(latin1)),
+        "negative seed range": ztransport("validate", good, "--seeds=-3..-1"),
+        "negative env seed": ztransport("validate", good, env={"ZTRANSPORT_SEED": "-2"}),
+        "run with no file": ztransport("run"),
+        "unknown format": ztransport("run", good, "--format", "xml"),
+    }
+    for case, p in usage_errors.items():
+        assert p.returncode == 1, (case, p.returncode, p.stderr)
+        assert any(line.startswith("error:") for line in p.stderr.splitlines()), (case, p.stderr)
+        assert "Traceback" not in p.stderr, (case, p.stderr)
+    assert ztransport("run", good).returncode == 0
+    assert ztransport("run", hedge).returncode == 2

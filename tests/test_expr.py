@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ztransport as zt
-from ztransport import expr as E
+from ztransport import cli, expr as E
 from ztransport.expr import EvalError, ExprError
 from ztransport.oracle import DistributionSet, Table
 
@@ -103,6 +103,27 @@ def test_json_roundtrip_fixed():
         E.product([E.term(E.SOURCE, ["W"], do=["Z"]), t_target_y()]),
     )
     assert E.from_json(E.to_json(e)) == e
+
+
+def test_term_corruptions_drop_before_graft_in_every_term():
+    num = E.term(E.SOURCE, ["Y"], given=["X"])
+    den = E.term(E.TARGET, ["X"], given=["W"])
+    e = E.product([E.Quotient(num, den), E.term(E.TARGET, ["W"])])
+    got = list(E.term_corruptions(e))
+    keep_w = (E.term(E.TARGET, ["W"]),)
+    assert got[:2] == [
+        ("drop", E.Product((E.Quotient(E.term(E.SOURCE, ["Y"]), den),) + keep_w)),
+        ("drop", E.Product((E.Quotient(num, E.term(E.TARGET, ["X"])),) + keep_w)),
+    ]
+    assert got[2:] == [
+        ("graft", E.Product((E.Quotient(E.term(E.SOURCE, ["Y"], ["W", "X"]), den),) + keep_w)),
+        ("graft", E.Product((E.Quotient(num, E.term(E.TARGET, ["X"], ["W", "Y"])),) + keep_w)),
+        ("graft", E.Product((E.Quotient(num, den), E.term(E.TARGET, ["W"], ["X"])))),
+        ("graft", E.Product((E.Quotient(num, den), E.term(E.TARGET, ["W"], ["Y"])))),
+    ]
+    assert cli._corrupt_formula(e) == got[0][1]
+    with pytest.raises(zt.InputError, match="no conditioned term"):
+        cli._corrupt_formula(E.term(E.TARGET, ["W"]))
 
 
 # -- random ASTs: round trip and normalize soundness ---------------------------

@@ -210,12 +210,12 @@ def test_direct_transportable_no_marks():
 
 def test_direct_transportable_disjoint_component():
     d = D(chain_graph(), ["Z"])
-    assert direct_transportable(zt.CComponent(frozenset({"Y"})), d)
+    assert direct_transportable(frozenset({"Y"}), d)
 
 
 def test_direct_transportable_marked_component():
     d = D(chain_graph(), ["Y"])
-    assert not direct_transportable(zt.CComponent(frozenset({"Y"})), d)
+    assert not direct_transportable(frozenset({"Y"}), d)
 
 
 # -- sid_z ---------------------------------------------------------------------
