@@ -48,8 +48,8 @@ def parse_diagram(text: str) -> QueryFile:
     """Parse the line-oriented diagram/query format; raises ParseError."""
     nodes: list[str] = []
     known: set[str] = set()
-    directed: list[tuple[str, str]] = []
-    bidirected: list[tuple[str, str]] = []
+    directed: set[tuple[str, str]] = set()
+    bidirected: set[frozenset[str]] = set()
     selected: list[str] = []
     sets: dict[str, list[str]] = {}
 
@@ -74,23 +74,16 @@ def parse_diagram(text: str) -> QueryFile:
             if len(tokens) != 2:
                 raise ParseError("expected: node <name>", lineno)
             mention(tokens[1], lineno)
-        elif len(tokens) == 3 and tokens[1] == "->":
-            mention(tokens[0], lineno)
-            mention(tokens[2], lineno)
-            if tokens[0] == tokens[2]:
+        elif len(tokens) == 3 and tokens[1] in ("->", "<->"):
+            a, arrow, b = tokens
+            mention(a, lineno)
+            mention(b, lineno)
+            if a == b:
                 raise ParseError("self-loop", lineno)
-            edge = (tokens[0], tokens[2])
-            if edge in directed:
-                raise ParseError(f"duplicate edge {edge[0]} -> {edge[1]}", lineno)
-            directed.append(edge)
-        elif len(tokens) == 3 and tokens[1] == "<->":
-            mention(tokens[0], lineno)
-            mention(tokens[2], lineno)
-            if tokens[0] == tokens[2]:
-                raise ParseError("self-loop", lineno)
-            if {tokens[0], tokens[2]} in [set(e) for e in bidirected]:
-                raise ParseError(f"duplicate edge {tokens[0]} <-> {tokens[2]}", lineno)
-            bidirected.append((tokens[0], tokens[2]))
+            edges, edge = (directed, (a, b)) if arrow == "->" else (bidirected, frozenset((a, b)))
+            if edge in edges:
+                raise ParseError(f"duplicate edge {a} {arrow} {b}", lineno)
+            edges.add(edge)
         elif tokens[0] == "select":
             if len(tokens) != 2:
                 raise ParseError("expected: select <name>", lineno)

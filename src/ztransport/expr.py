@@ -134,40 +134,31 @@ def sum_over(over: Iterable[str], body: ProbExpr) -> ProbExpr:
     return Sum(ov, body)
 
 
-def free_variables(e: ProbExpr) -> frozenset[str]:
-    """All value slots not bound by an enclosing sum."""
+def _slots(e: ProbExpr, bind: bool) -> frozenset[str]:
+    """The value slots of ``e``; with ``bind``, those a sum binds are left out."""
     if isinstance(e, Term):
         t = e.term
         return frozenset(t.do) | frozenset(t.outcome) | frozenset(t.given)
     if isinstance(e, Product):
-        out: frozenset[str] = frozenset()
-        for f in e.factors:
-            out |= free_variables(f)
-        return out
+        return frozenset().union(*(_slots(f, bind) for f in e.factors))
     if isinstance(e, Sum):
-        return free_variables(e.body) - e.over
+        body = _slots(e.body, bind)
+        return body - e.over if bind else body | e.over
     if isinstance(e, Quotient):
-        return free_variables(e.num) | free_variables(e.den)
+        return _slots(e.num, bind) | _slots(e.den, bind)
     if isinstance(e, One):
         return frozenset()
     raise ExprError(f"not a ProbExpr: {e!r}")
 
 
+def free_variables(e: ProbExpr) -> frozenset[str]:
+    """All value slots not bound by an enclosing sum."""
+    return _slots(e, bind=True)
+
+
 def all_slots(e: ProbExpr) -> frozenset[str]:
     """Every slot mentioned anywhere, free or bound."""
-    if isinstance(e, Term):
-        t = e.term
-        return frozenset(t.do) | frozenset(t.outcome) | frozenset(t.given)
-    if isinstance(e, Product):
-        out: frozenset[str] = frozenset()
-        for f in e.factors:
-            out |= all_slots(f)
-        return out
-    if isinstance(e, Sum):
-        return all_slots(e.body) | e.over
-    if isinstance(e, Quotient):
-        return all_slots(e.num) | all_slots(e.den)
-    return frozenset()
+    return _slots(e, bind=False)
 
 
 def substitute(e: ProbExpr, mapping: Mapping[str, str]) -> ProbExpr:
@@ -428,24 +419,21 @@ def to_json(e: ProbExpr) -> dict:
 
 
 def from_json(obj: dict) -> ProbExpr:
-    kind = obj.get("kind")
-    if kind == "term":
-        return Term(
-            ProbTerm(
-                domain=obj["domain"],
-                do=tuple(obj["do"]),
-                outcome=tuple(obj["outcome"]),
-                given=tuple(obj["given"]),
-            )
-        )
-    if kind == "one":
-        return ONE
-    if kind == "product":
-        return Product(tuple(from_json(f) for f in obj["factors"]))
-    if kind == "sum":
-        return Sum(frozenset(obj["over"]), from_json(obj["body"]))
-    if kind == "ratio":
-        return Quotient(from_json(obj["num"]), from_json(obj["den"]))
+    """Inverse of ``to_json``; raises ExprError on malformed input."""
+    try:
+        kind = obj.get("kind")
+        if kind == "term":
+            return Term(ProbTerm(obj["domain"], tuple(obj["do"]), tuple(obj["outcome"]), tuple(obj["given"])))
+        if kind == "one":
+            return ONE
+        if kind == "product":
+            return Product(tuple(from_json(f) for f in obj["factors"]))
+        if kind == "sum":
+            return Sum(frozenset(obj["over"]), from_json(obj["body"]))
+        if kind == "ratio":
+            return Quotient(from_json(obj["num"]), from_json(obj["den"]))
+    except (KeyError, AttributeError, TypeError) as e:
+        raise ExprError(f"bad expression JSON: {obj!r}") from e
     raise ExprError(f"bad expression JSON: {obj!r}")
 
 

@@ -53,6 +53,12 @@ class DistLabel:
     domain: str = E.SOURCE
     do: frozenset[str] = frozenset()
 
+    def __post_init__(self):
+        if self.domain not in (E.SOURCE, E.TARGET):
+            raise InputError(f"bad domain: {self.domain!r}")
+        if self.domain == E.TARGET and self.do:
+            raise InputError("target distributions carry no interventions")
+
     def restrict(self, keep: tuple[str, ...]) -> "DistLabel":
         return self
 
@@ -329,21 +335,21 @@ def bi(
 
     ``g`` must already have the incoming edges into ``active`` removed, and
     ``dist`` names the table the emitted terms read (its do-set is the
-    experiment that produced it).
+    experiment that produced it).  Raises InputError on a node outside
+    ``g``, an empty y, a y that overlaps x, ``active`` or dist's do-set, or
+    (with x nonempty) a y outside one confounded component of g minus x.
     """
-    ys = g.check_nodes(y)
-    xs = g.check_nodes(x)
-    act = g.check_nodes(active)
-    if not ys:
-        raise InputError("outcome set y must be nonempty")
-    if ys & (xs | act):
-        raise InputError("y overlaps x or the active experiments")
+    act = frozenset(active)
+    q = Query.create(x, y, dist.do | act)
+    q.validate_against(g)
+    if q.y & q.z:
+        raise InputError("y overlaps the active experiments or the do-set of dist")
     # callers must ask about a single factor at a time
-    if xs:
-        rest = induced_subgraph(g, ancestors(g, ys) - xs - act)
-        if not any(ys <= c for c in c_components(rest)):
+    if q.x:
+        rest = induced_subgraph(g, ancestors(g, q.y) - q.x - act)
+        if not any(q.y <= c for c in c_components(rest)):
             raise InputError("y must lie inside one confounded component of g minus x")
-    return _gid(ys, xs, frozenset(), act, dist, g, IdentTrace(), 4 * len(g.nodes) + 8)
+    return _gid(q.y, q.x, frozenset(), act, dist, g, IdentTrace(), 4 * len(g.nodes) + 8)
 
 
 def direct_transportable(c: frozenset[str], d: SelectionDiagram) -> bool:

@@ -11,7 +11,7 @@ are attainable with deterministic mechanism tables.
 
 Distributions are variable-elimination contractions of the truncated
 factorization (Koller & Friedman 2009, ch. 9), all run from one plan per
-model pair.  An intervened variable has no mechanism, only a free axis, so
+diagram.  An intervened variable has no mechanism, only a free axis, so
 one contraction holds the distribution under every assignment of its
 do-set.  A formula is checked as one array over all of its free slots
 (``expr.compile_expr``) against the true effect.
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import ClassVar, Iterable, Mapping
@@ -35,6 +36,7 @@ MAX_NODES = 12
 MAX_TABLE_ENTRIES = 10_000_000
 LATENT_ARITY = 4
 MIN_ATOM = 0.05
+_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # each live graph's plan, dropped with it
 
 
 def _private_noise_arity(arity: int) -> int:
@@ -106,8 +108,7 @@ class DiscreteSCM:
     graph's ``bidirected_order``, private noise of v) yielding v's value.  ``noise[v]`` is the
     private noise distribution.  ``cpts[v]`` is ``cpt(v)``, computed once
     at construction for every node whose table is not passed in.  ``plan``
-    is the elimination plan every contraction of the model runs, made at
-    construction unless passed in (models over one diagram share it).
+    is the diagram's elimination plan, checked against the model's arities.
     """
 
     diagram: SemiMarkovianGraph
@@ -116,15 +117,14 @@ class DiscreteSCM:
     noise: dict[str, np.ndarray]
     functions: dict[str, np.ndarray]
     cpts: Mapping[str, np.ndarray] = field(default_factory=dict, compare=False, repr=False)
-    plan: tuple[tuple, ...] = field(default=(), compare=False, repr=False)
+    plan: tuple[tuple, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        hidden_arities = {e: len(u) for e, u in self.latents.items()}
+        object.__setattr__(self, "plan", _plan(self.diagram, self.arities, hidden_arities))
         given = self.cpts
         cpts = {v: given[v] if v in given else self.cpt(v) for v in self.diagram.nodes}
         object.__setattr__(self, "cpts", MappingProxyType(cpts))
-        if not self.plan:
-            hidden_arities = {e: len(u) for e, u in self.latents.items()}
-            object.__setattr__(self, "plan", _plan(self.diagram, self.arities, hidden_arities))
 
     def cpt(self, v: str) -> np.ndarray:
         """P(v | observed parents, shared latents at v), private noise folded in.
@@ -143,46 +143,51 @@ class DiscreteSCM:
             flat = np.arange(fn.shape[-1]) % k
             functions[v] = np.broadcast_to(flat, fn.shape).copy()
         kept = {v: c for v, c in self.cpts.items() if v not in nodes}
-        return DiscreteSCM(self.diagram, self.arities, self.latents, self.noise, functions, kept, self.plan)
+        return DiscreteSCM(self.diagram, self.arities, self.latents, self.noise, functions, kept)
 
 
 def _plan(g: SemiMarkovianGraph, arities: Mapping[str, int], hidden_arities: Mapping[frozenset[str], int],
           onehot: int = 1) -> tuple[tuple, ...]:
     """Elimination steps of the observational contraction, from structure
-    alone: mechanisms in topological order, a hidden prior just before the
-    first mechanism that reads it, its variable summed out right after the
-    last.  A step is (v, priors opened, their labels, labels of v's CPT,
-    output labels).  Labels are node indices, then ids recycled among the
-    open hidden variables.
+    alone (so made once per graph): mechanisms in topological order, a
+    hidden prior just before the first mechanism that reads it, its variable
+    summed out right after the last.  A step is (v, priors opened, their
+    labels, labels of v's CPT, output labels).  Labels are node indices,
+    then ids recycled among the open hidden variables.
 
     A contraction under do() runs the same steps with an intervened v's CPT
     replaced by a ones-axis over v's label; the output labels stay the
     same, so one plan and one budget check serve every do-set.  Raises
-    InputError if an intermediate, or a CPT times ``onehot`` (the one-hot
-    mechanism table that builds it), exceeds the cell budget."""
-    order, index = topological_order(g), g.index
-    at: dict[str, list[frozenset[str]]] = {v: [] for v in g.nodes}
-    for e in g.bidirected_order:
-        for v in e:
-            at[v].append(e)
-    last = {e: v for v in order for e in at[v]}
-    size = [arities[v] for v in g.nodes]
-    label: dict[frozenset[str], int] = {}
-    free, acc, steps, cells = [], (), [], 1
-    for v in order:
-        opened = tuple(e for e in at[v] if e not in label)
-        for e in opened:
-            label[e] = free.pop() if free else len(size)
-            size[label[e]:label[e] + 1] = [hidden_arities[e]]
-        cpt = tuple(sorted(index[p] for p in g.parents[v])) + tuple(label[e] for e in at[v]) + (index[v],)
-        closed = [label[e] for e in at[v] if last[e] == v]
-        acc = tuple(sorted(set(acc).union(cpt).difference(closed)))
-        free += sorted(closed, reverse=True)
-        steps.append((v, opened, tuple((label[e],) for e in opened), cpt, acc))
+    InputError if, at these arities, an intermediate or a CPT times ``onehot``
+    (the one-hot mechanism table that builds it) exceeds the cell budget."""
+    steps = _PLANS.get(g)
+    if steps is None:
+        order, index = topological_order(g), g.index
+        at: dict[str, list[frozenset[str]]] = {v: [] for v in g.nodes}
+        for e in g.bidirected_order:
+            for v in e:
+                at[v].append(e)
+        last = {e: v for v in order for e in at[v]}
+        label: dict[frozenset[str], int] = {}
+        fresh, free, acc, steps = itertools.count(len(g.nodes)), [], (), []
+        for v in order:
+            opened = tuple(e for e in at[v] if e not in label)
+            for e in opened:
+                label[e] = free.pop() if free else next(fresh)
+            cpt = tuple(sorted(index[p] for p in g.parents[v])) + tuple(label[e] for e in at[v]) + (index[v],)
+            closed = [label[e] for e in at[v] if last[e] == v]
+            acc = tuple(sorted(set(acc).union(cpt).difference(closed)))
+            free += sorted(closed, reverse=True)
+            steps.append((v, opened, tuple((label[e],) for e in opened), cpt, acc))
+        steps = _PLANS[g] = tuple(steps)
+    size, cells = [arities[v] for v in g.nodes], 1
+    for _, opened, opened_subs, cpt, acc in steps:
+        for e, (i,) in zip(opened, opened_subs):
+            size[i:i + 1] = [hidden_arities[e]]
         cells = max(cells, onehot * math.prod([size[i] for i in cpt]), math.prod([size[i] for i in acc]))
     if cells > MAX_TABLE_ENTRIES:
         raise InputError(f"enumeration needs {cells} cells at once; budget is {MAX_TABLE_ENTRIES}")
-    return tuple(steps)
+    return steps
 
 
 def _contract(m: DiscreteSCM, do: Iterable[str] = ()) -> np.ndarray:
@@ -213,9 +218,7 @@ def _table(nodes: tuple[str, ...], arities: Mapping[str, int], joint: np.ndarray
     return Table(keep, {v: arities[v] for v in keep}, joint[index])
 
 
-def _draw_scm(
-    d: SelectionDiagram, rng: np.random.Generator, arity: int, plan: tuple[tuple, ...]
-) -> DiscreteSCM:
+def _draw_scm(d: SelectionDiagram, rng: np.random.Generator, arity: int) -> DiscreteSCM:
     g = d.graph
     noise_arity = _private_noise_arity(arity)
     latents = {e: _positive_simplex(rng, LATENT_ARITY) for e in g.bidirected_order}
@@ -224,7 +227,7 @@ def _draw_scm(
     for v in g.nodes:
         shape = (arity,) * len(g.parents[v]) + (LATENT_ARITY,) * len(g.siblings[v]) + (noise_arity,)
         functions[v] = rng.integers(0, arity, size=shape)
-    return DiscreteSCM(g, dict.fromkeys(g.nodes, arity), latents, noise, functions, plan=plan)
+    return DiscreteSCM(g, dict.fromkeys(g.nodes, arity), latents, noise, functions)
 
 
 @dataclass(frozen=True)
@@ -233,31 +236,28 @@ class DiscreteModelPair:
     mechanism discrepancies are confined to the selection-pointed nodes.
 
     ``source_joint`` and ``target_joint`` are the models' observational
-    joints (node order), contracted at construction unless passed in.
+    joints (node order), made by ``enumerate_joint`` at construction.
     """
 
     diagram: SelectionDiagram
     source: DiscreteSCM
     target: DiscreteSCM
-    source_joint: np.ndarray | None = field(default=None, compare=False, repr=False)
-    target_joint: np.ndarray | None = field(default=None, compare=False, repr=False)
+    source_joint: np.ndarray = field(init=False, compare=False, repr=False)
+    target_joint: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.source_joint is None:
-            object.__setattr__(self, "source_joint", _contract(self.source))
-        if self.target_joint is None:
-            same = self.target is self.source
-            object.__setattr__(self, "target_joint", self.source_joint if same else _contract(self.target))
+        object.__setattr__(self, "source_joint", enumerate_joint(self.source).probs)
+        same = self.target is self.source
+        object.__setattr__(self, "target_joint", self.source_joint if same else enumerate_joint(self.target).probs)
 
 
 def generate_pair(d: SelectionDiagram, seed: int, arity: int = 2) -> DiscreteModelPair:
     """Deterministic-in-seed model pair compatible with the selection diagram.
 
-    Rejects and regenerates (incrementing a sub-seed) until both induced
-    observational joints are strictly positive.  Before drawing anything,
-    plans the contraction once for every model and do-set it will serve,
-    checking that its intermediates and the one-hot mechanism tables fit
-    the cell budget.
+    Rejects and regenerates (incrementing a sub-seed) until both joints of
+    the pair are strictly positive.  Before drawing anything, checks that
+    the diagram's plan, which every model drawn reads, fits the cell budget
+    at this arity, one-hot mechanism tables included.
     """
     if arity < 2:
         raise InputError("arity must be at least 2")
@@ -266,26 +266,23 @@ def generate_pair(d: SelectionDiagram, seed: int, arity: int = 2) -> DiscreteMod
     g = d.graph
     if len(g.nodes) > MAX_NODES:
         raise InputError(f"diagram exceeds the {MAX_NODES}-node enumeration budget")
-    hidden_arities = dict.fromkeys(g.bidirected_edges, LATENT_ARITY)
-    plan = _plan(g, dict.fromkeys(g.nodes, arity), hidden_arities, _private_noise_arity(arity))
+    noise_arity = _private_noise_arity(arity)
+    _plan(g, dict.fromkeys(g.nodes, arity), dict.fromkeys(g.bidirected_edges, LATENT_ARITY), noise_arity)
     for attempt in range(500):
         rng = np.random.default_rng([seed, attempt])
-        source = _draw_scm(d, rng, arity, plan)
+        source = _draw_scm(d, rng, arity)
         target = source
         if d.s_targets:
             rng_t = np.random.default_rng([seed, attempt, 1])
             noise, functions = dict(source.noise), dict(source.functions)
             for v in g.sorted(d.s_targets):
-                noise[v] = _positive_simplex(rng_t, _private_noise_arity(arity))
+                noise[v] = _positive_simplex(rng_t, noise_arity)
                 functions[v] = rng_t.integers(0, arity, size=source.functions[v].shape)
             shared = {v: c for v, c in source.cpts.items() if v not in d.s_targets}
-            target = DiscreteSCM(g, source.arities, source.latents, noise, functions, shared, plan)
-        source_joint = enumerate_joint(source, {}).probs
-        if source_joint.min() <= 0:
-            continue
-        target_joint = source_joint if target is source else enumerate_joint(target, {}).probs
-        if target_joint.min() > 0:
-            return DiscreteModelPair(d, source, target, source_joint, target_joint)
+            target = DiscreteSCM(g, source.arities, source.latents, noise, functions, shared)
+        pair = DiscreteModelPair(d, source, target)
+        if pair.source_joint.min() > 0 and pair.target_joint.min() > 0:
+            return pair
     raise OracleError(f"could not draw a strictly positive pair for seed {seed}")
 
 

@@ -105,6 +105,25 @@ def test_json_roundtrip_fixed():
     assert E.from_json(E.to_json(e)) == e
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"kind": "term", "domain": "x"},
+        [],
+        None,
+        {"kind": "term", "domain": "source", "do": 3, "outcome": ["Y"], "given": []},
+        {"kind": "term", "domain": "source", "do": [], "outcome": [["Y"]], "given": []},
+        {"kind": "sum", "over": ["W"]},
+        {"kind": "product", "factors": [{"kind": "one"}, "one"]},
+        {"kind": "ratio", "num": {"kind": "one"}, "den": {}},
+        {"kind": "nothing"},
+    ],
+)
+def test_from_json_rejects_malformed_input(obj):
+    with pytest.raises(ExprError):
+        E.from_json(obj)
+
+
 def test_term_corruptions_drop_before_graft_in_every_term():
     num = E.term(E.SOURCE, ["Y"], given=["X"])
     den = E.term(E.TARGET, ["X"], given=["W"])

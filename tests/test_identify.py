@@ -192,6 +192,22 @@ def test_bi_rejects_overlapping_sets():
         bi(["Y"], ["Y"], DistLabel(E.TARGET), chain_graph())
 
 
+@pytest.mark.parametrize(
+    "make_dist",
+    [
+        lambda: DistLabel(E.SOURCE, frozenset({"Q"})),
+        lambda: DistLabel(E.SOURCE, frozenset({"Y"})),
+        lambda: DistLabel("elsewhere"),
+        lambda: DistLabel(E.TARGET, frozenset({"X"})),
+    ],
+    ids=["unknown-do-node", "do-overlaps-y", "unknown-domain", "target-with-do"],
+)
+def test_bi_rejects_a_bad_dist(make_dist):
+    g = zt.SemiMarkovianGraph.create(["X", "Y"], [("X", "Y")])
+    with pytest.raises(InputError):
+        bi(["Y"], [], make_dist(), g)
+
+
 def test_bi_bow_throws_fail():
     with pytest.raises(FailedFactor) as exc:
         bi(["Y"], ["X"], DistLabel(E.TARGET), bow_graph())

@@ -1,5 +1,6 @@
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -520,16 +521,16 @@ def test_one_plan_and_no_repeat_contraction_per_row(monkeypatch):
 
     monkeypatch.setattr(oracle, "topological_order", counted_order)
     monkeypatch.setattr(oracle, "_contract", counted_contract)
+    monkeypatch.setattr(oracle, "_PLANS", weakref.WeakKeyDictionary())  # no plan made by other tests
     d = fig2a()  # marks Z; formula P_{z}(y|x), with z an auxiliary slot
     q = zt.Query.create(["X"], ["Y"], ["Z"])
     formula = E.term(E.SOURCE, ["Y"], given=["X"], do=["Z"])
     for seed in range(1, 11):
-        plans.clear()
         contractions.clear()
         pair = generate_pair(d, seed)
         tables = build_distribution_set(pair, q.z)
         assert validate_formula(formula, pair, q, tables=tables) <= 1e-9
-        assert len(plans) == 1
+        assert len(plans) == 1  # one plan for the diagram, made at the first seed
         keys = [(id(m), do) for m, do in contractions]
         assert len(keys) == len(set(keys))
         ours = {(m is pair.source, m is pair.target, do) for m, do in contractions
