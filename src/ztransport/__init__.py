@@ -36,6 +36,7 @@ from .graph import (
     SelectionDiagram,
     SemiMarkovianGraph,
     ancestors,
+    c_component,
     c_components,
     induced_subgraph,
     m_separated,

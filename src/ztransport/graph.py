@@ -9,6 +9,7 @@ everywhere, so results are deterministic.
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -165,15 +166,19 @@ class Query:
         g.check_nodes(self.z)
 
 
-def ancestors(g: SemiMarkovianGraph, w: Iterable[str]) -> frozenset[str]:
+def ancestors(g: SemiMarkovianGraph, w: Iterable[str], cut: frozenset[str] = frozenset()) -> frozenset[str]:
     """Directed-path ancestors of w within g, inclusive of w itself.
 
-    Bidirected edges contribute no ancestry.
+    Bidirected edges contribute no ancestry.  The arrows into ``cut`` are
+    not followed, so the result is ``ancestors(mutilate(g, cut), w)``
+    without building the mutilated graph; ``cut`` may name nodes outside g.
     """
     front = list(g.check_nodes(w))
     seen = set(front)
     while front:
         n = front.pop()
+        if n in cut:
+            continue
         for p in g.parents[n]:
             if p not in seen:
                 seen.add(p)
@@ -205,6 +210,19 @@ def mutilate(g: SemiMarkovianGraph, cut_incoming: Iterable[str] = ()) -> SemiMar
     )
 
 
+def c_component(g: SemiMarkovianGraph, w: Iterable[str]) -> frozenset[str]:
+    """Nodes joined to w by bidirected paths in g, inclusive of w: for a
+    bidirected-connected w, the member of ``c_components(g)`` holding it."""
+    front = list(g.check_nodes(w))
+    seen = set(front)
+    while front:
+        for m in g.siblings[front.pop()]:
+            if m not in seen:
+                seen.add(m)
+                front.append(m)
+    return frozenset(seen)
+
+
 def c_components(g: SemiMarkovianGraph) -> list[frozenset[str]]:
     """Partition of g's nodes into maximal bidirected-connected components.
 
@@ -213,35 +231,26 @@ def c_components(g: SemiMarkovianGraph) -> list[frozenset[str]]:
     visited: set[str] = set()
     comps: list[frozenset[str]] = []
     for start in g.nodes:
-        if start in visited:
-            continue
-        stack = [start]
-        members = {start}
-        visited.add(start)
-        while stack:
-            n = stack.pop()
-            for m in g.siblings[n]:
-                if m not in visited:
-                    visited.add(m)
-                    members.add(m)
-                    stack.append(m)
-        comps.append(frozenset(members))
+        if start not in visited:
+            comps.append(c_component(g, (start,)))
+            visited |= comps[-1]
     return comps
 
 
 def topological_order(g: SemiMarkovianGraph) -> list[str]:
-    """Topological order of the directed part, declaration order as tie-break."""
+    """Topological order of the directed part, declaration order as tie-break:
+    each step takes the ready node of smallest declaration index."""
+    index = g.index
     indeg = {n: len(g.parents[n]) for n in g.nodes}
-    ready = [n for n in g.nodes if indeg[n] == 0]
+    ready = [i for i, n in enumerate(g.nodes) if indeg[n] == 0]  # ascending: a heap
     order: list[str] = []
     while ready:
-        ready.sort(key=g.index.__getitem__)
-        n = ready.pop(0)
+        n = g.nodes[heapq.heappop(ready)]
         order.append(n)
-        for c in g.sorted(g.children[n]):
+        for c in g.children[n]:
             indeg[c] -= 1
             if indeg[c] == 0:
-                ready.append(c)
+                heapq.heappush(ready, index[c])
     if len(order) != len(g.nodes):
         raise GraphError("directed part contains a cycle")
     return order

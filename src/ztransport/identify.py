@@ -32,6 +32,7 @@ from .graph import (
     SelectionDiagram,
     SemiMarkovianGraph,
     ancestors,
+    c_component,
     c_components,
     induced_subgraph,
     mutilate,
@@ -234,7 +235,7 @@ def _gid(
     xa = (x | active) & V
     w = V - xa - y
     if w:
-        w -= ancestors(mutilate(g, xa), y)
+        w -= ancestors(g, y, cut=xa)
     z_w = z & (x | w)
     if z_w | w:
         if z_w:
@@ -266,12 +267,12 @@ def _gid(
         return sum_over(g.sorted(V - (y | xa)), product(factors))
     c = comps[0]
 
-    g_comps = c_components(g)
-    # a single confounded component spanning the whole graph is a dead end
-    if len(g_comps) == 1:
+    # the confounded component of g holding c; spanning the whole graph, it
+    # is a dead end
+    containing = c_component(g, c)
+    if containing == V:
         raise FailedFactor(Witness("hedge", g, induced_subgraph(g, c)))
 
-    containing = next(s for s in g_comps if c <= s)
     chain = _chain_over(P, g, containing)
     # the component is intact in g: emit its factor chain directly
     if c == containing:
@@ -366,6 +367,11 @@ def _sid(
     trace: IdentTrace,
     depth: int,
 ) -> ProbExpr:
+    """sID^z: P_x(y) in the target from the target's observational
+    distribution and source experiments on subsets of z.  After the
+    c-component factorization each factor c is identified by BI on
+    G[An(c)] alone, with the arrows into its experiment cut, so its cost
+    grows with its ancestral set and not with the whole diagram."""
     if depth <= 0:
         raise InternalError("recursion depth guard exceeded")
     g = d.graph
@@ -378,11 +384,12 @@ def _sid(
         return _sid(y, x & an_y, d.restricted(an_y), z & an_y, trace, depth - 1)
     # cover x with the non-ancestors it creates; experiments stay inactive
     # until after the factorization
-    w = V - x - ancestors(mutilate(g, x), y)
+    w = V - x - ancestors(g, y, cut=x)
     if w:
         return _sid(y, x | w, d, z, trace, depth - 1)
     # factorize over the confounded components; each factor call gets x and
-    # active covering V - c, so it neither activates nor decomposes again
+    # active covering the rest of its graph, so it neither activates nor
+    # decomposes again
     comps = c_components(induced_subgraph(g, V - x))
     trace.partition = tuple(comps)
     factors = []
@@ -390,11 +397,16 @@ def _sid(
         # the factor transports directly iff no marked node lies in the
         # component; it then reads the source experiment on z outside it
         direct = direct_transportable(c, d)
-        do_set = z & (V - c) if direct else frozenset()
-        g_i = mutilate(g, do_set) if do_set else g
+        do_set = z - c if direct else frozenset()
+        # the factor reads only G[An(c)], An(c) taken with the arrows into
+        # do_set cut: build that small graph and mutilate it, not the whole
+        # one; x is the rest of it, so a factor with nothing left to
+        # intervene on returns its marginal at once
+        an_c = ancestors(g, c, cut=do_set)
+        g_i = mutilate(induced_subgraph(g, an_c), do_set & an_c)
         base = DistLabel(E.SOURCE if direct else E.TARGET, do_set)
         try:
-            factors.append(_gid(c, V - c - do_set, frozenset(), do_set, base, g_i, trace, depth - 1))
+            factors.append(_gid(c, g_i.node_set - c - do_set, frozenset(), do_set, base, g_i, trace, depth - 1))
         except FailedFactor as e:
             if direct:
                 raise

@@ -23,6 +23,7 @@ import itertools
 import math
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import ClassVar, Iterable, Mapping
 
@@ -236,19 +237,21 @@ class DiscreteModelPair:
     mechanism discrepancies are confined to the selection-pointed nodes.
 
     ``source_joint`` and ``target_joint`` are the models' observational
-    joints (node order), made by ``enumerate_joint`` at construction.
+    joints (node order), made by ``enumerate_joint`` on first use, so a
+    pair rejected on its source never contracts its target.
     """
 
     diagram: SelectionDiagram
     source: DiscreteSCM
     target: DiscreteSCM
-    source_joint: np.ndarray = field(init=False, compare=False, repr=False)
-    target_joint: np.ndarray = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "source_joint", enumerate_joint(self.source).probs)
-        same = self.target is self.source
-        object.__setattr__(self, "target_joint", self.source_joint if same else enumerate_joint(self.target).probs)
+    @cached_property
+    def source_joint(self) -> np.ndarray:
+        return enumerate_joint(self.source).probs
+
+    @cached_property
+    def target_joint(self) -> np.ndarray:
+        return self.source_joint if self.target is self.source else enumerate_joint(self.target).probs
 
 
 def generate_pair(d: SelectionDiagram, seed: int, arity: int = 2) -> DiscreteModelPair:

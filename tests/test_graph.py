@@ -61,6 +61,26 @@ def test_ancestors_unknown_node():
         zt.ancestors(chain(), ["Q"])
 
 
+def redeclared_graphs(master: int, n: int = 60):
+    """random_graph diagrams with their nodes declared in a shuffled order,
+    so declaration order is no longer a topological order, each followed by
+    a copy with the arrows into a random set cut; yields (graph, rng)."""
+    for seed in range(n):
+        g, rng = random_graph(seed, master=master, max_nodes=10, max_bi=6)
+        g = G([str(v) for v in rng.permutation(g.nodes)], g.directed_edges, [tuple(e) for e in g.bidirected_edges])
+        yield g, rng
+        yield zt.mutilate(g, [v for v in g.nodes if rng.random() < 0.3]), rng
+
+
+def test_ancestors_with_a_cut_equal_ancestors_of_the_mutilated_graph():
+    for g, rng in redeclared_graphs(master=17):
+        w = [v for v in g.nodes if rng.random() < 0.3]
+        cut = frozenset(v for v in g.nodes if rng.random() < 0.4)
+        assert zt.ancestors(g, w, cut=cut) == zt.ancestors(zt.mutilate(g, cut), w)
+    # nodes outside g in the cut are never reached
+    assert zt.ancestors(chain(), ["Y"], cut=frozenset({"X", "Q"})) == {"X", "Y"}
+
+
 def test_ancestors_monotone_and_idempotent():
     for seed in range(40):
         g, rng = random_graph(seed, master=7)
@@ -141,6 +161,18 @@ def test_c_components_partition_property():
         assert set(members) == union_find_components(g)
 
 
+def test_c_component_is_the_member_of_the_partition_holding_w():
+    for g, rng in redeclared_graphs(master=19):
+        comps = zt.c_components(g)
+        for v in g.nodes:
+            containing = next(c for c in comps if v in c)
+            assert zt.c_component(g, [v]) == containing
+            # any bidirected-connected w inside it walks out to the same member
+            w = {u for u in containing if rng.random() < 0.5} | {v}
+            if len(zt.c_components(zt.induced_subgraph(g, w))) == 1:
+                assert zt.c_component(g, w) == containing
+
+
 def test_c_components_deterministic_order():
     g = G(["B", "A", "C"], [], [("A", "C")])
     # ordered by smallest member's declaration index: B first, then {A, C}
@@ -165,6 +197,38 @@ def test_topological_order_diamond():
     pos = {v: i for i, v in enumerate(order)}
     for a, b in g.directed_edges:
         assert pos[a] < pos[b]
+
+
+def sort_every_pop_order(g):
+    """Reference: sort the ready list by declaration index before each pop."""
+    indeg = {n: len(g.parents[n]) for n in g.nodes}
+    ready = [n for n in g.nodes if indeg[n] == 0]
+    order = []
+    while ready:
+        ready.sort(key=g.index.__getitem__)
+        n = ready.pop(0)
+        order.append(n)
+        for c in g.sorted(g.children[n]):
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                ready.append(c)
+    return order
+
+
+def test_topological_order_equals_the_sort_every_pop_reference():
+    for g, _ in redeclared_graphs(master=23):
+        assert zt.topological_order(g) == sort_every_pop_order(g)
+
+
+def test_topological_order_of_an_ancestral_subgraph_is_the_filtered_order():
+    for g, rng in redeclared_graphs(master=29):
+        s = zt.ancestors(g, [v for v in g.nodes if rng.random() < 0.3])
+        sub = zt.induced_subgraph(g, s)
+        assert zt.topological_order(sub) == [v for v in zt.topological_order(g) if v in s]
+    # not for a set that misses an ancestor: D precedes A in g, not in G[{A, C}]
+    g = G(["A", "C", "D"], [("D", "A")])
+    assert zt.topological_order(g) == ["C", "D", "A"]
+    assert zt.topological_order(zt.induced_subgraph(g, ["A", "C"])) == ["A", "C"]
 
 
 # -- m-separation ---------------------------------------------------------

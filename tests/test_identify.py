@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -336,6 +338,42 @@ def test_sid_witness_invariants():
     assert len(zt.c_components(w.f_graph)) == 1
     assert set(w.f_sub.nodes) < set(w.f_graph.nodes)
     assert w.s_targets_in_component == {"Y"}
+
+
+def result_record(r) -> dict:
+    """Everything a result carries, raw: the formula as emitted, the witness
+    graphs with their edges, the warnings and the trace."""
+    def graph_record(g):
+        return [list(g.nodes), sorted(g.directed_edges), sorted(sorted(e) for e in g.bidirected_edges)]
+
+    w, t = r.witness, r.trace
+    return {
+        "formula": None if r.formula is None else E.to_json(r.formula),
+        "witness": None if w is None else [
+            w.kind, graph_record(w.f_graph), graph_record(w.f_sub), sorted(w.s_targets_in_component)
+        ],
+        "warnings": list(r.warnings),
+        "trace": [
+            t.line3_activations,
+            t.decompositions,
+            None if t.partition is None else [sorted(c) for c in t.partition],
+        ],
+    }
+
+
+# sha256 of the records of 3,000 results, computed before each c-factor was
+# identified on its own ancestral graph; a speed-up of the recursion must
+# leave every formula, witness, warning and trace as it was
+RESULTS_SHA256 = "172dc3501c19ea1f78ee6b351106f04381fdd2ba4a30689d4a1ffa0e3632d6eb"
+
+
+def test_results_on_random_diagrams_are_pinned():
+    h = hashlib.sha256()
+    for seed in range(1000):
+        d, x, y, z = random_diagram(seed, master=37)
+        for r in (sid_z(y, x, d, z), gid_z(y, x, z, d.graph), transportable(y, x, d)):
+            h.update(json.dumps(result_record(r), sort_keys=True).encode())
+    assert h.hexdigest() == RESULTS_SHA256
 
 
 # -- transportable ---------------------------------------------------------------

@@ -21,7 +21,7 @@ from ztransport.oracle import (
     validate_formula,
 )
 
-from helpers import bow_graph, chain_graph, fig2a, fig5a, random_graph
+from helpers import bow_graph, chain_graph, fig2a, fig5a, fig5c, random_graph
 
 D = zt.SelectionDiagram.create
 
@@ -96,6 +96,22 @@ def test_generate_pair_discrepancy_confined_to_marks():
     assert not np.array_equal(pair.source.functions["Z"], pair.target.functions["Z"])
     for e in pair.source.latents:  # shared hidden causes are domain-invariant
         assert np.array_equal(pair.source.latents[e], pair.target.latents[e])
+
+
+def test_generate_pair_skips_the_target_of_an_attempt_rejected_on_its_source(monkeypatch):
+    # fig5c at seed 3: attempt 0 draws a source with a zero cell, attempt 1 a
+    # positive pair; the rejected attempt's target is never contracted
+    seen = []
+
+    def counted(m, do_set=None):
+        t = enumerate_joint(m, do_set)
+        seen.append((m, bool(t.probs.min() > 0)))
+        return t
+
+    monkeypatch.setattr(oracle, "enumerate_joint", counted)
+    pair = generate_pair(fig5c(), seed=3)
+    assert [ok for _, ok in seen] == [False, True, True]
+    assert seen[1][0] is pair.source and seen[2][0] is pair.target
 
 
 def test_hidden_tables_positive_and_normalized():
