@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from . import expr as E
 from .graph import NAME_RE, GraphError, InputError, Query, SelectionDiagram, SemiMarkovianGraph
 from .identify import IdentResult, sid_z
-from .oracle import build_distribution_set, generate_pair, validate_formula
+from .oracle import OracleError, build_distribution_set, generate_pair, validate_formula
 
 TOLERANCE = 1e-9
 
@@ -279,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         try:
             code, doc = validate(qf, seeds, arity=args.arity, corrupt=args.inject_corruption)
-        except InputError as e:
+        except (InputError, OracleError) as e:
             print(f"error: {e}", file=sys.stderr)
             return 1
         print(json.dumps(doc, indent=2, sort_keys=True))

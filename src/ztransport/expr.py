@@ -420,16 +420,21 @@ def to_json(e: ProbExpr) -> dict:
 
 def from_json(obj: dict) -> ProbExpr:
     """Inverse of ``to_json``; raises ExprError on malformed input."""
+    def names(key: str) -> tuple[str, ...]:
+        if not (isinstance(obj[key], list) and all(isinstance(n, str) for n in obj[key])):
+            raise ExprError(f"bad expression JSON: {key!r} must be a list of names in {obj!r}")
+        return tuple(obj[key])
+
     try:
         kind = obj.get("kind")
         if kind == "term":
-            return Term(ProbTerm(obj["domain"], tuple(obj["do"]), tuple(obj["outcome"]), tuple(obj["given"])))
+            return Term(ProbTerm(obj["domain"], names("do"), names("outcome"), names("given")))
         if kind == "one":
             return ONE
         if kind == "product":
             return Product(tuple(from_json(f) for f in obj["factors"]))
         if kind == "sum":
-            return Sum(frozenset(obj["over"]), from_json(obj["body"]))
+            return Sum(frozenset(names("over")), from_json(obj["body"]))
         if kind == "ratio":
             return Quotient(from_json(obj["num"]), from_json(obj["den"]))
     except (KeyError, AttributeError, TypeError) as e:

@@ -138,10 +138,6 @@ class SelectionDiagram:
         s = graph.check_nodes(s_targets)
         return SelectionDiagram(graph, s)
 
-    def restricted(self, keep: Iterable[str]) -> "SelectionDiagram":
-        sub = induced_subgraph(self.graph, keep)
-        return SelectionDiagram(sub, self.s_targets & sub.node_set)
-
 
 @dataclass(frozen=True)
 class Query:

@@ -213,21 +213,28 @@ def _gid(
     depth: int,
 ) -> ProbExpr:
     """Identify P_x(y) from P, switching on experiments on subsets of z.
-    ``g`` has the incoming edges of the ``active`` experiments cut and P
-    reads them; ``active`` may name nodes outside ``g``."""
+    P reads the ``active`` experiments, which may name nodes outside ``g``;
+    g may still carry arrows into ``active``; the ancestral step cuts them."""
     if depth <= 0:
         raise InternalError("recursion depth guard exceeded")
-    V = g.node_set
 
     # nothing left to intervene on: read the marginal off the current P
     if not x:
         return P.marginal_expr(g.sorted(y))
 
-    # restrict to the ancestors of y
-    an_y = ancestors(g, y)
-    if V - an_y:
-        g2 = induced_subgraph(g, an_y)
-        return _gid(y, x & an_y, z, active, P.restrict(g2.nodes), g2, trace, depth - 1)
+    # restrict to the ancestors of y with the arrows into the active
+    # experiments cut: the only place the recursion cuts arrows
+    an_y = ancestors(g, y, cut=active)
+    cut = active & an_y
+    shrinks = len(an_y) < len(g.nodes)
+    if shrinks or any(g.parents[v] or g.siblings[v] for v in cut):
+        g = mutilate(induced_subgraph(g, an_y), cut)
+        if shrinks:
+            P = P.restrict(g.nodes)
+        x &= an_y
+        if not x:
+            return P.marginal_expr(g.sorted(y))
+    V = g.node_set
 
     # cover x with the non-ancestors it creates, switching on experiments
     # where the controllable set allows it; y is among its own ancestors, so
@@ -245,7 +252,6 @@ def _gid(
             if not isinstance(P, DistLabel):
                 raise InternalError("activation requires a base distribution")
             P = DistLabel(P.domain, P.do | z_w)
-            g = mutilate(g, z_w)
         return _gid(y, (x | w) - z_w, z - z_w, active | z_w, P, g, trace, depth - 1)
 
     # factorize over the confounded components
@@ -262,8 +268,7 @@ def _gid(
             if newly and not isinstance(P, DistLabel):
                 raise InternalError("activation requires a base distribution")
             p_i = DistLabel(P.domain, P.do | newly) if newly else P
-            g_i = mutilate(g, newly) if newly else g
-            factors.append(_gid(c, V - c - z, z & c, active | newly, p_i, g_i, trace, depth - 1))
+            factors.append(_gid(c, V - c - z, z & c, active | newly, p_i, g, trace, depth - 1))
         return sum_over(g.sorted(V - (y | xa)), product(factors))
     c = comps[0]
 
@@ -334,7 +339,7 @@ def bi(
     controllable experiments left, the c-factor of y when x and ``active``
     hold every other node.  Raises ``FailedFactor`` with a hedge witness.
 
-    ``g`` must already have the incoming edges into ``active`` removed, and
+    ``g`` may still carry arrows into ``active``: the recursion cuts them.
     ``dist`` names the table the emitted terms read (its do-set is the
     experiment that produced it).  Raises InputError on a node outside
     ``g``, an empty y, a y that overlaps x, ``active`` or dist's do-set, or
@@ -347,7 +352,7 @@ def bi(
         raise InputError("y overlaps the active experiments or the do-set of dist")
     # callers must ask about a single factor at a time
     if q.x:
-        rest = induced_subgraph(g, ancestors(g, q.y) - q.x - act)
+        rest = induced_subgraph(g, ancestors(g, q.y, cut=act) - q.x - act)
         if not any(q.y <= c for c in c_components(rest)):
             raise InputError("y must lie inside one confounded component of g minus x")
     return _gid(q.y, q.x, frozenset(), act, dist, g, IdentTrace(), 4 * len(g.nodes) + 8)
@@ -369,24 +374,21 @@ def _sid(
 ) -> ProbExpr:
     """sID^z: P_x(y) in the target from the target's observational
     distribution and source experiments on subsets of z.  After the
-    c-component factorization each factor c is identified by BI on
-    G[An(c)] alone, with the arrows into its experiment cut, so its cost
-    grows with its ancestral set and not with the whole diagram."""
-    if depth <= 0:
-        raise InternalError("recursion depth guard exceeded")
+    c-component factorization each factor c is identified by BI, whose
+    ancestral step gives it G[An(c)] with the arrows into its experiment
+    cut, so its cost grows with An(c), not with the whole diagram."""
     g = d.graph
-    V = g.node_set
-
+    # restrict to the ancestors of y
+    an_y = ancestors(g, y)
+    x, z = x & an_y, z & an_y
     if not x:
         return term(E.TARGET, outcome=g.sorted(y))
-    an_y = ancestors(g, y)
-    if V != an_y:
-        return _sid(y, x & an_y, d.restricted(an_y), z & an_y, trace, depth - 1)
+    if an_y != g.node_set:
+        g = induced_subgraph(g, an_y)
+    V = g.node_set
     # cover x with the non-ancestors it creates; experiments stay inactive
     # until after the factorization
-    w = V - x - ancestors(g, y, cut=x)
-    if w:
-        return _sid(y, x | w, d, z, trace, depth - 1)
+    x |= V - ancestors(g, y, cut=x)
     # factorize over the confounded components; each factor call gets x and
     # active covering the rest of its graph, so it neither activates nor
     # decomposes again
@@ -398,15 +400,9 @@ def _sid(
         # component; it then reads the source experiment on z outside it
         direct = direct_transportable(c, d)
         do_set = z - c if direct else frozenset()
-        # the factor reads only G[An(c)], An(c) taken with the arrows into
-        # do_set cut: build that small graph and mutilate it, not the whole
-        # one; x is the rest of it, so a factor with nothing left to
-        # intervene on returns its marginal at once
-        an_c = ancestors(g, c, cut=do_set)
-        g_i = mutilate(induced_subgraph(g, an_c), do_set & an_c)
         base = DistLabel(E.SOURCE if direct else E.TARGET, do_set)
         try:
-            factors.append(_gid(c, g_i.node_set - c - do_set, frozenset(), do_set, base, g_i, trace, depth - 1))
+            factors.append(_gid(c, V - c - do_set, frozenset(), do_set, base, g, trace, depth))
         except FailedFactor as e:
             if direct:
                 raise

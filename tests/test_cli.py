@@ -251,6 +251,17 @@ def test_main_validate_arity_over_the_cell_budget(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_main_validate_without_a_positive_pair(tmp_path, capsys):
+    # on the complete 10-node DAG no draw for seed 1 has a strictly positive
+    # joint: an error line and exit 1, not a traceback
+    edges = [f"V{i} -> V{j}" for i in range(10) for j in range(i + 1, 10)]
+    path = fig2a_file(tmp_path, "\n".join(edges + ["X: V0", "Y: V9"]), "complete.graph")
+    code = cli.main(["validate", path, "--seeds", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "strictly positive" in err
+
+
 def test_exit_codes_through_a_real_process(tmp_path):
     # every bad input exits 1 with an error line and no traceback; 2 is
     # reserved for "not transportable"

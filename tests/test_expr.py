@@ -117,6 +117,14 @@ def test_json_roundtrip_fixed():
         {"kind": "product", "factors": [{"kind": "one"}, "one"]},
         {"kind": "ratio", "num": {"kind": "one"}, "den": {}},
         {"kind": "nothing"},
+        # each slot list must be a list of names: a string is not split
+        # into characters, and a number is not a name
+        {"kind": "term", "domain": "source", "do": [], "outcome": [1], "given": []},
+        {"kind": "term", "domain": "source", "do": [], "outcome": "YX", "given": []},
+        {"kind": "term", "domain": "source", "do": "Z", "outcome": ["Y"], "given": []},
+        {"kind": "term", "domain": "source", "do": [], "outcome": ["Y"], "given": "X"},
+        {"kind": "sum", "over": "Y", "body": {"kind": "one"}},
+        {"kind": "sum", "over": [None], "body": {"kind": "one"}},
     ],
 )
 def test_from_json_rejects_malformed_input(obj):

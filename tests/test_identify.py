@@ -7,6 +7,7 @@ import pytest
 
 import ztransport as zt
 from ztransport import expr as E
+from ztransport import identify
 from ztransport.graph import InputError
 from ztransport.identify import (
     DistLabel,
@@ -216,6 +217,40 @@ def test_bi_bow_throws_fail():
     w = exc.value.witness
     assert set(w.f_graph.nodes) == {"X", "Y"}
     assert set(w.f_sub.nodes) == {"Y"}
+
+
+def bi_outcome(y, x, dist, g, active):
+    """bi's formula, or the witness graphs of its failure, or its input error."""
+    try:
+        return bi(y, x, dist, g, active)
+    except FailedFactor as e:
+        return "fail", e.witness.f_graph, e.witness.f_sub
+    except InputError as e:
+        return "input", str(e)
+
+
+def test_bi_cuts_the_arrows_into_active_itself():
+    # Z -> X -> Y with Z <-> Y and X <-> Z: with the arrows into Z cut, the
+    # factor of Y is a conditional; bi cuts them itself, so the uncut graph
+    # gives the same, not a hedge over {Z, X, Y}
+    g = zt.SemiMarkovianGraph.create(["Z", "X", "Y"], [("Z", "X"), ("X", "Y")], [("Z", "Y"), ("X", "Z")])
+    dist = DistLabel(E.SOURCE, frozenset({"Z"}))
+    f = bi(["Y"], ["X"], dist, g, active=["Z"])
+    assert E.render(E.normalize(f)) == "P_{z}(y|x)"
+    assert f == bi(["Y"], ["X"], dist, zt.mutilate(g, ["Z"]), active=["Z"])
+
+
+def test_bi_on_random_diagrams_equals_bi_on_the_cut_graph():
+    cut_mattered = 0
+    for seed in range(300):
+        d, x, y, z = random_diagram(seed, master=59)
+        g, act = d.graph, frozenset(z) - set(y)
+        cut = zt.mutilate(g, act)
+        cut_mattered += cut != g
+        for dist in (DistLabel(E.SOURCE, act), DistLabel(E.TARGET)):
+            for xs in (set(x) - act, set(g.nodes) - set(y) - act):
+                assert bi_outcome(y, xs, dist, g, act) == bi_outcome(y, xs, dist, cut, act), seed
+    assert cut_mattered > 100
 
 
 # -- direct_transportable ------------------------------------------------------
@@ -436,6 +471,28 @@ def test_transport_decision_agrees_with_its_two_ingredients():
                 assert len(zt.c_components(w.f_graph)) == 1
                 assert set(w.f_sub.nodes) < set(w.f_graph.nodes)
                 assert (w.kind == "shedge") == bool(w.s_targets_in_component)
+
+
+def test_gid_factors_get_their_own_ancestral_graphs(monkeypatch):
+    # gid_z decomposes into {U}, {Z}, {Y1}, {Y2} and switches on the
+    # experiment on Z for three of them; each factor's graph is its own
+    # ancestral set (arrows into Z cut), never the whole diagram
+    g = zt.SemiMarkovianGraph.create(
+        ["U", "Z", "X", "Y1", "Y2"],
+        [("U", "Z"), ("Z", "X"), ("X", "Y1"), ("Z", "Y1"), ("X", "Y2"), ("U", "Y2")],
+    )
+    received = []
+    mutilate = identify.mutilate
+    monkeypatch.setattr(identify, "mutilate", lambda h, cut=(): received.append(h) or mutilate(h, cut))
+    r = gid_z(["Y1", "Y2"], ["X"], ["Z"], g)
+    assert r.ok and r.trace.decompositions == 1
+    assert len(r.trace.partition) == 4
+    ancestral = {zt.ancestors(g, c, cut=frozenset({"Z"}) - c) for c in r.trace.partition}
+    assert received
+    for h in received:
+        assert h.node_set != g.node_set
+        assert h.node_set in ancestral
+    assert check_sound(r.formula, D(g, []), ["X"], ["Y1", "Y2"], ["Z"]) <= TOL
 
 
 def test_single_activation_and_matching_decompositions():
