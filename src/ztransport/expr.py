@@ -345,7 +345,7 @@ def _term_latex(t: ProbTerm) -> str:
 def render(e: ProbExpr, format: str = "text") -> str:
     """Render as plain text, LaTeX, or a lossless JSON string."""
     if format == "text":
-        return _render_text(e, top=True)
+        return _render_text(e)
     if format == "latex":
         return _render_latex(e)
     if format == "json":
@@ -355,7 +355,7 @@ def render(e: ProbExpr, format: str = "text") -> str:
     raise ExprError(f"unknown render format: {format!r}")
 
 
-def _render_text(e: ProbExpr, top: bool = False) -> str:
+def _render_text(e: ProbExpr) -> str:
     if isinstance(e, Term):
         return _term_text(e.term)
     if isinstance(e, One):

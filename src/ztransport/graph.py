@@ -26,17 +26,13 @@ class GraphError(ValueError):
     """Structurally invalid graph (cycle, bad edge, bad node name)."""
 
 
-def _as_tuple(nodes: Iterable[str]) -> tuple[str, ...]:
-    return tuple(nodes)
-
-
 @dataclass(frozen=True)
 class SemiMarkovianGraph:
     """Observed variables plus directed and bidirected edges.
 
     ``nodes`` is an ordered tuple (declaration order).  ``directed_edges``
-    holds (parent, child) pairs; ``bidirected_edges`` holds unordered pairs,
-    stored in canonical (declaration-order) orientation.
+    holds (parent, child) pairs; ``bidirected_edges`` holds unordered pairs
+    as two-element frozensets.
     """
 
     nodes: tuple[str, ...]
@@ -49,7 +45,7 @@ class SemiMarkovianGraph:
         directed: Iterable[tuple[str, str]] = (),
         bidirected: Iterable[tuple[str, str]] = (),
     ) -> "SemiMarkovianGraph":
-        node_tuple = _as_tuple(nodes)
+        node_tuple = tuple(nodes)
         seen: set[str] = set()
         for n in node_tuple:
             if not NAME_RE.match(n):
@@ -102,7 +98,7 @@ class SemiMarkovianGraph:
         """Bidirected-edge neighbours."""
         ne: dict[str, set[str]] = {n: set() for n in self.nodes}
         for e in self.bidirected_edges:
-            a, b = sorted(e, key=self.index.__getitem__)
+            a, b = e
             ne[a].add(b)
             ne[b].add(a)
         return {n: frozenset(s) for n, s in ne.items()}

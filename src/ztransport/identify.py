@@ -12,11 +12,11 @@ hedge or s-hedge witnesses, raised inside the recursion as ``FailedFactor``.
 
 The recursion threads a symbolic stand-in for its current distribution.
 A base distribution is its ``DistLabel`` (domain, do-set), each of whose
-marginals and conditionals is one term.  A derived one is a chain of
-conditional factors built over a c-component, or an opaque joint
-expression when a chain had to be marginalized over a non-suffix of its
-order.  All three answer ``restrict``, ``marginal_expr`` and
-``conditional_expr``; only a base distribution can switch on experiments.
+marginals and conditionals is one term.  A derived one is a ``_Joint``:
+the product of conditionals built over a c-component, an expression whose
+marginals are sums of it and whose conditionals are quotients of those.
+Both answer ``restrict``, ``marginal_expr`` and ``conditional_expr``; only
+a base distribution can switch on experiments.
 """
 
 from __future__ import annotations
@@ -123,47 +123,14 @@ class FailedFactor(Exception):
 
 
 # ---------------------------------------------------------------------------
-# symbolic stand-ins for a derived current distribution; a base one is its
-# DistLabel
-
-
-@dataclass(frozen=True)
-class _Chain:
-    """A product of conditional factors, one per variable, in graph order.
-
-    Prefix marginals telescope, so dropping a suffix of factors is the
-    marginal onto the remaining variables, and the conditional of a
-    variable given all its predecessors is its own factor.
-    """
-
-    factors: tuple[tuple[str, ProbExpr], ...]
-
-    @property
-    def joint(self) -> ProbExpr:
-        return product(f for _, f in self.factors)
-
-    def restrict(self, keep: tuple[str, ...]) -> "_Chain | _Joint":
-        keep_set = frozenset(keep)
-        kept = tuple((v, f) for v, f in self.factors if v in keep_set)
-        if all(v in keep_set for v, _ in self.factors[:len(kept)]):  # a suffix is removed
-            return _Chain(kept)
-        removed = [v for v, _ in self.factors if v not in keep_set]
-        return _Joint(marginal_sum(removed, self.joint), tuple(v for v, _ in kept))
-
-    def marginal_expr(self, y: tuple[str, ...]) -> ProbExpr:
-        return self.restrict(y).joint
-
-    def conditional_expr(self, v: str, given: tuple[str, ...]) -> ProbExpr:
-        for w, f in self.factors:
-            if w == v:
-                return f
-        raise InternalError(f"no chain factor for {v}")
+# the symbolic stand-in for a derived current distribution; a base one is
+# its DistLabel
 
 
 @dataclass(frozen=True)
 class _Joint:
-    """An opaque joint expression over ``rand_vars``; conditionals become
-    quotients of its partial sums."""
+    """A joint expression over ``rand_vars``; marginals are its partial sums
+    and conditionals quotients of them."""
 
     joint: ProbExpr
     rand_vars: tuple[str, ...]
@@ -184,19 +151,16 @@ class _Joint:
         return E.Quotient(num, den)
 
 
-def _chain_over(
-    P: DistLabel | _Chain | _Joint, g: SemiMarkovianGraph, members: frozenset[str]
-) -> _Chain:
-    """Chain of P's conditionals for ``members``, each given every
-    predecessor of the variable in P's factorization order.  A chain keeps
-    the order its factors were built with (a valid topological order of any
-    later subgraph); other stand-ins follow the graph's canonical order."""
-    order = [v for v, _ in P.factors] if isinstance(P, _Chain) else topological_order(g)
-    factors = []
+def _chain_over(P: DistLabel | _Joint, g: SemiMarkovianGraph, members: frozenset[str]) -> _Joint:
+    """The joint of ``members`` as the product of P's conditionals, each
+    variable given every predecessor in g's topological order (ID's line 7)."""
+    order = topological_order(g)
+    rand_vars, factors = [], []
     for i, v in enumerate(order):
         if v in members:
-            factors.append((v, P.conditional_expr(v, tuple(order[:i]))))
-    return _Chain(tuple(factors))
+            rand_vars.append(v)
+            factors.append(P.conditional_expr(v, tuple(order[:i])))
+    return _Joint(product(factors), tuple(rand_vars))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +171,7 @@ def _gid(
     x: frozenset[str],
     z: frozenset[str],
     active: frozenset[str],
-    P: DistLabel | _Chain | _Joint,
+    P: DistLabel | _Joint,
     g: SemiMarkovianGraph,
     trace: IdentTrace,
     depth: int,
@@ -226,11 +190,9 @@ def _gid(
     # experiments cut: the only place the recursion cuts arrows
     an_y = ancestors(g, y, cut=active)
     cut = active & an_y
-    shrinks = len(an_y) < len(g.nodes)
-    if shrinks or any(g.parents[v] or g.siblings[v] for v in cut):
+    if len(an_y) < len(g.nodes) or any(g.parents[v] or g.siblings[v] for v in cut):
         g = mutilate(induced_subgraph(g, an_y), cut)
-        if shrinks:
-            P = P.restrict(g.nodes)
+        P = P.restrict(g.nodes)
         x &= an_y
         if not x:
             return P.marginal_expr(g.sorted(y))
@@ -328,34 +290,28 @@ def gid_z(
     )
 
 
-def bi(
-    y: Iterable[str],
-    x: Iterable[str],
-    dist: DistLabel,
-    g: SemiMarkovianGraph,
-    active: Iterable[str] = (),
-) -> ProbExpr:
+def bi(y: Iterable[str], x: Iterable[str], dist: DistLabel, g: SemiMarkovianGraph) -> ProbExpr:
     """Public c-factor identification: P_x(y) from ``dist`` by gID^z with no
-    controllable experiments left, the c-factor of y when x and ``active``
-    hold every other node.  Raises ``FailedFactor`` with a hedge witness.
+    controllable experiments left, the c-factor of y when x and dist's
+    do-set hold every other node.  Raises ``FailedFactor`` with a hedge
+    witness.
 
-    ``g`` may still carry arrows into ``active``: the recursion cuts them.
-    ``dist`` names the table the emitted terms read (its do-set is the
-    experiment that produced it).  Raises InputError on a node outside
-    ``g``, an empty y, a y that overlaps x, ``active`` or dist's do-set, or
-    (with x nonempty) a y outside one confounded component of g minus x.
+    ``dist`` names the table the emitted terms read; its do-set is the
+    experiment that produced it, and ``g`` may still carry the arrows into
+    it: the recursion cuts them.  Raises InputError on a node outside
+    ``g``, an empty y, a y that overlaps x or dist's do-set, or (with x
+    nonempty) a y outside one confounded component of g minus x.
     """
-    act = frozenset(active)
-    q = Query.create(x, y, dist.do | act)
+    q = Query.create(x, y, dist.do)
     q.validate_against(g)
     if q.y & q.z:
-        raise InputError("y overlaps the active experiments or the do-set of dist")
+        raise InputError("y overlaps the do-set of dist")
     # callers must ask about a single factor at a time
     if q.x:
-        rest = induced_subgraph(g, ancestors(g, q.y, cut=act) - q.x - act)
+        rest = induced_subgraph(g, ancestors(g, q.y, cut=q.z) - q.x - q.z)
         if not any(q.y <= c for c in c_components(rest)):
             raise InputError("y must lie inside one confounded component of g minus x")
-    return _gid(q.y, q.x, frozenset(), act, dist, g, IdentTrace(), 4 * len(g.nodes) + 8)
+    return _gid(q.y, q.x, frozenset(), q.z, dist, g, IdentTrace(), 4 * len(g.nodes) + 8)
 
 
 def direct_transportable(c: frozenset[str], d: SelectionDiagram) -> bool:

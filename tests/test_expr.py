@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import ztransport as zt
 from ztransport import cli, expr as E
 from ztransport.expr import EvalError, ExprError
-from ztransport.oracle import DistributionSet, Table
+from ztransport.oracle import DistributionSet, Table, build_distribution_set, generate_pair
 
 
 def t_target_y():
@@ -89,12 +89,21 @@ def test_render_sum_product():
         ),
     )
     assert E.render(e) == "sum_{w} P_{z}(w) P_{z}(y|w,x)"
+    # a sum or a quotient inside a product is parenthesized
+    body = E.product([E.term(E.SOURCE, ["W"]), E.term(E.SOURCE, ["Y"], given=["W"])])
+    e = E.Product((E.Sum(frozenset(["W"]), body), E.term(E.TARGET, ["X"])))
+    assert E.render(e) == "(sum_{w} P(w) P(y|w)) P*(x)"
+    ratio = E.Quotient(E.term(E.TARGET, ["X", "Y"]), E.term(E.TARGET, ["X"]))
+    e = E.Product((ratio, E.term(E.TARGET, ["X"])))
+    assert E.render(e) == "((P*(x,y)) / (P*(x))) P*(x)"
 
 
 def test_render_latex():
     assert E.render(t_target_y(), "latex") == r"P^{*}\left(y\right)"
     e = E.term(E.SOURCE, ["Y"], given=["X"], do=["Z1"])
     assert E.render(e, "latex") == r"P_{z_{1}}\left(y \mid x\right)"
+    e = E.Product((E.Sum(frozenset(["W"]), E.term(E.SOURCE, ["W"])), E.term(E.TARGET, ["X"])))
+    assert E.render(e, "latex") == r"\left(\sum_{w} P\left(w\right)\right) P^{*}\left(x\right)"
 
 
 def test_json_roundtrip_fixed():
@@ -257,6 +266,17 @@ def test_compiled_evaluation_checks_the_cell_budget(monkeypatch):
     monkeypatch.setattr(DistributionSet, "max_cells", 3)
     with pytest.raises(zt.InputError, match="budget"):
         E.compile_expr(e, ds)
+
+
+def test_compiled_product_of_more_operands_than_einsum_takes():
+    # numpy's einsum refuses 64 operands or more; the compiler chunks them
+    g = zt.SemiMarkovianGraph.create(["A", "B"], [("A", "B")])
+    ds = build_distribution_set(generate_pair(zt.SelectionDiagram.create(g, []), 1), [])
+    t = E.term(E.TARGET, ["B"], given=["A"])
+    slots, one = E.compile_expr(t, ds)
+    got_slots, got = E.compile_expr(E.Product((t,) * 70), ds)
+    assert got_slots == slots
+    np.testing.assert_allclose(got, one ** 70, rtol=1e-12)
 
 
 def test_evaluate_conditional_is_ratio():

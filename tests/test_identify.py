@@ -94,7 +94,17 @@ def test_gid_napkin_needs_a_ratio_and_is_sound():
     g = napkin_graph()
     r = gid_z(["Y"], ["X"], [], g)
     assert r.ok
-    assert "ratio" in E.render(E.normalize(r.formula), "json")
+    f = E.normalize(r.formula)
+    assert "ratio" in E.render(f, "json")
+    assert E.render(f) == (
+        "(sum_{w1'} P(w1') P(x|w1',w2) P(y|w1',w2,x)) / "
+        "(sum_{w1',y'} P(w1') P(x|w1',w2) P(y'|w1',w2,x))"
+    )
+    assert E.render(f, "latex") == (
+        r"\frac{\sum_{w1'} P\left(w1'\right) P\left(x \mid w1', w_{2}\right) "
+        r"P\left(y \mid w1', w_{2}, x\right)}{\sum_{w1', y'} P\left(w1'\right) "
+        r"P\left(x \mid w1', w_{2}\right) P\left(y' \mid w1', w_{2}, x\right)}"
+    )
     assert check_sound(r.formula, D(g, []), ["X"], ["Y"], []) <= TOL
 
 
@@ -219,10 +229,10 @@ def test_bi_bow_throws_fail():
     assert set(w.f_sub.nodes) == {"Y"}
 
 
-def bi_outcome(y, x, dist, g, active):
+def bi_outcome(y, x, dist, g):
     """bi's formula, or the witness graphs of its failure, or its input error."""
     try:
-        return bi(y, x, dist, g, active)
+        return bi(y, x, dist, g)
     except FailedFactor as e:
         return "fail", e.witness.f_graph, e.witness.f_sub
     except InputError as e:
@@ -235,9 +245,17 @@ def test_bi_cuts_the_arrows_into_active_itself():
     # gives the same, not a hedge over {Z, X, Y}
     g = zt.SemiMarkovianGraph.create(["Z", "X", "Y"], [("Z", "X"), ("X", "Y")], [("Z", "Y"), ("X", "Z")])
     dist = DistLabel(E.SOURCE, frozenset({"Z"}))
-    f = bi(["Y"], ["X"], dist, g, active=["Z"])
+    f = bi(["Y"], ["X"], dist, g)
     assert E.render(E.normalize(f)) == "P_{z}(y|x)"
-    assert f == bi(["Y"], ["X"], dist, zt.mutilate(g, ["Z"]), active=["Z"])
+    assert f == bi(["Y"], ["X"], dist, zt.mutilate(g, ["Z"]))
+
+
+def test_bi_reads_its_active_experiments_off_the_dist():
+    # W -> Y <- X with the experiment on W switched on: the experiment holds
+    # W, so no factor reads a term whose do-set overlaps its outcome
+    g = zt.SemiMarkovianGraph.create(["W", "X", "Y"], [("W", "Y"), ("X", "Y")])
+    f = bi(["Y"], ["X"], DistLabel(E.SOURCE, frozenset({"W"})), g)
+    assert E.render(E.normalize(f)) == "P_{w}(y|x)"
 
 
 def test_bi_on_random_diagrams_equals_bi_on_the_cut_graph():
@@ -247,9 +265,9 @@ def test_bi_on_random_diagrams_equals_bi_on_the_cut_graph():
         g, act = d.graph, frozenset(z) - set(y)
         cut = zt.mutilate(g, act)
         cut_mattered += cut != g
-        for dist in (DistLabel(E.SOURCE, act), DistLabel(E.TARGET)):
-            for xs in (set(x) - act, set(g.nodes) - set(y) - act):
-                assert bi_outcome(y, xs, dist, g, act) == bi_outcome(y, xs, dist, cut, act), seed
+        dist = DistLabel(E.SOURCE, act)
+        for xs in (set(x) - act, set(g.nodes) - set(y) - act):
+            assert bi_outcome(y, xs, dist, g) == bi_outcome(y, xs, dist, cut), seed
     assert cut_mattered > 100
 
 
