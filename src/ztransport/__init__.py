@@ -12,7 +12,6 @@ from .expr import (
     EvalError,
     ExprError,
     ProbExpr,
-    ProbTerm,
     Product,
     Quotient,
     Sum,

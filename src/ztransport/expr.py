@@ -1,10 +1,12 @@
 """Symbolic probability expressions for transport formulas.
 
-The vocabulary is sums of products of atomic probability terms.  A term is a
-conditional probability of one of the base distributions handed to the
-engine: the target observational distribution, or a source distribution
-under a do() on controllable variables.  Value slots are symbolic; the
-engine manipulates variable names and evaluation binds them to values.
+The vocabulary is sums of products of atomic probability terms.  A term
+(``Term``: domain, do, outcome, given) is a conditional probability of one
+of the base distributions handed to the engine: the target observational
+distribution, or a source distribution under a do() on controllable
+variables.  Value slots are symbolic; the engine manipulates variable names
+and evaluation binds them to values.  ``render`` prints text and LaTeX with
+one walk; what differs between the formats is a ``_Style`` record each.
 
 A quotient node is included for the cases where the identification
 recursion derives a distribution whose conditionals are not expressible as
@@ -13,9 +15,10 @@ a single base-distribution term; it never appears in the golden formulas.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -43,8 +46,14 @@ class EvalError(ValueError):
     """Evaluation failed (missing table, zero conditioning event, ...)."""
 
 
+class ProbExpr:
+    """Base class; concrete nodes are Term, Product, Sum, One, Quotient."""
+
+    __slots__ = ()
+
+
 @dataclass(frozen=True)
-class ProbTerm:
+class Term(ProbExpr):
     """P_{do}(outcome | given) under ``domain``; do is empty for target terms."""
 
     domain: str
@@ -65,20 +74,13 @@ class ProbTerm:
             raise ExprError("term needs a nonempty outcome")
 
 
-class ProbExpr:
-    """Base class; concrete nodes are Term, Product, Sum, One, Quotient."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Term(ProbExpr):
-    term: ProbTerm
-
-
 @dataclass(frozen=True)
 class Product(ProbExpr):
     factors: tuple[ProbExpr, ...]
+
+    def __post_init__(self):
+        if not self.factors:
+            raise ExprError("product needs at least one factor")
 
 
 @dataclass(frozen=True)
@@ -108,14 +110,7 @@ def term(
     do: Iterable[str] = (),
 ) -> Term:
     """Build a term; variable lists are stored sorted for canonical equality."""
-    return Term(
-        ProbTerm(
-            domain=domain,
-            do=tuple(sorted(set(do))),
-            outcome=tuple(sorted(set(outcome))),
-            given=tuple(sorted(set(given))),
-        )
-    )
+    return Term(domain, *(tuple(sorted(set(vs))) for vs in (do, outcome, given)))
 
 
 def product(factors: Iterable[ProbExpr]) -> ProbExpr:
@@ -137,8 +132,7 @@ def sum_over(over: Iterable[str], body: ProbExpr) -> ProbExpr:
 def _slots(e: ProbExpr, bind: bool) -> frozenset[str]:
     """The value slots of ``e``; with ``bind``, those a sum binds are left out."""
     if isinstance(e, Term):
-        t = e.term
-        return frozenset(t.do) | frozenset(t.outcome) | frozenset(t.given)
+        return frozenset(e.do) | frozenset(e.outcome) | frozenset(e.given)
     if isinstance(e, Product):
         return frozenset().union(*(_slots(f, bind) for f in e.factors))
     if isinstance(e, Sum):
@@ -166,9 +160,8 @@ def substitute(e: ProbExpr, mapping: Mapping[str, str]) -> ProbExpr:
     if not mapping:
         return e
     if isinstance(e, Term):
-        t = e.term
         sub = lambda vs: tuple(sorted(mapping.get(v, v) for v in vs))
-        return Term(ProbTerm(t.domain, sub(t.do), sub(t.outcome), sub(t.given)))
+        return Term(e.domain, sub(e.do), sub(e.outcome), sub(e.given))
     if isinstance(e, Product):
         return Product(tuple(substitute(f, mapping) for f in e.factors))
     if isinstance(e, Sum):
@@ -196,13 +189,11 @@ def marginal_sum(removed: Iterable[str], body: ProbExpr) -> ProbExpr:
     return Sum(frozenset(mapping.values()), substitute(body, mapping))
 
 
-def _each_term_rewritten(
-    e: ProbExpr, rewrite: Callable[[ProbTerm], Iterable[ProbTerm]]
-) -> Iterator[ProbExpr]:
+def _each_term_rewritten(e: ProbExpr, rewrite: Callable[[Term], Iterable[Term]]) -> Iterator[ProbExpr]:
     """Every copy of ``e`` with one term, quotient denominators included,
     replaced by one of ``rewrite(term)``; terms in depth-first order."""
     if isinstance(e, Term):
-        yield from map(Term, rewrite(e.term))
+        yield from rewrite(e)
     elif isinstance(e, Product):
         for i, f in enumerate(e.factors):
             for new in _each_term_rewritten(f, rewrite):
@@ -219,17 +210,17 @@ def term_corruptions(e: ProbExpr) -> Iterator[tuple[str, ProbExpr]]:
     (kind, variant): first each ``"drop"`` of one conditioner, then each
     ``"graft"`` of one variable of ``e`` that the term does not mention."""
 
-    def drop(t: ProbTerm) -> Iterator[ProbTerm]:
+    def drop(t: Term) -> Iterator[Term]:
         for i in range(len(t.given)):
-            yield ProbTerm(t.domain, t.do, t.outcome, t.given[:i] + t.given[i + 1:])
+            yield Term(t.domain, t.do, t.outcome, t.given[:i] + t.given[i + 1:])
 
     names = sorted({base_var(v) for v in all_slots(e)})
 
-    def graft(t: ProbTerm) -> Iterator[ProbTerm]:
+    def graft(t: Term) -> Iterator[Term]:
         mentioned = {*t.given, *t.outcome, *map(base_var, t.do)}
         for v in names:
             if v not in mentioned:
-                yield ProbTerm(t.domain, t.do, t.outcome, tuple(sorted(t.given + (v,))))
+                yield Term(t.domain, t.do, t.outcome, tuple(sorted(t.given + (v,))))
 
     yield from (("drop", v) for v in _each_term_rewritten(e, drop))
     yield from (("graft", v) for v in _each_term_rewritten(e, graft))
@@ -256,8 +247,7 @@ def validate(e: ProbExpr, bound: frozenset[str] = frozenset()) -> None:
 
 def _sort_key(e: ProbExpr):
     if isinstance(e, Term):
-        t = e.term
-        return (0, t.domain, t.do, t.outcome, t.given)
+        return (0, e.domain, e.do, e.outcome, e.given)
     if isinstance(e, One):
         return (1,)
     if isinstance(e, Product):
@@ -311,10 +301,6 @@ def normalize(e: ProbExpr) -> ProbExpr:
 # ---------------------------------------------------------------------------
 # rendering
 
-def _slot_text(v: str) -> str:
-    return v.lower()
-
-
 def _slot_latex(v: str) -> str:
     s = v.lower()
     head = s.rstrip("0123456789")
@@ -322,90 +308,72 @@ def _slot_latex(v: str) -> str:
     return f"{head}_{{{tail}}}" if head and tail else s
 
 
-def _term_text(t: ProbTerm) -> str:
-    head = "P*" if t.domain == TARGET else "P"
-    if t.do:
-        head += "_{%s}" % ",".join(_slot_text(v) for v in t.do)
-    body = ",".join(_slot_text(v) for v in t.outcome)
-    if t.given:
-        body += "|" + ",".join(_slot_text(v) for v in t.given)
-    return f"{head}({body})"
+class _Style(NamedTuple):
+    """How one output format spells each node; ``_render`` is the walk."""
+
+    slot: Callable[[str], str]
+    target: str  # the head of a target term
+    sep: str  # between the names of one list
+    given: str  # between a term's outcome and its conditioners
+    brackets: str  # around a term's arguments and a bracketed factor
+    bracketed: tuple[type, ...]  # the product factors put in brackets
+    sum: str  # format template over (bound names, body)
+    ratio: str  # format template over (numerator, denominator)
+
+    def names(self, vs: Iterable[str]) -> str:
+        return self.sep.join(map(self.slot, vs))
 
 
-def _term_latex(t: ProbTerm) -> str:
-    head = "P^{*}" if t.domain == TARGET else "P"
-    if t.do:
-        head += "_{%s}" % ", ".join(_slot_latex(v) for v in t.do)
-    body = ", ".join(_slot_latex(v) for v in t.outcome)
-    if t.given:
-        body += r" \mid " + ", ".join(_slot_latex(v) for v in t.given)
-    return f"{head}\\left({body}\\right)"
+_STYLES = {
+    "text": _Style(str.lower, "P*", ",", "|", "({})", (Sum, Quotient), "sum_{{{}}} {}", "({}) / ({})"),
+    "latex": _Style(
+        _slot_latex, "P^{*}", ", ", r" \mid ", r"\left({}\right)", (Sum,), r"\sum_{{{}}} {}",
+        r"\frac{{{}}}{{{}}}",
+    ),
+}
 
 
 def render(e: ProbExpr, format: str = "text") -> str:
     """Render as plain text, LaTeX, or a lossless JSON string."""
-    if format == "text":
-        return _render_text(e)
-    if format == "latex":
-        return _render_latex(e)
     if format == "json":
-        import json
-
         return json.dumps(to_json(e), sort_keys=True)
-    raise ExprError(f"unknown render format: {format!r}")
+    if format not in _STYLES:
+        raise ExprError(f"unknown render format: {format!r}")
+    return _render(e, _STYLES[format])
 
 
-def _render_text(e: ProbExpr) -> str:
+def _render(e: ProbExpr, style: _Style) -> str:
     if isinstance(e, Term):
-        return _term_text(e.term)
+        head = style.target if e.domain == TARGET else "P"
+        if e.do:
+            head += "_{%s}" % style.names(e.do)
+        body = style.names(e.outcome)
+        if e.given:
+            body += style.given + style.names(e.given)
+        return head + style.brackets.format(body)
     if isinstance(e, One):
         return "1"
     if isinstance(e, Product):
         parts = []
         for f in e.factors:
-            s = _render_text(f)
-            if isinstance(f, (Sum, Quotient)):
-                s = f"({s})"
-            parts.append(s)
+            s = _render(f, style)
+            parts.append(style.brackets.format(s) if isinstance(f, style.bracketed) else s)
         return " ".join(parts)
     if isinstance(e, Sum):
-        ov = ",".join(_slot_text(v) for v in sorted(e.over))
-        return f"sum_{{{ov}}} {_render_text(e.body)}"
+        return style.sum.format(style.names(sorted(e.over)), _render(e.body, style))
     if isinstance(e, Quotient):
-        return f"({_render_text(e.num)}) / ({_render_text(e.den)})"
-    raise ExprError(f"not a ProbExpr: {e!r}")
-
-
-def _render_latex(e: ProbExpr) -> str:
-    if isinstance(e, Term):
-        return _term_latex(e.term)
-    if isinstance(e, One):
-        return "1"
-    if isinstance(e, Product):
-        parts = []
-        for f in e.factors:
-            s = _render_latex(f)
-            if isinstance(f, (Sum,)):
-                s = f"\\left({s}\\right)"
-            parts.append(s)
-        return " ".join(parts)
-    if isinstance(e, Sum):
-        ov = ", ".join(_slot_latex(v) for v in sorted(e.over))
-        return f"\\sum_{{{ov}}} {_render_latex(e.body)}"
-    if isinstance(e, Quotient):
-        return f"\\frac{{{_render_latex(e.num)}}}{{{_render_latex(e.den)}}}"
+        return style.ratio.format(_render(e.num, style), _render(e.den, style))
     raise ExprError(f"not a ProbExpr: {e!r}")
 
 
 def to_json(e: ProbExpr) -> dict:
     if isinstance(e, Term):
-        t = e.term
         return {
             "kind": "term",
-            "domain": t.domain,
-            "do": list(t.do),
-            "outcome": list(t.outcome),
-            "given": list(t.given),
+            "domain": e.domain,
+            "do": list(e.do),
+            "outcome": list(e.outcome),
+            "given": list(e.given),
         }
     if isinstance(e, One):
         return {"kind": "one"}
@@ -428,7 +396,7 @@ def from_json(obj: dict) -> ProbExpr:
     try:
         kind = obj.get("kind")
         if kind == "term":
-            return Term(ProbTerm(obj["domain"], names("do"), names("outcome"), names("given")))
+            return Term(obj["domain"], names("do"), names("outcome"), names("given"))
         if kind == "one":
             return ONE
         if kind == "product":
@@ -497,7 +465,7 @@ def evaluate(e: ProbExpr, tables, binding: Mapping[str, int]) -> float:
 
 def _compile(e: ProbExpr, tables, terms: dict) -> tuple[tuple[str, ...], np.ndarray]:
     if isinstance(e, Term):
-        return _term_array(e.term, tables, terms)
+        return _term_array(e, tables, terms)
     if isinstance(e, One):
         return (), np.ones(())
     if isinstance(e, Product):
@@ -520,7 +488,7 @@ def _compile(e: ProbExpr, tables, terms: dict) -> tuple[tuple[str, ...], np.ndar
     raise ExprError(f"not a ProbExpr: {e!r}")
 
 
-def _term_array(t: ProbTerm, tables, terms: dict) -> tuple[tuple[str, ...], np.ndarray]:
+def _term_array(t: Term, tables, terms: dict) -> tuple[tuple[str, ...], np.ndarray]:
     """P_do(outcome | given) over its slots; ``terms`` holds the arrays of
     terms already compiled in this expression, by base variables."""
     named = t.outcome + t.given + t.do

@@ -129,17 +129,19 @@ class FailedFactor(Exception):
 
 @dataclass(frozen=True)
 class _Joint:
-    """A joint expression over ``rand_vars``; marginals are its partial sums
-    and conditionals quotients of them."""
+    """A joint expression over ``rand_vars`` built from terms under the
+    experiment ``do``; marginals are its partial sums and conditionals
+    quotients of them."""
 
     joint: ProbExpr
     rand_vars: tuple[str, ...]
+    do: frozenset[str]
 
     def restrict(self, keep: tuple[str, ...]) -> "_Joint":
         keep_set = frozenset(keep)
         removed = [v for v in self.rand_vars if v not in keep_set]
         kept = tuple(v for v in self.rand_vars if v in keep_set)
-        return _Joint(marginal_sum(removed, self.joint), kept)
+        return _Joint(marginal_sum(removed, self.joint), kept, self.do)
 
     def marginal_expr(self, y: tuple[str, ...]) -> ProbExpr:
         return self.restrict(y).joint
@@ -160,7 +162,7 @@ def _chain_over(P: DistLabel | _Joint, g: SemiMarkovianGraph, members: frozenset
         if v in members:
             rand_vars.append(v)
             factors.append(P.conditional_expr(v, tuple(order[:i])))
-    return _Joint(product(factors), tuple(rand_vars))
+    return _Joint(product(factors), tuple(rand_vars), P.do)
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +172,14 @@ def _gid(
     y: frozenset[str],
     x: frozenset[str],
     z: frozenset[str],
-    active: frozenset[str],
     P: DistLabel | _Joint,
     g: SemiMarkovianGraph,
     trace: IdentTrace,
     depth: int,
 ) -> ProbExpr:
     """Identify P_x(y) from P, switching on experiments on subsets of z.
-    P reads the ``active`` experiments, which may name nodes outside ``g``;
-    g may still carry arrows into ``active``; the ancestral step cuts them."""
+    P reads the experiment on ``P.do``, which may name nodes outside ``g``;
+    g may still carry arrows into ``P.do``; the ancestral step cuts them."""
     if depth <= 0:
         raise InternalError("recursion depth guard exceeded")
 
@@ -186,10 +187,10 @@ def _gid(
     if not x:
         return P.marginal_expr(g.sorted(y))
 
-    # restrict to the ancestors of y with the arrows into the active
-    # experiments cut: the only place the recursion cuts arrows
-    an_y = ancestors(g, y, cut=active)
-    cut = active & an_y
+    # restrict to the ancestors of y with the arrows into P's experiment
+    # cut: the only place the recursion cuts arrows
+    an_y = ancestors(g, y, cut=P.do)
+    cut = P.do & an_y
     if len(an_y) < len(g.nodes) or any(g.parents[v] or g.siblings[v] for v in cut):
         g = mutilate(induced_subgraph(g, an_y), cut)
         P = P.restrict(g.nodes)
@@ -200,8 +201,8 @@ def _gid(
 
     # cover x with the non-ancestors it creates, switching on experiments
     # where the controllable set allows it; y is among its own ancestors, so
-    # only nodes outside x, the active set and y can be non-ancestors
-    xa = (x | active) & V
+    # only nodes outside x, P's do-set and y can be non-ancestors
+    xa = (x | P.do) & V
     w = V - xa - y
     if w:
         w -= ancestors(g, y, cut=xa)
@@ -214,7 +215,7 @@ def _gid(
             if not isinstance(P, DistLabel):
                 raise InternalError("activation requires a base distribution")
             P = DistLabel(P.domain, P.do | z_w)
-        return _gid(y, (x | w) - z_w, z - z_w, active | z_w, P, g, trace, depth - 1)
+        return _gid(y, (x | w) - z_w, z - z_w, P, g, trace, depth - 1)
 
     # factorize over the confounded components
     comps = c_components(induced_subgraph(g, V - xa))
@@ -230,7 +231,7 @@ def _gid(
             if newly and not isinstance(P, DistLabel):
                 raise InternalError("activation requires a base distribution")
             p_i = DistLabel(P.domain, P.do | newly) if newly else P
-            factors.append(_gid(c, V - c - z, z & c, active | newly, p_i, g, trace, depth - 1))
+            factors.append(_gid(c, V - c - z, z & c, p_i, g, trace, depth - 1))
         return sum_over(g.sorted(V - (y | xa)), product(factors))
     c = comps[0]
 
@@ -247,7 +248,7 @@ def _gid(
 
     # otherwise descend into the strictly larger component
     g2 = induced_subgraph(g, containing)
-    return _gid(y, x & containing, z, active, chain, g2, trace, depth - 1)
+    return _gid(y, x & containing, z, chain, g2, trace, depth - 1)
 
 
 def _identify(
@@ -286,7 +287,7 @@ def gid_z(
     distribution plus experiments on subsets of z.  Returns a source-only
     formula or a hedge witness."""
     return _identify(
-        y, x, z, g, lambda q, trace, depth: _gid(q.y, q.x, q.z, frozenset(), DistLabel(), g, trace, depth)
+        y, x, z, g, lambda q, trace, depth: _gid(q.y, q.x, q.z, DistLabel(), g, trace, depth)
     )
 
 
@@ -311,7 +312,8 @@ def bi(y: Iterable[str], x: Iterable[str], dist: DistLabel, g: SemiMarkovianGrap
         rest = induced_subgraph(g, ancestors(g, q.y, cut=q.z) - q.x - q.z)
         if not any(q.y <= c for c in c_components(rest)):
             raise InputError("y must lie inside one confounded component of g minus x")
-    return _gid(q.y, q.x, frozenset(), q.z, dist, g, IdentTrace(), 4 * len(g.nodes) + 8)
+    # the recursion reads the do-set as a frozenset, whatever dist was given
+    return _gid(q.y, q.x, frozenset(), DistLabel(dist.domain, q.z), g, IdentTrace(), 4 * len(g.nodes) + 8)
 
 
 def direct_transportable(c: frozenset[str], d: SelectionDiagram) -> bool:
@@ -346,7 +348,7 @@ def _sid(
     # until after the factorization
     x |= V - ancestors(g, y, cut=x)
     # factorize over the confounded components; each factor call gets x and
-    # active covering the rest of its graph, so it neither activates nor
+    # its do-set covering the rest of its graph, so it neither activates nor
     # decomposes again
     comps = c_components(induced_subgraph(g, V - x))
     trace.partition = tuple(comps)
@@ -358,7 +360,7 @@ def _sid(
         do_set = z - c if direct else frozenset()
         base = DistLabel(E.SOURCE if direct else E.TARGET, do_set)
         try:
-            factors.append(_gid(c, V - c - do_set, frozenset(), do_set, base, g, trace, depth))
+            factors.append(_gid(c, V - c - do_set, frozenset(), base, g, trace, depth))
         except FailedFactor as e:
             if direct:
                 raise
@@ -380,5 +382,6 @@ def sid_z(
 
 
 def transportable(y: Iterable[str], x: Iterable[str], d: SelectionDiagram) -> IdentResult:
-    """Plain transportability: z-transportability with every variable controllable."""
-    return sid_z(y, x, d, d.graph.nodes)
+    """Plain transportability: z-transportability with every node outside y controllable."""
+    y = list(y)
+    return sid_z(y, x, d, d.graph.node_set.difference(y))

@@ -243,10 +243,9 @@ def term_shapes_ok(e, z_allowed) -> bool:
     """The well-formedness contract: target terms are do-free and source
     do-sets remain inside the controllable set."""
     if isinstance(e, E.Term):
-        t = e.term
-        if t.domain == E.TARGET and t.do:
+        if e.domain == E.TARGET and e.do:
             return False
-        if t.domain == E.SOURCE and not {E.base_var(v) for v in t.do} <= set(z_allowed):
+        if e.domain == E.SOURCE and not {E.base_var(v) for v in e.do} <= set(z_allowed):
             return False
         return True
     if isinstance(e, E.Product):

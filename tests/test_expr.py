@@ -124,6 +124,8 @@ def test_json_roundtrip_fixed():
         {"kind": "term", "domain": "source", "do": [], "outcome": [["Y"]], "given": []},
         {"kind": "sum", "over": ["W"]},
         {"kind": "product", "factors": [{"kind": "one"}, "one"]},
+        # an empty product would render as "" and break compile_expr
+        {"kind": "product", "factors": []},
         {"kind": "ratio", "num": {"kind": "one"}, "den": {}},
         {"kind": "nothing"},
         # each slot list must be a list of names: a string is not split

@@ -470,13 +470,12 @@ def reference_value(e, pair, binding, tables) -> float:
     if isinstance(e, E.One):
         return 1.0
     if isinstance(e, E.Term):
-        t = e.term
-        do = {E.base_var(v): binding[v] for v in t.do}
-        key = (t.domain, frozenset(do.items()))
+        do = {E.base_var(v): binding[v] for v in e.do}
+        key = (e.domain, frozenset(do.items()))
         if key not in tables:
-            tables[key] = enumerate_joint(pair.source if t.domain == E.SOURCE else pair.target, do)
-        outcome = {E.base_var(v): binding[v] for v in t.outcome}
-        given = {E.base_var(v): binding[v] for v in t.given}
+            tables[key] = enumerate_joint(pair.source if e.domain == E.SOURCE else pair.target, do)
+        outcome = {E.base_var(v): binding[v] for v in e.outcome}
+        given = {E.base_var(v): binding[v] for v in e.given}
         den = tables[key].prob(given) if given else 1.0
         if den <= 0.0:
             raise ZeroDivisionError
