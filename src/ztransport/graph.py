@@ -87,13 +87,6 @@ class SemiMarkovianGraph:
         return {n: frozenset(s) for n, s in pa.items()}
 
     @cached_property
-    def children(self) -> dict[str, frozenset[str]]:
-        ch: dict[str, set[str]] = {n: set() for n in self.nodes}
-        for a, b in self.directed_edges:
-            ch[a].add(b)
-        return {n: frozenset(s) for n, s in ch.items()}
-
-    @cached_property
     def siblings(self) -> dict[str, frozenset[str]]:
         """Bidirected-edge neighbours."""
         ne: dict[str, set[str]] = {n: set() for n in self.nodes}
@@ -178,28 +171,22 @@ def ancestors(g: SemiMarkovianGraph, w: Iterable[str], cut: frozenset[str] = fro
     return frozenset(seen)
 
 
-def induced_subgraph(g: SemiMarkovianGraph, w: Iterable[str]) -> SemiMarkovianGraph:
-    """Subgraph on node set w keeping every edge with both endpoints in w."""
+def induced_subgraph(g: SemiMarkovianGraph, w: Iterable[str], cut: Iterable[str] = ()) -> SemiMarkovianGraph:
+    """Subgraph on node set w keeping every edge with both endpoints in w,
+    less the arrows into ``cut``; a bidirected edge is an arrow from a
+    hidden parent, so it goes when either endpoint is cut."""
     keep = g.check_nodes(w)
+    heads = keep - g.check_nodes(cut)  # the nodes that keep their incoming arrows
     return SemiMarkovianGraph(
         nodes=tuple(n for n in g.nodes if n in keep),
-        directed_edges=frozenset(e for e in g.directed_edges if e[0] in keep and e[1] in keep),
-        bidirected_edges=frozenset(e for e in g.bidirected_edges if e <= keep),
+        directed_edges=frozenset((a, b) for a, b in g.directed_edges if a in keep and b in heads),
+        bidirected_edges=frozenset(e for e in g.bidirected_edges if e <= heads),
     )
 
 
 def mutilate(g: SemiMarkovianGraph, cut_incoming: Iterable[str] = ()) -> SemiMarkovianGraph:
-    """Delete arrows into ``cut_incoming``.
-
-    A bidirected edge is an arrow from a hidden parent, so it is deleted
-    whenever either endpoint has its incoming arrows cut.
-    """
-    inc = g.check_nodes(cut_incoming)
-    return SemiMarkovianGraph(
-        nodes=g.nodes,
-        directed_edges=frozenset((a, b) for a, b in g.directed_edges if b not in inc),
-        bidirected_edges=frozenset(e for e in g.bidirected_edges if not (e & inc)),
-    )
+    """Delete arrows into ``cut_incoming``: the cut subgraph on all of g."""
+    return induced_subgraph(g, g.nodes, cut_incoming)
 
 
 def c_component(g: SemiMarkovianGraph, w: Iterable[str]) -> frozenset[str]:
@@ -233,16 +220,20 @@ def topological_order(g: SemiMarkovianGraph) -> list[str]:
     """Topological order of the directed part, declaration order as tie-break:
     each step takes the ready node of smallest declaration index."""
     index = g.index
-    indeg = {n: len(g.parents[n]) for n in g.nodes}
-    ready = [i for i, n in enumerate(g.nodes) if indeg[n] == 0]  # ascending: a heap
+    indeg = [0] * len(g.nodes)
+    children: list[list[int]] = [[] for _ in g.nodes]
+    for a, b in g.directed_edges:
+        indeg[index[b]] += 1
+        children[index[a]].append(index[b])
+    ready = [i for i, d in enumerate(indeg) if d == 0]  # ascending: a heap
     order: list[str] = []
     while ready:
-        n = g.nodes[heapq.heappop(ready)]
-        order.append(n)
-        for c in g.children[n]:
+        i = heapq.heappop(ready)
+        order.append(g.nodes[i])
+        for c in children[i]:
             indeg[c] -= 1
             if indeg[c] == 0:
-                heapq.heappush(ready, index[c])
+                heapq.heappush(ready, c)
     if len(order) != len(g.nodes):
         raise GraphError("directed part contains a cycle")
     return order

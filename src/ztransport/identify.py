@@ -35,7 +35,6 @@ from .graph import (
     c_component,
     c_components,
     induced_subgraph,
-    mutilate,
     topological_order,
 )
 
@@ -192,7 +191,7 @@ def _gid(
     an_y = ancestors(g, y, cut=P.do)
     cut = P.do & an_y
     if len(an_y) < len(g.nodes) or any(g.parents[v] or g.siblings[v] for v in cut):
-        g = mutilate(induced_subgraph(g, an_y), cut)
+        g = induced_subgraph(g, an_y, cut)
         P = P.restrict(g.nodes)
         x &= an_y
         if not x:

@@ -109,6 +109,18 @@ def test_induced_subgraph_identity_and_empty():
     assert zt.induced_subgraph(g, []).nodes == ()
 
 
+def test_induced_subgraph_with_a_cut_equals_restricting_and_cutting_in_either_order():
+    for g, rng in redeclared_graphs(master=31):
+        w = frozenset(v for v in g.nodes if rng.random() < 0.7)
+        cut = frozenset(v for v in g.nodes if rng.random() < 0.4)
+        sub = zt.induced_subgraph(g, w, cut)
+        assert sub == zt.mutilate(zt.induced_subgraph(g, w), cut & w)
+        assert sub == zt.induced_subgraph(zt.mutilate(g, cut), w)
+        # and from the definition: inner edges, less the arrows into cut
+        assert sub.directed_edges == {(a, b) for a, b in g.directed_edges if {a, b} <= w and b not in cut}
+        assert sub.bidirected_edges == {e for e in g.bidirected_edges if e <= w and not e & cut}
+
+
 # -- mutilate -------------------------------------------------------------
 
 def test_mutilate_cut_incoming_removes_bidirected():
@@ -208,7 +220,7 @@ def sort_every_pop_order(g):
         ready.sort(key=g.index.__getitem__)
         n = ready.pop(0)
         order.append(n)
-        for c in g.sorted(g.children[n]):
+        for c in g.sorted(b for a, b in g.directed_edges if a == n):
             indeg[c] -= 1
             if indeg[c] == 0:
                 ready.append(c)

@@ -523,9 +523,17 @@ def test_gid_factors_get_their_own_ancestral_graphs(monkeypatch):
         ["U", "Z", "X", "Y1", "Y2"],
         [("U", "Z"), ("Z", "X"), ("X", "Y1"), ("Z", "Y1"), ("X", "Y2"), ("U", "Y2")],
     )
+    # the ancestral step passes a cut, possibly empty; the decomposition never does
     received = []
-    mutilate = identify.mutilate
-    monkeypatch.setattr(identify, "mutilate", lambda h, cut=(): received.append(h) or mutilate(h, cut))
+    induced_subgraph = identify.induced_subgraph
+
+    def spy(h, w, *cut):
+        sub = induced_subgraph(h, w, *cut)
+        if cut:
+            received.append(sub)
+        return sub
+
+    monkeypatch.setattr(identify, "induced_subgraph", spy)
     r = gid_z(["Y1", "Y2"], ["X"], ["Z"], g)
     assert r.ok and r.trace.decompositions == 1
     assert len(r.trace.partition) == 4
