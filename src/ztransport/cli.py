@@ -11,6 +11,8 @@ File grammar (one statement per line, ``#`` starts a comment):
     Y: <names...>        outcome set (required, nonempty)
     Z: <names...>        controllable set
 
+A name is a letter or ``_`` followed by letters, digits and ``_``; two
+names may not differ only in case, since formulas print them lower-cased.
 Node order is first-mention order.  Names referenced by select/X:/Y:/Z:
 must already have been mentioned.  Exit codes: 0 transportable, 1 usage or
 parse error, 2 not transportable.

@@ -302,10 +302,15 @@ def normalize(e: ProbExpr) -> ProbExpr:
 # rendering
 
 def _slot_latex(v: str) -> str:
+    """A trailing digit run is a subscript unless the name has a ``_``,
+    which is escaped; a dummy's primes follow its base's spelling."""
     s = v.lower()
-    head = s.rstrip("0123456789")
-    tail = s[len(head):]
-    return f"{head}_{{{tail}}}" if head and tail else s
+    if "_" in s:
+        return s.replace("_", r"\_")
+    base = s.rstrip("'")
+    head = base.rstrip("0123456789")
+    tail = base[len(head):]
+    return f"{head}_{{{tail}}}{s[len(base):]}" if head and tail else s
 
 
 class _Style(NamedTuple):

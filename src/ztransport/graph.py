@@ -46,13 +46,15 @@ class SemiMarkovianGraph:
         bidirected: Iterable[tuple[str, str]] = (),
     ) -> "SemiMarkovianGraph":
         node_tuple = tuple(nodes)
-        seen: set[str] = set()
+        folded: dict[str, str] = {}  # formulas print names lower-cased, so no two may fold alike
         for n in node_tuple:
             if not NAME_RE.match(n):
                 raise GraphError(f"invalid node name: {n!r}")
-            if n in seen:
-                raise GraphError(f"duplicate node: {n}")
-            seen.add(n)
+            twin = folded.get(n.lower())
+            if twin is not None:
+                raise GraphError(f"duplicate node: {n}" if twin == n else f"nodes {twin} and {n} differ only in case")
+            folded[n.lower()] = n
+        seen = set(node_tuple)
         de = set()
         for a, b in directed:
             if a not in seen or b not in seen:

@@ -197,6 +197,13 @@ def test_main_parse_error_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_main_names_that_differ_only_in_case_exit_1(tmp_path, capsys):
+    p = tmp_path / "twins.graph"
+    p.write_text("x -> X\nX -> Y\nX: X\nY: Y\n")
+    assert cli.main(["run", str(p)]) == 1
+    assert capsys.readouterr().err.strip() == "error: line 0: nodes x and X differ only in case"
+
+
 def test_main_missing_file_exit_code(tmp_path, capsys):
     assert cli.main(["run", str(tmp_path / "nope.graph")]) == 1
 

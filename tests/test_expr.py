@@ -106,6 +106,17 @@ def test_render_latex():
     assert E.render(e, "latex") == r"\left(\sum_{w} P\left(w\right)\right) P^{*}\left(x\right)"
 
 
+def test_render_latex_escapes_underscores_and_primes_follow_the_base():
+    # a name with "_" keeps its digits unsubscripted: a_{1} would be a__{1}
+    e = E.term(E.SOURCE, ["B"], given=["A_1"])
+    assert E.render(e, "latex") == r"P\left(b \mid a\_1\right)"
+    assert E.render(e) == "P(b|a_1)"
+    # a primed dummy is spelled as its base plus its primes
+    e = E.marginal_sum(["W1", "X_2"], E.term(E.SOURCE, ["W1", "X_2", "Y"]))
+    assert E.render(e, "latex") == r"\sum_{w_{1}', x\_2'} P\left(w_{1}', x\_2', y\right)"
+    assert E.render(e) == "sum_{w1',x_2'} P(w1',x_2',y)"
+
+
 def test_json_roundtrip_fixed():
     e = E.Sum(
         frozenset(["W"]),

@@ -33,6 +33,14 @@ def test_create_rejects_bad_names_and_edges():
         G(["A", "B"], [("A", "B"), ("B", "A")])  # cycle
 
 
+def test_create_rejects_names_that_differ_only_in_case():
+    # formulas print names lower-cased, so x and X would print alike
+    with pytest.raises(GraphError, match="nodes x and X differ only in case"):
+        G(["x", "X", "Y"], [("x", "X"), ("X", "Y")])
+    with pytest.raises(GraphError, match="duplicate node: A"):
+        G(["A", "B", "A"])
+
+
 def test_empty_graph_is_legal():
     g = G([])
     assert zt.topological_order(g) == []
