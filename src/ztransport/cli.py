@@ -11,8 +11,7 @@ File grammar (one statement per line, ``#`` starts a comment):
     Y: <names...>        outcome set (required, nonempty)
     Z: <names...>        controllable set
 
-A name is a letter or ``_`` followed by letters, digits and ``_``; two
-names may not differ only in case, since formulas print them lower-cased.
+Names match ``[A-Za-z_][A-Za-z0-9_]*``; no two may differ only in case.
 Node order is first-mention order.  Names referenced by select/X:/Y:/Z:
 must already have been mentioned.  Exit codes: 0 transportable, 1 usage or
 parse error, 2 not transportable.

@@ -307,10 +307,11 @@ def _slot_latex(v: str) -> str:
     s = v.lower()
     if "_" in s:
         return s.replace("_", r"\_")
+    head = s.rstrip("0123456789")
+    if head != s:
+        return f"{head}_{{{s[len(head):]}}}" if head else s
     base = s.rstrip("'")
-    head = base.rstrip("0123456789")
-    tail = base[len(head):]
-    return f"{head}_{{{tail}}}{s[len(base):]}" if head and tail else s
+    return _slot_latex(base) + s[len(base):] if base != s else s
 
 
 class _Style(NamedTuple):
