@@ -13,8 +13,10 @@ File grammar (one statement per line, ``#`` starts a comment):
 
 Names match ``[A-Za-z_][A-Za-z0-9_]*``; no two may differ only in case.
 Node order is first-mention order.  Names referenced by select/X:/Y:/Z:
-must already have been mentioned.  Exit codes: 0 transportable, 1 usage or
-parse error, 2 not transportable.
+must already have been mentioned.  A parse error names the line it was
+found on, or no line when it concerns the whole file (a directed cycle, no
+Y:, X and Y overlapping).  Exit codes: 0 transportable, 1 usage or parse
+error, 2 not transportable.
 """
 
 from __future__ import annotations
@@ -34,8 +36,11 @@ TOLERANCE = 1e-9
 
 
 class ParseError(ValueError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    """A malformed diagram file; ``line`` is None for an error about the
+    whole file."""
+
+    def __init__(self, message: str, line: int | None):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 
@@ -47,8 +52,7 @@ class QueryFile:
 
 def parse_diagram(text: str) -> QueryFile:
     """Parse the line-oriented diagram/query format; raises ParseError."""
-    nodes: list[str] = []
-    known: set[str] = set()
+    folded: dict[str, str] = {}  # lower-cased name -> name, in first-mention order
     directed: set[tuple[str, str]] = set()
     bidirected: set[frozenset[str]] = set()
     selected: list[str] = []
@@ -57,12 +61,12 @@ def parse_diagram(text: str) -> QueryFile:
     def mention(name: str, line: int) -> None:
         if not NAME_RE.match(name):
             raise ParseError(f"invalid node name {name!r}", line)
-        if name not in known:
-            known.add(name)
-            nodes.append(name)
+        twin = folded.setdefault(name.lower(), name)
+        if twin != name:
+            raise ParseError(f"nodes {twin} and {name} differ only in case", line)
 
     def known_node(name: str, line: int) -> str:
-        if name not in known:
+        if folded.get(name.lower()) != name:
             raise ParseError(f"unknown node {name!r}", line)
         return name
 
@@ -101,17 +105,17 @@ def parse_diagram(text: str) -> QueryFile:
             raise ParseError(f"unknown statement {line!r}", lineno)
 
     try:
-        graph = SemiMarkovianGraph.create(nodes, directed, bidirected)
+        graph = SemiMarkovianGraph.create(folded.values(), directed, bidirected)
     except GraphError as e:
-        raise ParseError(str(e), 0)
+        raise ParseError(str(e), None)
     if "Y" not in sets or not sets["Y"]:
-        raise ParseError("query must declare a nonempty Y:", 0)
+        raise ParseError("query must declare a nonempty Y:", None)
     try:
         diagram = SelectionDiagram.create(graph, selected)
         query = Query.create(sets.get("X", []), sets["Y"], sets.get("Z", []))
         query.validate_against(graph)
     except (InputError, GraphError) as e:
-        raise ParseError(str(e), 0)
+        raise ParseError(str(e), None)
     return QueryFile(diagram=diagram, query=query)
 
 

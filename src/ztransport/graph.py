@@ -13,7 +13,7 @@ import heapq
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Container, Iterable
 
 NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -55,20 +55,15 @@ class SemiMarkovianGraph:
                 raise GraphError(f"duplicate node: {n}" if twin == n else f"nodes {twin} and {n} differ only in case")
             folded[n.lower()] = n
         seen = set(node_tuple)
-        de = set()
-        for a, b in directed:
-            if a not in seen or b not in seen:
-                raise GraphError(f"edge endpoint not declared: {a} -> {b}")
-            if a == b:
-                raise GraphError(f"self-loop: {a} -> {b}")
-            de.add((a, b))
-        be = set()
-        for a, b in bidirected:
-            if a not in seen or b not in seen:
-                raise GraphError(f"edge endpoint not declared: {a} <-> {b}")
-            if a == b:
-                raise GraphError(f"self-loop: {a} <-> {b}")
-            be.add(frozenset((a, b)))
+        de: set[tuple[str, str]] = set()
+        be: set[frozenset[str]] = set()
+        for arrow, edges, kept, edge in (("->", directed, de, tuple), ("<->", bidirected, be, frozenset)):
+            for a, b in edges:
+                if a not in seen or b not in seen:
+                    raise GraphError(f"edge endpoint not declared: {a} {arrow} {b}")
+                if a == b:
+                    raise GraphError(f"self-loop: {a} {arrow} {b}")
+                kept.add(edge((a, b)))
         g = SemiMarkovianGraph(node_tuple, frozenset(de), frozenset(be))
         topological_order(g)  # raises on a directed cycle
         return g
@@ -153,6 +148,23 @@ class Query:
         g.check_nodes(self.z)
 
 
+def _reach(adj: dict, start: Iterable, stop: Container = frozenset()) -> frozenset:
+    """``start`` plus every node reachable from it through ``adj``, a map
+    from each node to its neighbours; a node in ``stop`` is reached but not
+    walked from."""
+    front = list(start)
+    seen = set(front)
+    while front:
+        n = front.pop()
+        if n in stop:
+            continue
+        for m in adj[n]:
+            if m not in seen:
+                seen.add(m)
+                front.append(m)
+    return frozenset(seen)
+
+
 def ancestors(g: SemiMarkovianGraph, w: Iterable[str], cut: frozenset[str] = frozenset()) -> frozenset[str]:
     """Directed-path ancestors of w within g, inclusive of w itself.
 
@@ -160,17 +172,7 @@ def ancestors(g: SemiMarkovianGraph, w: Iterable[str], cut: frozenset[str] = fro
     not followed, so the result is ``ancestors(mutilate(g, cut), w)``
     without building the mutilated graph; ``cut`` may name nodes outside g.
     """
-    front = list(g.check_nodes(w))
-    seen = set(front)
-    while front:
-        n = front.pop()
-        if n in cut:
-            continue
-        for p in g.parents[n]:
-            if p not in seen:
-                seen.add(p)
-                front.append(p)
-    return frozenset(seen)
+    return _reach(g.parents, g.check_nodes(w), cut)
 
 
 def induced_subgraph(g: SemiMarkovianGraph, w: Iterable[str], cut: Iterable[str] = ()) -> SemiMarkovianGraph:
@@ -194,14 +196,7 @@ def mutilate(g: SemiMarkovianGraph, cut_incoming: Iterable[str] = ()) -> SemiMar
 def c_component(g: SemiMarkovianGraph, w: Iterable[str]) -> frozenset[str]:
     """Nodes joined to w by bidirected paths in g, inclusive of w: for a
     bidirected-connected w, the member of ``c_components(g)`` holding it."""
-    front = list(g.check_nodes(w))
-    seen = set(front)
-    while front:
-        for m in g.siblings[front.pop()]:
-            if m not in seen:
-                seen.add(m)
-                front.append(m)
-    return frozenset(seen)
+    return _reach(g.siblings, g.check_nodes(w))
 
 
 def c_components(g: SemiMarkovianGraph) -> list[frozenset[str]]:
@@ -213,7 +208,7 @@ def c_components(g: SemiMarkovianGraph) -> list[frozenset[str]]:
     comps: list[frozenset[str]] = []
     for start in g.nodes:
         if start not in visited:
-            comps.append(c_component(g, (start,)))
+            comps.append(_reach(g.siblings, (start,)))
             visited |= comps[-1]
     return comps
 
@@ -266,14 +261,7 @@ def m_separated(
             pa[v].add(e)
 
     # restrict to ancestors of a | b | c in the latent-expanded DAG
-    relevant = set(sa | sb | sc)
-    front = list(relevant)
-    while front:
-        n = front.pop()
-        for p in pa[n]:
-            if p not in relevant:
-                relevant.add(p)
-                front.append(p)
+    relevant = _reach(pa, sa | sb | sc)
 
     # moralize: undirected skeleton plus marriages of co-parents
     adj: dict[str, set[str]] = {n: set() for n in relevant}
@@ -288,16 +276,5 @@ def m_separated(
                 adj[ps[i]].add(ps[j])
                 adj[ps[j]].add(ps[i])
 
-    # delete the conditioning set, test connectivity a -> b
-    blocked = set(sc)
-    front = [n for n in sa]
-    seen = set(front)
-    while front:
-        n = front.pop()
-        if n in sb:
-            return False
-        for m in adj[n]:
-            if m not in seen and m not in blocked:
-                seen.add(m)
-                front.append(m)
-    return True
+    # test connectivity a -> b, walking on from no node of the conditioning set
+    return sb.isdisjoint(_reach(adj, sa, sc))

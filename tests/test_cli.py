@@ -84,6 +84,31 @@ def test_parse_comments_and_blank_lines():
     assert qf.diagram.graph.nodes == ("A", "B")
 
 
+@pytest.mark.parametrize("text, message, line", [
+    ("A -> B\nA -> 1B\nY: B", "invalid node name '1B'", 2),
+    ("node A B\nY: A", "expected: node <name>", 1),
+    ("A -> B\nB -> B\nY: B", "self-loop", 2),
+    ("A -> B\nA <-> B\nB <-> A\nY: B", "duplicate edge B <-> A", 3),
+    ("A -> B\nselect A B\nY: B", "expected: select <name>", 2),
+    ("A -> B\nselect A\nselect A\nY: B", "duplicate select A", 3),
+    ("A -> B\nX: A\nY: B\nX: A", "duplicate X: line", 4),
+    ("A -> B\nselect Q\nY: B", "unknown node 'Q'", 2),
+    ("A -> B\nX: a\nY: B", "unknown node 'a'", 2),
+    ("A -> B\n\nfrobnicate A\nY: B", "unknown statement 'frobnicate A'", 3),
+    ("x -> X\nX -> Y\nX: X\nY: Y", "nodes x and X differ only in case", 1),
+    ("node B\nA -> C\nb -> C\nY: C", "nodes B and b differ only in case", 3),
+    # errors about the whole file name no line
+    ("A -> B\nB -> C\nC -> A\nY: C", "directed part contains a cycle", None),
+    ("A -> B\nX: A", "query must declare a nonempty Y:", None),
+    ("A -> B\nX: A B\nY: B", "x and y overlap: ['B']", None),
+])
+def test_parse_error_message_and_line(text, message, line):
+    with pytest.raises(ParseError) as info:
+        parse_diagram(text)
+    assert info.value.line == line
+    assert str(info.value) == (message if line is None else f"line {line}: {message}")
+
+
 def test_roundtrip_canonical_writer():
     for name, (make, (x, y, z)) in GOLDEN.items():
         d = make()
@@ -201,7 +226,7 @@ def test_main_names_that_differ_only_in_case_exit_1(tmp_path, capsys):
     p = tmp_path / "twins.graph"
     p.write_text("x -> X\nX -> Y\nX: X\nY: Y\n")
     assert cli.main(["run", str(p)]) == 1
-    assert capsys.readouterr().err.strip() == "error: line 0: nodes x and X differ only in case"
+    assert capsys.readouterr().err.strip() == "error: line 1: nodes x and X differ only in case"
 
 
 def test_main_missing_file_exit_code(tmp_path, capsys):
@@ -236,6 +261,14 @@ def test_main_validate_empty_seed_range_is_a_usage_error(tmp_path, capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+def test_main_validate_non_integer_seed_range(tmp_path, capsys):
+    code = cli.main(["validate", fig2a_file(tmp_path), "--seeds", "1..x"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: --seeds expects A..B\n"
 
 
 def test_main_validate_non_integer_env_seed(tmp_path, capsys, monkeypatch):

@@ -89,6 +89,25 @@ def test_ancestors_with_a_cut_equal_ancestors_of_the_mutilated_graph():
     assert zt.ancestors(chain(), ["Y"], cut=frozenset({"X", "Q"})) == {"X", "Y"}
 
 
+def ancestors_by_fixed_point(g, w, cut=frozenset()):
+    """Reference: add the tail of every arrow whose head is in the set and
+    not cut, until nothing changes."""
+    an = set(w)
+    while True:
+        more = {a for a, b in g.directed_edges if b in an and b not in cut} - an
+        if not more:
+            return an
+        an |= more
+
+
+def test_ancestors_equal_a_fixed_point_over_the_edges():
+    for g, rng in redeclared_graphs(master=37):
+        w = [v for v in g.nodes if rng.random() < 0.3]
+        cut = frozenset(v for v in g.nodes if rng.random() < 0.4)
+        assert zt.ancestors(g, w) == ancestors_by_fixed_point(g, w)
+        assert zt.ancestors(g, w, cut=cut) == ancestors_by_fixed_point(g, w, cut)
+
+
 def test_ancestors_monotone_and_idempotent():
     for seed in range(40):
         g, rng = random_graph(seed, master=7)
