@@ -13,9 +13,10 @@ File grammar (one statement per line, ``#`` starts a comment):
 
 Names match ``[A-Za-z_][A-Za-z0-9_]*``; no two may differ only in case.
 Node order is first-mention order.  Names referenced by select/X:/Y:/Z:
-must already have been mentioned.  A parse error names the line it was
-found on, or no line when it concerns the whole file (a directed cycle, no
-Y:, X and Y overlapping).  Exit codes: 0 transportable, 1 usage or parse
+must already have been mentioned, and an X:/Y:/Z: line names each once.
+A parse error names the line it was found on, or no line when it concerns
+the whole file (a directed cycle, which it names, no Y:, X and Y
+overlapping).  Exit codes: 0 transportable, 1 usage or parse
 error, 2 not transportable.
 """
 
@@ -100,7 +101,13 @@ def parse_diagram(text: str) -> QueryFile:
             key = tokens[0][0]
             if key in sets:
                 raise ParseError(f"duplicate {tokens[0]} line", lineno)
-            sets[key] = [known_node(t, lineno) for t in tokens[1:]]
+            if key == "Y" and len(tokens) == 1:
+                raise ParseError("query must declare a nonempty Y:", lineno)
+            sets[key] = []
+            for name in tokens[1:]:
+                if known_node(name, lineno) in sets[key]:
+                    raise ParseError(f"{tokens[0]} names {name} twice", lineno)
+                sets[key].append(name)
         else:
             raise ParseError(f"unknown statement {line!r}", lineno)
 
@@ -108,7 +115,7 @@ def parse_diagram(text: str) -> QueryFile:
         graph = SemiMarkovianGraph.create(folded.values(), directed, bidirected)
     except GraphError as e:
         raise ParseError(str(e), None)
-    if "Y" not in sets or not sets["Y"]:
+    if "Y" not in sets:
         raise ParseError("query must declare a nonempty Y:", None)
     try:
         diagram = SelectionDiagram.create(graph, selected)

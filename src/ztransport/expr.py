@@ -314,6 +314,18 @@ def _slot_latex(v: str) -> str:
     return _slot_latex(base) + s[len(base):] if base != s else s
 
 
+class _Spellings(dict):
+    """One render's spelling of each slot, computed on its first lookup;
+    ``render`` walks with its ``__getitem__`` as the style's ``slot``."""
+
+    def __init__(self, slot: Callable[[str], str]):
+        self.slot = slot
+
+    def __missing__(self, v: str) -> str:
+        self[v] = s = self.slot(v)
+        return s
+
+
 class _Style(NamedTuple):
     """How one output format spells each node; ``_render`` is the walk."""
 
@@ -345,7 +357,8 @@ def render(e: ProbExpr, format: str = "text") -> str:
         return json.dumps(to_json(e), sort_keys=True)
     if format not in _STYLES:
         raise ExprError(f"unknown render format: {format!r}")
-    return _render(e, _STYLES[format])
+    style = _STYLES[format]
+    return _render(e, style._replace(slot=_Spellings(style.slot).__getitem__))
 
 
 def _render(e: ProbExpr, style: _Style) -> str:

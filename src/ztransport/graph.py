@@ -215,8 +215,15 @@ def c_components(g: SemiMarkovianGraph) -> list[frozenset[str]]:
 
 def topological_order(g: SemiMarkovianGraph) -> list[str]:
     """Topological order of the directed part, declaration order as tie-break:
-    each step takes the ready node of smallest declaration index."""
+    each step takes the ready node of smallest declaration index.  When every
+    arrow points from an earlier-declared node to a later one, that is
+    declaration order itself, so it is returned without the heap."""
     index = g.index
+    for a, b in g.directed_edges:
+        if index[a] >= index[b]:
+            break
+    else:
+        return list(g.nodes)
     indeg = [0] * len(g.nodes)
     children: list[list[int]] = [[] for _ in g.nodes]
     for a, b in g.directed_edges:
@@ -232,8 +239,20 @@ def topological_order(g: SemiMarkovianGraph) -> list[str]:
             if indeg[c] == 0:
                 heapq.heappush(ready, c)
     if len(order) != len(g.nodes):
-        raise GraphError("directed part contains a cycle")
+        raise GraphError(f"directed part contains a cycle: {' -> '.join(_cycle(g, set(order)))}")
     return order
+
+
+def _cycle(g: SemiMarkovianGraph, done: set[str]) -> list[str]:
+    """A directed cycle, first node repeated last, among the nodes Kahn's
+    loop left unsorted: each keeps an unsorted parent, so walking up such
+    parents from the earliest-declared one must come back to a node."""
+    path, n = {}, next(n for n in g.nodes if n not in done)  # a dict: ordered, O(1) lookups
+    while n not in path:
+        path[n] = None
+        n = min(g.parents[n] - done, key=g.index.__getitem__)
+    walk = list(path)
+    return [n, *walk[:walk.index(n):-1], n]
 
 
 def m_separated(

@@ -97,8 +97,14 @@ def test_parse_comments_and_blank_lines():
     ("A -> B\n\nfrobnicate A\nY: B", "unknown statement 'frobnicate A'", 3),
     ("x -> X\nX -> Y\nX: X\nY: Y", "nodes x and X differ only in case", 1),
     ("node B\nA -> C\nb -> C\nY: C", "nodes B and b differ only in case", 3),
-    # errors about the whole file name no line
-    ("A -> B\nB -> C\nC -> A\nY: C", "directed part contains a cycle", None),
+    ("A -> B\nY: B B", "Y: names B twice", 2),
+    ("A -> B\nX: A A\nY: B", "X: names A twice", 2),
+    ("A -> B\nY: B\nZ: A B A", "Z: names A twice", 3),
+    ("A -> B\nX: A\nY:", "query must declare a nonempty Y:", 3),
+    # errors about the whole file name no line; a cycle is named by its nodes
+    ("A -> B\nB -> C\nC -> A\nY: C", "directed part contains a cycle: A -> B -> C -> A", None),
+    # (walking up from C, which is not on the cycle but sits below it)
+    ("C -> D\nA -> B\nB -> A\nA -> C\nY: D", "directed part contains a cycle: A -> B -> A", None),
     ("A -> B\nX: A", "query must declare a nonempty Y:", None),
     ("A -> B\nX: A B\nY: B", "x and y overlap: ['B']", None),
 ])

@@ -117,6 +117,28 @@ def test_render_latex_escapes_underscores_and_primes_follow_the_base():
     assert E.render(e) == "sum_{w1',x_2'} P(w1',x_2',y)"
 
 
+def test_render_spells_each_distinct_slot_once_per_call(monkeypatch):
+    calls = []
+
+    def slot(v):
+        calls.append(v)
+        return E._slot_latex(v)
+
+    monkeypatch.setitem(E._STYLES, "latex", E._STYLES["latex"]._replace(slot=slot))
+    # W1', Z1 and X_2 recur in both halves, and each half binds its own W1'
+    body = E.product([E.term(E.SOURCE, ["W1"], do=["Z1"]), E.term(E.SOURCE, ["Y"], given=["W1", "X_2"], do=["Z1"])])
+    e = E.Quotient(E.marginal_sum(["W1"], body), E.marginal_sum(["W1", "Y"], body))
+    latex = (
+        r"\frac{\sum_{w_{1}'} P_{z_{1}}\left(w_{1}'\right) P_{z_{1}}\left(y \mid w_{1}', x\_2\right)}"
+        r"{\sum_{w_{1}', y'} P_{z_{1}}\left(w_{1}'\right) P_{z_{1}}\left(y' \mid w_{1}', x\_2\right)}"
+    )
+    assert E.render(e, "latex") == latex
+    assert sorted(calls) == sorted(E.all_slots(e)) == ["W1'", "X_2", "Y", "Y'", "Z1"]
+    # the spellings live for one call: a second render spells every slot again
+    assert E.render(e, "latex") == latex
+    assert len(calls) == 2 * len(E.all_slots(e))
+
+
 def test_json_roundtrip_fixed():
     e = E.Sum(
         frozenset(["W"]),

@@ -255,8 +255,39 @@ def sort_every_pop_order(g):
 
 
 def test_topological_order_equals_the_sort_every_pop_reference():
-    for g, _ in redeclared_graphs(master=23):
+    # random_graph declares every arrow forward, which topological_order
+    # answers without the heap; most shuffled redeclarations do not
+    graphs = [random_graph(seed, master=23, max_nodes=10, max_bi=6)[0] for seed in range(60)]
+    graphs += [g for g, _ in redeclared_graphs(master=23)]
+    forward = [all(g.index[a] < g.index[b] for a, b in g.directed_edges) for g in graphs]
+    assert any(forward) and not all(forward)
+    for g in graphs:
         assert zt.topological_order(g) == sort_every_pop_order(g)
+
+
+def test_topological_order_names_a_cycle():
+    with pytest.raises(GraphError, match=r"^directed part contains a cycle: A -> B -> C -> A$"):
+        G(["A", "B", "C", "D"], [("D", "A"), ("A", "B"), ("B", "C"), ("C", "A")])
+    # a graph built without create may hold a self-loop, a cycle of one node
+    loop = zt.SemiMarkovianGraph(("A", "B"), frozenset({("A", "B"), ("B", "B")}), frozenset())
+    with pytest.raises(GraphError, match=r"^directed part contains a cycle: B -> B$"):
+        zt.topological_order(loop)
+
+
+def test_a_cycle_message_names_a_cycle_of_the_graph():
+    for seed in range(60):
+        g, rng = random_graph(seed, master=41, max_nodes=10)
+        # an arrow from a node back to one of its proper ancestors closes a cycle
+        pairs = [(b, a) for b in g.nodes for a in sorted(zt.ancestors(g, [b]) - {b})]
+        if not pairs:
+            continue
+        b, a = pairs[int(rng.integers(len(pairs)))]
+        edges = g.directed_edges | {(b, a)}
+        with pytest.raises(GraphError, match="^directed part contains a cycle: ") as info:
+            G(g.nodes, edges)
+        cycle = str(info.value).removeprefix("directed part contains a cycle: ").split(" -> ")
+        assert cycle[0] == cycle[-1] and len(set(cycle)) == len(cycle) - 1
+        assert all(arrow in edges for arrow in zip(cycle, cycle[1:]))
 
 
 def test_topological_order_of_an_ancestral_subgraph_is_the_filtered_order():
