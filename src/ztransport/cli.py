@@ -12,6 +12,7 @@ File grammar (one statement per line, ``#`` starts a comment):
     Z: <names...>        controllable set
 
 Names match ``[A-Za-z_][A-Za-z0-9_]*``; no two may differ only in case.
+Three tokens with an arrow in the middle are an edge, whatever the names.
 Node order is first-mention order.  Names referenced by select/X:/Y:/Z:
 must already have been mentioned, and an X:/Y:/Z: line names each once.
 A parse error names the line it was found on, or no line when it concerns
@@ -76,11 +77,8 @@ def parse_diagram(text: str) -> QueryFile:
         if not line:
             continue
         tokens = line.split()
-        if tokens[0] == "node":
-            if len(tokens) != 2:
-                raise ParseError("expected: node <name>", lineno)
-            mention(tokens[1], lineno)
-        elif len(tokens) == 3 and tokens[1] in ("->", "<->"):
+        # the edge form comes first: a node may be named like a keyword
+        if len(tokens) == 3 and tokens[1] in ("->", "<->"):
             a, arrow, b = tokens
             mention(a, lineno)
             mention(b, lineno)
@@ -90,6 +88,10 @@ def parse_diagram(text: str) -> QueryFile:
             if edge in edges:
                 raise ParseError(f"duplicate edge {a} {arrow} {b}", lineno)
             edges.add(edge)
+        elif tokens[0] == "node":
+            if len(tokens) != 2:
+                raise ParseError("expected: node <name>", lineno)
+            mention(tokens[1], lineno)
         elif tokens[0] == "select":
             if len(tokens) != 2:
                 raise ParseError("expected: select <name>", lineno)
@@ -172,26 +174,20 @@ def run(qf: QueryFile) -> tuple[int, dict]:
 
 
 def _corrupt_formula(e: E.ProbExpr) -> E.ProbExpr:
-    """Test hook: drop the first conditioner of the first conditioned term."""
+    """Drop the first conditioner of the first conditioned term: the damaged
+    formula the benchmark's self-test counts as a failed operation."""
     kind, corrupted = next(E.term_corruptions(e), (None, None))
     if kind != "drop":
         raise InputError("formula has no conditioned term to corrupt")
     return corrupted
 
 
-def validate(
-    qf: QueryFile,
-    seeds: range,
-    arity: int = 2,
-    corrupt: bool = False,
-) -> tuple[int, dict]:
+def validate(qf: QueryFile, seeds: range, arity: int = 2) -> tuple[int, dict]:
     """Check the emitted formula against exact model pairs for each seed."""
     res = sid_z(qf.query.y, qf.query.x, qf.diagram, qf.query.z)
     if not res.ok:
         return 2, _result_doc(res)
     formula = E.normalize(res.formula)
-    if corrupt:
-        formula = _corrupt_formula(formula)
     rows = []
     ok = True
     for seed in seeds:
@@ -244,7 +240,6 @@ def main(argv: list[str] | None = None) -> int:
     p_val.add_argument("file")
     p_val.add_argument("--seeds", default="", help="seed range A..B (default: SEED..SEED+19)")
     p_val.add_argument("--arity", type=int, default=2)
-    p_val.add_argument("--inject-corruption", action="store_true", help=argparse.SUPPRESS)
 
     p_comp = sub.add_parser("components", help="print the c-component decomposition")
     p_comp.add_argument("file")
@@ -264,14 +259,15 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps(doc, indent=2, sort_keys=True))
         elif doc["status"] == "transportable":
             print(doc["formula_latex"] if args.format == "latex" else doc["formula_text"])
-            for w in doc["warnings"]:
-                print(f"warning: {w}", file=sys.stderr)
         else:
             w = doc["witness"]
             print(
                 f"not transportable: {w['kind']} over {{{', '.join(w['f_nodes'])}}} "
                 f"/ {{{', '.join(w['f_sub_nodes'])}}}"
             )
+        if args.format != "json":
+            for w in doc["warnings"]:
+                print(f"warning: {w}", file=sys.stderr)
         return code
 
     if args.command == "validate":
@@ -290,7 +286,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: --seeds {args.seeds} is an empty range", file=sys.stderr)
             return 1
         try:
-            code, doc = validate(qf, seeds, arity=args.arity, corrupt=args.inject_corruption)
+            code, doc = validate(qf, seeds, arity=args.arity)
         except (InputError, OracleError) as e:
             print(f"error: {e}", file=sys.stderr)
             return 1

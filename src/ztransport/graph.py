@@ -199,16 +199,17 @@ def c_component(g: SemiMarkovianGraph, w: Iterable[str]) -> frozenset[str]:
     return _reach(g.siblings, g.check_nodes(w))
 
 
-def c_components(g: SemiMarkovianGraph) -> list[frozenset[str]]:
-    """Partition of g's nodes into maximal bidirected-connected components.
-
-    Ordered by the declaration index of each component's earliest member.
-    """
+def c_components(g: SemiMarkovianGraph, w: Iterable[str] | None = None) -> list[frozenset[str]]:
+    """Partition of w (default: all of g) into the maximal bidirected-connected
+    components of G[w], without building G[w]; ordered by the declaration
+    index of each component's earliest member."""
+    keep = g.node_set if w is None else g.check_nodes(w)
+    siblings = {v: g.siblings[v] & keep for v in keep}  # the bidirected edges of G[w]
     visited: set[str] = set()
     comps: list[frozenset[str]] = []
-    for start in g.nodes:
+    for start in g.sorted(keep):
         if start not in visited:
-            comps.append(_reach(g.siblings, (start,)))
+            comps.append(_reach(siblings, (start,)))
             visited |= comps[-1]
     return comps
 

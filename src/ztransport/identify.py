@@ -217,7 +217,7 @@ def _gid(
         return _gid(y, (x | w) - z_w, z - z_w, P, g, trace, depth - 1)
 
     # factorize over the confounded components
-    comps = c_components(induced_subgraph(g, V - xa))
+    comps = c_components(g, V - xa)
     if trace.partition is None:
         trace.partition = tuple(comps)
     if len(comps) > 1:
@@ -308,8 +308,8 @@ def bi(y: Iterable[str], x: Iterable[str], dist: DistLabel, g: SemiMarkovianGrap
         raise InputError("y overlaps the do-set of dist")
     # callers must ask about a single factor at a time
     if q.x:
-        rest = induced_subgraph(g, ancestors(g, q.y, cut=q.z) - q.x - q.z)
-        if not any(q.y <= c for c in c_components(rest)):
+        rest = ancestors(g, q.y, cut=q.z) - q.x - q.z
+        if not any(q.y <= c for c in c_components(g, rest)):
             raise InputError("y must lie inside one confounded component of g minus x")
     # the recursion reads the do-set as a frozenset, whatever dist was given
     return _gid(q.y, q.x, frozenset(), DistLabel(dist.domain, q.z), g, IdentTrace(), 4 * len(g.nodes) + 8)
@@ -349,7 +349,7 @@ def _sid(
     # factorize over the confounded components; each factor call gets x and
     # its do-set covering the rest of its graph, so it neither activates nor
     # decomposes again
-    comps = c_components(induced_subgraph(g, V - x))
+    comps = c_components(g, V - x)
     trace.partition = tuple(comps)
     factors = []
     for c in comps:

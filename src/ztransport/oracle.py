@@ -55,7 +55,6 @@ class Table:
     """Exact probability table over ``vars`` (node order)."""
 
     vars: tuple[str, ...]
-    arities: dict[str, int]
     probs: np.ndarray
 
     def total(self) -> float:
@@ -212,11 +211,11 @@ def _contract(m: DiscreteSCM, do: Iterable[str] = ()) -> np.ndarray:
     return acc
 
 
-def _table(nodes: tuple[str, ...], arities: Mapping[str, int], joint: np.ndarray, do: Mapping[str, int]) -> Table:
+def _table(nodes: tuple[str, ...], joint: np.ndarray, do: Mapping[str, int]) -> Table:
     """The slice of a contraction at one assignment of its do() axes."""
     keep = tuple(v for v in nodes if v not in do)
     index = tuple(do[v] if v in do else slice(None) for v in nodes)
-    return Table(keep, {v: arities[v] for v in keep}, joint[index])
+    return Table(keep, joint[index])
 
 
 def _draw_scm(d: SelectionDiagram, rng: np.random.Generator, arity: int) -> DiscreteSCM:
@@ -297,7 +296,7 @@ def enumerate_joint(m: DiscreteSCM, do_set: Mapping[str, int] | None = None) -> 
     for v, val in do.items():
         if not (0 <= val < m.arities[v]):
             raise InputError(f"value {val} out of range for {v}")
-    return _table(m.diagram.nodes, m.arities, _contract(m, do), do)
+    return _table(m.diagram.nodes, _contract(m, do), do)
 
 
 @dataclass(frozen=True)
@@ -345,7 +344,7 @@ class DistributionSet:
         for v, val in do_assignment.items():
             if not (0 <= val < self.node_arities[v]):
                 raise EvalError(f"value {val} out of range for {v}")
-        return _table(self.nodes, self.node_arities, joint, do_assignment)
+        return _table(self.nodes, joint, do_assignment)
 
 
 def build_distribution_set(p: DiscreteModelPair, z: Iterable[str]) -> DistributionSet:
@@ -364,8 +363,7 @@ def build_distribution_set(p: DiscreteModelPair, z: Iterable[str]) -> Distributi
     if entries > MAX_TABLE_ENTRIES:
         raise InputError(f"distribution set needs {entries} table entries; budget is {MAX_TABLE_ENTRIES}")
     source = {frozenset(c): _contract(p.source, c) if c else p.source_joint for c in subsets}
-    arities = dict(p.source.arities)
-    return DistributionSet(Table(g.nodes, arities, p.target_joint), MappingProxyType(source), arities)
+    return DistributionSet(Table(g.nodes, p.target_joint), MappingProxyType(source), dict(p.source.arities))
 
 
 def ground_truth_effect(m: DiscreteSCM, x: Mapping[str, int], y: Iterable[str]) -> Table:
@@ -376,7 +374,7 @@ def ground_truth_effect(m: DiscreteSCM, x: Mapping[str, int], y: Iterable[str]) 
     joint = enumerate_joint(m, x)
     keep = tuple(v for v in joint.vars if v in ys)
     arr = joint.marginal(keep)
-    return Table(keep, {v: m.arities[v] for v in keep}, arr)
+    return Table(keep, arr)
 
 
 def validate_formula(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import pytest
 
 import ztransport as zt
 from ztransport import cli
+from ztransport import expr as E
 from ztransport.cli import ParseError, parse_diagram, write_diagram
 
 from helpers import GOLDEN, fig2a, fig2b
@@ -87,6 +89,9 @@ def test_parse_comments_and_blank_lines():
 @pytest.mark.parametrize("text, message, line", [
     ("A -> B\nA -> 1B\nY: B", "invalid node name '1B'", 2),
     ("node A B\nY: A", "expected: node <name>", 1),
+    # a line of three tokens with an arrow in the middle is an edge, even from a node named node
+    ("node -> node\nY: node", "self-loop", 1),
+    ("node -> Y\nnode <-> Y\nY <-> node\nY: Y", "duplicate edge Y <-> node", 3),
     ("A -> B\nB -> B\nY: B", "self-loop", 2),
     ("A -> B\nA <-> B\nB <-> A\nY: B", "duplicate edge B <-> A", 3),
     ("A -> B\nselect A B\nY: B", "expected: select <name>", 2),
@@ -116,8 +121,16 @@ def test_parse_error_message_and_line(text, message, line):
 
 
 def test_roundtrip_canonical_writer():
-    for name, (make, (x, y, z)) in GOLDEN.items():
-        d = make()
+    # nodes named like the keywords: their edge lines start with a keyword
+    keywords = zt.SelectionDiagram.create(
+        zt.SemiMarkovianGraph.create(
+            ["node", "select", "Y"], [("node", "select"), ("select", "Y")], [("node", "Y")]
+        ),
+        ["node"],
+    )
+    cases = [(make(), query) for make, query in GOLDEN.values()]
+    cases.append((keywords, (["select"], ["Y"], ["node"])))
+    for d, (x, y, z) in cases:
         qf = cli.QueryFile(d, zt.Query.create(x, y, z))
         text = write_diagram(qf)
         back = parse_diagram(text)
@@ -168,9 +181,15 @@ def test_validate_passes_on_golden(tmp_path):
     assert all(r["max_abs_error"] <= 1e-9 for r in doc["results"])
 
 
-def test_validate_corruption_hook_fails():
+def test_validate_corruption_hook_fails(monkeypatch):
+    # the decision emits the formula with its first conditioner dropped
     qf = parse_diagram(FIG2A_TEXT)
-    code, doc = cli.validate(qf, seeds=range(1, 6), corrupt=True)
+    res = cli.sid_z(qf.query.y, qf.query.x, qf.diagram, qf.query.z)
+    kind, corrupted = next(E.term_corruptions(E.normalize(res.formula)))
+    assert kind == "drop"
+    monkeypatch.setattr(cli, "sid_z", lambda *args: dataclasses.replace(res, formula=corrupted))
+    code, doc = cli.validate(qf, seeds=range(1, 6))
+    assert doc["formula_text"] == E.render(corrupted, "text")
     assert code == 2
     assert doc["status"] == "fail"
     assert max(r["max_abs_error"] for r in doc["results"]) > 1e-3
@@ -218,6 +237,22 @@ def test_main_not_transportable_exit_code(tmp_path, capsys):
     code = cli.main(["run", path])
     assert code == 2
     assert "hedge" in capsys.readouterr().out
+
+
+def test_main_run_prints_warnings_whatever_the_verdict(tmp_path, capsys):
+    # Z: Y is dropped with a warning, on stderr, both when the effect
+    # transports and when it does not
+    warning = (
+        "warning: dropped controllable variables inside y "
+        "(experiments on them have no bearing): ['Y']\n"
+    )
+    for text, code, out in [
+        ("X -> Y\nX: X\nY: Y\nZ: Y\n", 0, "P(y|x)\n"),
+        ("X -> Y\nX <-> Y\nX: X\nY: Y\nZ: Y\n", 2, "not transportable: hedge over {X, Y} / {Y}\n"),
+    ]:
+        assert cli.main(["run", fig2a_file(tmp_path, text, "zy.graph")]) == code
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (out, warning)
 
 
 def test_main_parse_error_exit_code(tmp_path, capsys):

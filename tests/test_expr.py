@@ -255,7 +255,7 @@ def tiny_tables():
                 joint[tuple(assignment.get(v, slice(None)) for v in VARS)] = p
             source[frozenset(combo)] = joint
     p = rng.dirichlet(np.ones(8)).reshape((2, 2, 2))
-    return DistributionSet(Table(tuple(VARS), arities, p), source, arities)
+    return DistributionSet(Table(tuple(VARS), p), source, arities)
 
 
 def test_evaluate_one():
@@ -263,13 +263,13 @@ def test_evaluate_one():
 
 
 def test_evaluate_marginal_lookup():
-    tab = Table(("Y",), {"Y": 2}, np.array([0.3, 0.7]))
+    tab = Table(("Y",), np.array([0.3, 0.7]))
     ds = DistributionSet(tab, {}, {"Y": 2})
     assert E.evaluate(E.term(E.TARGET, ["Y"]), ds, {"Y": 1}) == pytest.approx(0.7)
 
 
 def test_evaluate_missing_table():
-    tab = Table(("Y",), {"Y": 2}, np.array([0.3, 0.7]))
+    tab = Table(("Y",), np.array([0.3, 0.7]))
     ds = DistributionSet(tab, {}, {"Y": 2})
     with pytest.raises(EvalError):
         E.evaluate(E.term(E.SOURCE, ["Y"], do=["Z"]), ds, {"Y": 1, "Z": 0})
@@ -282,7 +282,7 @@ def test_evaluate_unbound_variable():
 
 def test_evaluate_zero_denominator_raises_only_at_that_binding():
     # P*(A=1) = 0: conditioning on A=1 is undefined, on A=0 it is not
-    tab = Table(("A", "B"), {"A": 2, "B": 2}, np.array([[0.3, 0.7], [0.0, 0.0]]))
+    tab = Table(("A", "B"), np.array([[0.3, 0.7], [0.0, 0.0]]))
     ds = DistributionSet(tab, {}, {"A": 2, "B": 2})
     cond = E.term(E.TARGET, ["B"], given=["A"])
     assert E.evaluate(cond, ds, {"A": 0, "B": 1}) == pytest.approx(0.7)

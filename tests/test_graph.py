@@ -212,6 +212,25 @@ def test_c_component_is_the_member_of_the_partition_holding_w():
                 assert zt.c_component(g, w) == containing
 
 
+def test_c_components_of_a_node_set_partition_its_induced_subgraph():
+    # the same sets in the same order as the components of G[w], for w from
+    # the empty set to all of g
+    for g, rng in redeclared_graphs(master=23):
+        subsets = [[], list(g.nodes)]
+        subsets += [[v for v in g.nodes if rng.random() < p] for p in (0.3, 0.5, 0.8)]
+        for w in subsets:
+            assert zt.c_components(g, w) == zt.c_components(zt.induced_subgraph(g, w))
+    for seed in range(100):
+        g, rng = random_graph(seed, master=29, max_nodes=10, max_bi=8)
+        w = {str(v) for v in rng.permutation(g.nodes)[: rng.integers(0, len(g.nodes) + 1)]}
+        assert zt.c_components(g, w) == zt.c_components(zt.induced_subgraph(g, w))
+
+
+def test_c_components_of_a_node_set_reject_unknown_nodes():
+    with pytest.raises(InputError, match="unknown node"):
+        zt.c_components(chain(), ["X", "Q"])
+
+
 def test_c_components_deterministic_order():
     g = G(["B", "A", "C"], [], [("A", "C")])
     # ordered by smallest member's declaration index: B first, then {A, C}

@@ -32,6 +32,7 @@ from helpers import (
     chain_graph,
     fig2a,
     fig2b,
+    fig5c,
     front_door_graph,
     napkin_graph,
     random_diagram,
@@ -525,7 +526,7 @@ def test_gid_factors_get_their_own_ancestral_graphs(monkeypatch):
         ["U", "Z", "X", "Y1", "Y2"],
         [("U", "Z"), ("Z", "X"), ("X", "Y1"), ("Z", "Y1"), ("X", "Y2"), ("U", "Y2")],
     )
-    # the ancestral step passes a cut, possibly empty; the decomposition never does
+    # the ancestral step passes a cut, possibly empty; no other call does
     received = []
     induced_subgraph = identify.induced_subgraph
 
@@ -545,6 +546,23 @@ def test_gid_factors_get_their_own_ancestral_graphs(monkeypatch):
         assert h.node_set != g.node_set
         assert h.node_set in ancestral
     assert check_sound(r.formula, D(g, []), ["X"], ["Y1", "Y2"], ["Z"]) <= TOL
+
+
+def test_sid_z_builds_only_the_graphs_its_factors_recurse_on(monkeypatch):
+    # fig5c factorizes into {V1}, {Y1}, {Y2}; the partitions are read off
+    # the graph at hand, so the only graphs built are the three factors'
+    # ancestral graphs, arrows into each factor's experiment cut
+    built = []
+    induced_subgraph = identify.induced_subgraph
+
+    def spy(h, w, *cut):
+        built.append(induced_subgraph(h, w, *cut))
+        return built[-1]
+
+    monkeypatch.setattr(identify, "induced_subgraph", spy)
+    r = sid_z(["Y1", "Y2"], ["X1", "X2"], fig5c(), ["V1", "X2"])
+    assert r.ok and r.trace.partition == ({"V1"}, {"Y1"}, {"Y2"})
+    assert [h.nodes for h in built] == [("V1",), ("X1", "V1", "Y1"), ("X2", "V1", "Y2")]
 
 
 def test_single_activation_and_matching_decompositions():

@@ -390,7 +390,7 @@ def test_validate_formula_flags_corruption():
 
 
 def test_table_zero_conditioning_event_raises():
-    t = Table(("X", "Y"), {"X": 2, "Y": 2}, np.array([[0.5, 0.5], [0.0, 0.0]]))
+    t = Table(("X", "Y"), np.array([[0.5, 0.5], [0.0, 0.0]]))
     with pytest.raises(E.EvalError):
         t.conditional({"Y": 1}, {"X": 1})
 
