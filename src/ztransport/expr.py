@@ -46,6 +46,11 @@ class EvalError(ValueError):
     """Evaluation failed (missing table, zero conditioning event, ...)."""
 
 
+def is_int(v) -> bool:
+    """Whether ``v`` is an integer and not a bool (numpy reads a bool index as a mask)."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 class ProbExpr:
     """Base class; concrete nodes are Term, Product, Sum, One, Quotient."""
 
@@ -474,7 +479,7 @@ def evaluate(e: ProbExpr, tables, binding: Mapping[str, int]) -> float:
     if missing:
         raise EvalError(f"unbound variables: {sorted(missing)}")
     index = tuple(binding[s] for s in slots)
-    if not all(0 <= i < n for i, n in zip(index, values.shape)):
+    if not all(is_int(i) and 0 <= i < n for i, n in zip(index, values.shape)):
         raise EvalError(f"value out of range in {dict(binding)}")
     out = float(values[index])
     if math.isnan(out):

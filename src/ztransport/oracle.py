@@ -29,7 +29,7 @@ from typing import ClassVar, Iterable, Mapping
 
 import numpy as np
 
-from .expr import EvalError, ProbExpr, SOURCE, TARGET, align_axes, base_var, compile_expr
+from .expr import EvalError, ProbExpr, SOURCE, TARGET, align_axes, base_var, compile_expr, is_int
 from .expr import evaluate  # noqa: F401  (scalar evaluation, also importable from here)
 from .graph import InputError, Query, SelectionDiagram, SemiMarkovianGraph, topological_order
 
@@ -72,8 +72,9 @@ class Table:
     def prob(self, assignment: Mapping[str, int]) -> float:
         """Marginal probability of a (possibly partial) assignment."""
         arr = self.marginal(assignment.keys())
-        kept = [v for v in self.vars if v in assignment]
-        idx = tuple(assignment[v] for v in kept)
+        idx = tuple(assignment[v] for v in self.vars if v in assignment)
+        if not all(is_int(i) and 0 <= i < n for i, n in zip(idx, arr.shape)):
+            raise EvalError(f"value out of range in {dict(assignment)}")
         return float(arr[idx])
 
     def conditional(self, outcome: Mapping[str, int], given: Mapping[str, int]) -> float:
@@ -87,14 +88,18 @@ class Table:
         return self.prob(joint) / p_given
 
 
-def _positive_simplex(rng: np.random.Generator, k: int) -> np.ndarray:
-    """Random distribution over k atoms, each bounded away from zero.
+def _positive_simplex(rng: np.random.Generator, m: int, k: int) -> np.ndarray:
+    """m random distributions over k atoms, one per row, each atom bounded
+    away from zero.
 
     Atoms stay above MIN_ATOM; for spaces too large for that, the floor
-    scales as half the uniform weight instead.
+    scales as half the uniform weight instead.  Each row is normalized as
+    ``rng.dirichlet(np.ones(k))`` does it (sum left to right, one reciprocal),
+    so the rows equal m consecutive Dirichlet draws bit for bit.
     """
     floor = min(MIN_ATOM, 0.5 / k)
-    d = rng.dirichlet(np.ones(k))
+    gam = rng.standard_gamma(1.0, size=(m, k))
+    d = gam * (1.0 / np.cumsum(gam, axis=1)[:, -1:])
     return floor + (1.0 - floor * k) * d
 
 
@@ -108,7 +113,9 @@ class DiscreteSCM:
     graph's ``bidirected_order``, private noise of v) yielding v's value.  ``noise[v]`` is the
     private noise distribution.  ``cpts[v]`` is ``cpt(v)``, computed once
     at construction for every node whose table is not passed in.  ``plan``
-    is the diagram's elimination plan, checked against the model's arities.
+    is the diagram's elimination plan; left out, it is made and checked
+    against the model's arities, and one passed in must have been checked
+    at these arities already (``generate_pair`` checks one per pair).
     """
 
     diagram: SemiMarkovianGraph
@@ -117,11 +124,12 @@ class DiscreteSCM:
     noise: dict[str, np.ndarray]
     functions: dict[str, np.ndarray]
     cpts: Mapping[str, np.ndarray] = field(default_factory=dict, compare=False, repr=False)
-    plan: tuple[tuple, ...] = field(init=False, compare=False, repr=False)
+    plan: tuple[tuple, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        hidden_arities = {e: len(u) for e, u in self.latents.items()}
-        object.__setattr__(self, "plan", _plan(self.diagram, self.arities, hidden_arities))
+        if self.plan is None:
+            hidden_arities = {e: len(u) for e, u in self.latents.items()}
+            object.__setattr__(self, "plan", _plan(self.diagram, self.arities, hidden_arities))
         given = self.cpts
         cpts = {v: given[v] if v in given else self.cpt(v) for v in self.diagram.nodes}
         object.__setattr__(self, "cpts", MappingProxyType(cpts))
@@ -218,16 +226,22 @@ def _table(nodes: tuple[str, ...], joint: np.ndarray, do: Mapping[str, int]) -> 
     return Table(keep, joint[index])
 
 
-def _draw_scm(d: SelectionDiagram, rng: np.random.Generator, arity: int) -> DiscreteSCM:
+def _draw_scm(d: SelectionDiagram, rng: np.random.Generator, arity: int, plan: tuple) -> DiscreteSCM:
+    """One model in three generator calls: the latents, the private noise,
+    then every mechanism table in node order, each a view of one draw (one
+    ``integers`` call equals the per-node calls; a test pins this too)."""
     g = d.graph
     noise_arity = _private_noise_arity(arity)
-    latents = {e: _positive_simplex(rng, LATENT_ARITY) for e in g.bidirected_order}
-    noise = {v: _positive_simplex(rng, noise_arity) for v in g.nodes}
-    functions = {}
-    for v in g.nodes:
-        shape = (arity,) * len(g.parents[v]) + (LATENT_ARITY,) * len(g.siblings[v]) + (noise_arity,)
-        functions[v] = rng.integers(0, arity, size=shape)
-    return DiscreteSCM(g, dict.fromkeys(g.nodes, arity), latents, noise, functions)
+    latents = dict(zip(g.bidirected_order, _positive_simplex(rng, len(g.bidirected_order), LATENT_ARITY)))
+    noise = dict(zip(g.nodes, _positive_simplex(rng, len(g.nodes), noise_arity)))
+    shapes = [(arity,) * len(g.parents[v]) + (LATENT_ARITY,) * len(g.siblings[v]) + (noise_arity,)
+              for v in g.nodes]
+    flat = rng.integers(0, arity, size=sum(math.prod(s) for s in shapes))
+    functions, start = {}, 0
+    for v, shape in zip(g.nodes, shapes):
+        stop = start + math.prod(shape)
+        functions[v], start = flat[start:stop].reshape(shape), stop
+    return DiscreteSCM(g, dict.fromkeys(g.nodes, arity), latents, noise, functions, plan=plan)
 
 
 @dataclass(frozen=True)
@@ -258,30 +272,32 @@ def generate_pair(d: SelectionDiagram, seed: int, arity: int = 2) -> DiscreteMod
 
     Rejects and regenerates (incrementing a sub-seed) until both joints of
     the pair are strictly positive.  Before drawing anything, checks that
-    the diagram's plan, which every model drawn reads, fits the cell budget
-    at this arity, one-hot mechanism tables included.
+    the diagram's plan fits the cell budget at this arity, one-hot mechanism
+    tables included; that one check serves every model the call draws.
     """
-    if arity < 2:
-        raise InputError("arity must be at least 2")
-    if seed < 0:
-        raise InputError(f"seed must be at least 0, got {seed}")
+    if not is_int(arity) or arity < 2:
+        raise InputError(f"arity must be an integer of at least 2, got {arity!r}")
+    if not is_int(seed) or seed < 0:
+        raise InputError(f"seed must be an integer of at least 0, got {seed!r}")
     g = d.graph
     if len(g.nodes) > MAX_NODES:
         raise InputError(f"diagram exceeds the {MAX_NODES}-node enumeration budget")
     noise_arity = _private_noise_arity(arity)
-    _plan(g, dict.fromkeys(g.nodes, arity), dict.fromkeys(g.bidirected_edges, LATENT_ARITY), noise_arity)
+    hidden_arities = dict.fromkeys(g.bidirected_edges, LATENT_ARITY)
+    plan = _plan(g, dict.fromkeys(g.nodes, arity), hidden_arities, noise_arity)
     for attempt in range(500):
         rng = np.random.default_rng([seed, attempt])
-        source = _draw_scm(d, rng, arity)
+        source = _draw_scm(d, rng, arity, plan)
         target = source
         if d.s_targets:
+            # the target's draws interleave (noise, then mechanism, per node)
             rng_t = np.random.default_rng([seed, attempt, 1])
             noise, functions = dict(source.noise), dict(source.functions)
             for v in g.sorted(d.s_targets):
-                noise[v] = _positive_simplex(rng_t, noise_arity)
+                noise[v] = _positive_simplex(rng_t, 1, noise_arity)[0]
                 functions[v] = rng_t.integers(0, arity, size=source.functions[v].shape)
             shared = {v: c for v, c in source.cpts.items() if v not in d.s_targets}
-            target = DiscreteSCM(g, source.arities, source.latents, noise, functions, shared)
+            target = DiscreteSCM(g, source.arities, source.latents, noise, functions, shared, plan)
         pair = DiscreteModelPair(d, source, target)
         if pair.source_joint.min() > 0 and pair.target_joint.min() > 0:
             return pair
@@ -294,8 +310,8 @@ def enumerate_joint(m: DiscreteSCM, do_set: Mapping[str, int] | None = None) -> 
     do = dict(do_set or {})
     m.diagram.check_nodes(do.keys())
     for v, val in do.items():
-        if not (0 <= val < m.arities[v]):
-            raise InputError(f"value {val} out of range for {v}")
+        if not (is_int(val) and 0 <= val < m.arities[v]):
+            raise InputError(f"value {val!r} out of range for {v}")
     return _table(m.diagram.nodes, _contract(m, do), do)
 
 
@@ -342,8 +358,8 @@ class DistributionSet:
         """The distribution under one do() assignment."""
         joint = self.joint(domain, frozenset(do_assignment))
         for v, val in do_assignment.items():
-            if not (0 <= val < self.node_arities[v]):
-                raise EvalError(f"value {val} out of range for {v}")
+            if not (is_int(val) and 0 <= val < self.node_arities[v]):
+                raise EvalError(f"value {val!r} out of range for {v}")
         return _table(self.nodes, joint, do_assignment)
 
 

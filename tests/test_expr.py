@@ -266,6 +266,9 @@ def test_evaluate_marginal_lookup():
     tab = Table(("Y",), np.array([0.3, 0.7]))
     ds = DistributionSet(tab, {}, {"Y": 2})
     assert E.evaluate(E.term(E.TARGET, ["Y"]), ds, {"Y": 1}) == pytest.approx(0.7)
+    for bad in (-1, 2, True, 1.0):  # numpy would wrap, mask or refuse each
+        with pytest.raises(EvalError, match="out of range"):
+            E.evaluate(E.term(E.TARGET, ["Y"]), ds, {"Y": bad})
 
 
 def test_evaluate_missing_table():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import weakref
@@ -21,7 +22,7 @@ from ztransport.oracle import (
     validate_formula,
 )
 
-from helpers import bow_graph, chain_graph, fig2a, fig5a, fig5c, random_graph
+from helpers import GOLDEN, bow_graph, chain_graph, fig2a, fig5a, fig5c, random_diagram, random_graph
 
 D = zt.SelectionDiagram.create
 
@@ -114,6 +115,58 @@ def test_generate_pair_skips_the_target_of_an_attempt_rejected_on_its_source(mon
     assert seen[1][0] is pair.source and seen[2][0] is pair.target
 
 
+# sha256 of the draws (latents, noise and mechanisms of both models, as dtype,
+# shape and bytes) and of both joints of 280 pairs: the 8 study diagrams at
+# seeds 1-20 and the first 40 diagrams of criterion 4's stream at seeds 1-3.
+# Computed while each distribution was one rng.dirichlet call and each
+# mechanism one rng.integers call; a faster draw must draw the same models.
+PAIRS_SHA256 = "dca9cf49c246afbfafd71f079530f92bec9dd90d7a04170f12c48fc7fed9cdc2"
+
+
+def test_drawn_models_are_pinned():
+    pairs = [generate_pair(make(), seed) for make, _ in GOLDEN.values() for seed in range(1, 21)]
+    for i in range(40):
+        d = random_diagram(i, master=8101)[0]
+        pairs += [generate_pair(d, seed) for seed in range(1, 4)]
+    h = hashlib.sha256()
+    for pair in pairs:
+        g = pair.diagram.graph
+        arrays = [pair.source_joint, pair.target_joint]
+        for m in (pair.source, pair.target):
+            arrays += [m.latents[e] for e in g.bidirected_order]
+            arrays += [a for v in g.nodes for a in (m.noise[v], m.functions[v])]
+        for a in arrays:
+            h.update(f"{a.dtype.str}{a.shape}".encode())
+            h.update(a.tobytes())
+    assert h.hexdigest() == PAIRS_SHA256
+
+
+@pytest.mark.parametrize("k", [oracle.LATENT_ARITY, 8, 12, 20, 160])  # 8-160: noise at arity 2, 3, 5, 40
+def test_batched_simplex_rows_are_consecutive_dirichlet_draws(k):
+    floor = min(oracle.MIN_ATOM, 0.5 / k)
+    for seed in range(200):
+        m = seed % 7
+        batched, looped = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = oracle._positive_simplex(batched, m, k)
+        want = [floor + (1.0 - floor * k) * looped.dirichlet(np.ones(k)) for _ in range(m)]
+        assert got.shape == (m, k)
+        assert np.array_equal(got, np.reshape(want, (m, k)))
+        assert batched.bit_generator.state == looped.bit_generator.state
+
+
+@pytest.mark.parametrize("arity", [2, 3, 5, 40])
+def test_one_integers_call_equals_the_per_node_calls(arity):
+    shape_rng = np.random.default_rng(arity)  # mechanism shapes, odd sizes included
+    for seed in range(200):
+        shapes = [tuple(shape_rng.integers(1, 6, size=shape_rng.integers(0, 4))) + (k,)
+                  for k in shape_rng.integers(1, 30, size=shape_rng.integers(1, 8))]
+        batched, looped = np.random.default_rng(seed), np.random.default_rng(seed)
+        flat = batched.integers(0, arity, size=sum(math.prod(s) for s in shapes))
+        want = np.concatenate([looped.integers(0, arity, size=s).ravel() for s in shapes])
+        assert flat.dtype == want.dtype and np.array_equal(flat, want)
+        assert batched.bit_generator.state == looped.bit_generator.state
+
+
 def test_hidden_tables_positive_and_normalized():
     pair = generate_pair(fig2a(), seed=3)
     for dist in list(pair.source.latents.values()) + list(pair.source.noise.values()):
@@ -144,6 +197,27 @@ def test_target_reuses_source_cpts_outside_the_marks():
         pair.source.cpts["Z"] = None  # read-only after construction
 
 
+def test_a_model_built_directly_still_checks_the_cell_budget():
+    # five independent nodes at arity 100: a joint of 10^10 cells
+    g = zt.SemiMarkovianGraph.create([f"V{i}" for i in range(5)])
+    noise = {v: np.ones(1) for v in g.nodes}
+    functions = {v: np.zeros(1, dtype=int) for v in g.nodes}
+    with pytest.raises(InputError, match="budget"):
+        DiscreteSCM(g, dict.fromkeys(g.nodes, 100), {}, noise, functions)
+
+
+def test_generate_pair_checks_the_budget_once_however_many_attempts(monkeypatch):
+    plans, draws = [], []
+    plan, draw = oracle._plan, oracle._draw_scm
+    monkeypatch.setattr(oracle, "_plan", lambda *a, **k: plans.append(a) or plan(*a, **k))
+    monkeypatch.setattr(oracle, "_draw_scm", lambda *a: draws.append(a) or draw(*a))
+    pair = generate_pair(fig5c(), seed=3)  # attempt 0 is rejected on its source
+    assert (len(plans), len(draws)) == (1, 2)
+    assert pair.source.plan is pair.target.plan
+    pair.source.exogenized(["X1"])  # a model built any other way checks its own
+    assert len(plans) == 2
+
+
 def test_generate_pair_node_budget():
     big = zt.SemiMarkovianGraph.create([f"V{i}" for i in range(13)])
     with pytest.raises(InputError):
@@ -153,6 +227,12 @@ def test_generate_pair_node_budget():
 def test_generate_pair_rejects_arity_one():
     with pytest.raises(InputError):
         generate_pair(D(chain_graph(), []), seed=1, arity=1)
+
+
+@pytest.mark.parametrize("seed, arity", [(1, 2.5), (1, True), (1.5, 2), (True, 2), (np.int64(-1), 2)])
+def test_generate_pair_rejects_a_seed_or_arity_that_is_not_a_count(seed, arity):
+    with pytest.raises(InputError, match="must be an integer"):
+        generate_pair(D(chain_graph(), []), seed=seed, arity=arity)
 
 
 def test_generate_pair_supports_wider_arities():
@@ -271,8 +351,15 @@ def test_contraction_bidirected_edge_with_both_endpoints_intervened():
 
 def test_enumerate_rejects_out_of_range():
     pair = generate_pair(D(chain_graph(), []), seed=1)
-    with pytest.raises(InputError):
-        enumerate_joint(pair.source, {"X": 5})
+    ds = build_distribution_set(pair, ["X"])
+    for bad in (5, -1, True, 1.0):  # numpy would refuse, wrap, mask or refuse each
+        with pytest.raises(InputError, match="out of range"):
+            enumerate_joint(pair.source, {"X": bad})
+        with pytest.raises(InputError, match="out of range"):
+            ground_truth_effect(pair.source, {"X": bad}, ["Y"])
+        with pytest.raises(E.EvalError, match="out of range"):
+            ds.table_for(E.SOURCE, {"X": bad})
+    assert enumerate_joint(pair.source, {"X": np.int64(1)}).vars == ("Z", "Y")
 
 
 # -- build_distribution_set ------------------------------------------------------
@@ -393,6 +480,16 @@ def test_table_zero_conditioning_event_raises():
     t = Table(("X", "Y"), np.array([[0.5, 0.5], [0.0, 0.0]]))
     with pytest.raises(E.EvalError):
         t.conditional({"Y": 1}, {"X": 1})
+
+
+def test_table_rejects_values_out_of_range():
+    t = Table(("A", "B"), np.array([[0.1, 0.2], [0.3, 0.4]]))
+    assert t.prob({"A": np.int64(1)}) == pytest.approx(0.7)
+    for bad in (-1, 2, True, 0.0, None):  # numpy would wrap, refuse or mask each
+        with pytest.raises(E.EvalError, match="out of range"):
+            t.prob({"A": bad})
+        with pytest.raises(E.EvalError, match="out of range"):
+            t.conditional({"B": bad}, {"A": 0})
 
 
 def test_validate_formula_checks_every_auxiliary_value():
