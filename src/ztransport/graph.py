@@ -77,21 +77,27 @@ class SemiMarkovianGraph:
         return frozenset(self.nodes)
 
     @cached_property
-    def parents(self) -> dict[str, frozenset[str]]:
-        pa: dict[str, set[str]] = {n: set() for n in self.nodes}
+    def parents(self) -> dict[str, tuple[str, ...]]:
+        pa: dict[str, list[str]] = {n: [] for n in self.nodes}
         for a, b in self.directed_edges:
-            pa[b].add(a)
-        return {n: frozenset(s) for n, s in pa.items()}
+            pa[b].append(a)
+        return {n: tuple(s) for n, s in pa.items()}  # tuples: a long-lived diagram caches one per node
 
     @cached_property
-    def siblings(self) -> dict[str, frozenset[str]]:
+    def siblings(self) -> dict[str, tuple[str, ...]]:
         """Bidirected-edge neighbours."""
-        ne: dict[str, set[str]] = {n: set() for n in self.nodes}
+        ne: dict[str, list[str]] = {n: [] for n in self.nodes}
         for e in self.bidirected_edges:
             a, b = e
-            ne[a].add(b)
-            ne[b].add(a)
-        return {n: frozenset(s) for n, s in ne.items()}
+            ne[a].append(b)
+            ne[b].append(a)
+        return {n: tuple(s) for n, s in ne.items()}
+
+    @cached_property
+    def forward(self) -> bool:
+        """Every arrow points from an earlier-declared node to a later one."""
+        index = self.index
+        return all(index[a] < index[b] for a, b in self.directed_edges)
 
     @cached_property
     def bidirected_order(self) -> tuple[frozenset[str], ...]:
@@ -148,10 +154,11 @@ class Query:
         g.check_nodes(self.z)
 
 
-def _reach(adj: dict, start: Iterable, stop: Container = frozenset()) -> frozenset:
-    """``start`` plus every node reachable from it through ``adj``, a map
-    from each node to its neighbours; a node in ``stop`` is reached but not
-    walked from."""
+def _reach(adj: dict, start: Iterable, stop: Container = frozenset(), keep: Container | None = None) -> frozenset:
+    """``start`` plus every node reachable from it through ``adj``, a map from
+    each node to its neighbours, inside ``keep`` (default: all of ``adj``);
+    a node in ``stop`` is reached but not walked from."""
+    keep = adj if keep is None else keep
     front = list(start)
     seen = set(front)
     while front:
@@ -159,20 +166,22 @@ def _reach(adj: dict, start: Iterable, stop: Container = frozenset()) -> frozens
         if n in stop:
             continue
         for m in adj[n]:
-            if m not in seen:
+            if m not in seen and m in keep:
                 seen.add(m)
                 front.append(m)
     return frozenset(seen)
 
 
-def ancestors(g: SemiMarkovianGraph, w: Iterable[str], cut: frozenset[str] = frozenset()) -> frozenset[str]:
-    """Directed-path ancestors of w within g, inclusive of w itself.
+def ancestors(
+    g: SemiMarkovianGraph, w: Iterable[str], cut: frozenset[str] = frozenset(), within: frozenset[str] | None = None
+) -> frozenset[str]:
+    """Directed-path ancestors of w, inclusive of w, in G[within] (default: all of g), which must hold w.
 
     Bidirected edges contribute no ancestry.  The arrows into ``cut`` are
-    not followed, so the result is ``ancestors(mutilate(g, cut), w)``
-    without building the mutilated graph; ``cut`` may name nodes outside g.
+    not followed, so the result is ``ancestors(induced_subgraph(g, within,
+    cut), w)`` without building that graph; ``cut`` may name nodes outside g.
     """
-    return _reach(g.parents, g.check_nodes(w), cut)
+    return _reach(g.parents, g.check_nodes(w), cut, within)
 
 
 def induced_subgraph(g: SemiMarkovianGraph, w: Iterable[str], cut: Iterable[str] = ()) -> SemiMarkovianGraph:
@@ -193,10 +202,11 @@ def mutilate(g: SemiMarkovianGraph, cut_incoming: Iterable[str] = ()) -> SemiMar
     return induced_subgraph(g, g.nodes, cut_incoming)
 
 
-def c_component(g: SemiMarkovianGraph, w: Iterable[str]) -> frozenset[str]:
-    """Nodes joined to w by bidirected paths in g, inclusive of w: for a
-    bidirected-connected w, the member of ``c_components(g)`` holding it."""
-    return _reach(g.siblings, g.check_nodes(w))
+def c_component(g: SemiMarkovianGraph, w: Iterable[str], within: frozenset[str] | None = None) -> frozenset[str]:
+    """Nodes joined to w by bidirected paths in G[within] (default: all of g),
+    inclusive of w, which it must hold: for a bidirected-connected w, the
+    member of ``c_components(g, within)`` holding it."""
+    return _reach(g.siblings, g.check_nodes(w), keep=within)
 
 
 def c_components(g: SemiMarkovianGraph, w: Iterable[str] | None = None) -> list[frozenset[str]]:
@@ -204,54 +214,56 @@ def c_components(g: SemiMarkovianGraph, w: Iterable[str] | None = None) -> list[
     components of G[w], without building G[w]; ordered by the declaration
     index of each component's earliest member."""
     keep = g.node_set if w is None else g.check_nodes(w)
-    siblings = {v: g.siblings[v] & keep for v in keep}  # the bidirected edges of G[w]
     visited: set[str] = set()
     comps: list[frozenset[str]] = []
     for start in g.sorted(keep):
         if start not in visited:
-            comps.append(_reach(siblings, (start,)))
+            comps.append(_reach(g.siblings, (start,), keep=keep))
             visited |= comps[-1]
     return comps
 
 
-def topological_order(g: SemiMarkovianGraph) -> list[str]:
-    """Topological order of the directed part, declaration order as tie-break:
-    each step takes the ready node of smallest declaration index.  When every
-    arrow points from an earlier-declared node to a later one, that is
-    declaration order itself, so it is returned without the heap."""
+def topological_order(
+    g: SemiMarkovianGraph, w: Iterable[str] | None = None, cut: frozenset[str] = frozenset()
+) -> list[str]:
+    """Topological order of the directed part of G[w] (default: all of g)
+    less the arrows into ``cut``, declaration order as tie-break: each step
+    takes the ready node of smallest declaration index.  On a forward graph,
+    and so on every subgraph of one, that is declaration order itself; on
+    any other, G[w]'s order need not be g's order filtered to w."""
+    keep = g.node_set if w is None else g.check_nodes(w)
+    if g.forward:
+        return list(g.sorted(keep))
     index = g.index
-    for a, b in g.directed_edges:
-        if index[a] >= index[b]:
-            break
-    else:
-        return list(g.nodes)
-    indeg = [0] * len(g.nodes)
-    children: list[list[int]] = [[] for _ in g.nodes]
-    for a, b in g.directed_edges:
-        indeg[index[b]] += 1
-        children[index[a]].append(index[b])
-    ready = [i for i, d in enumerate(indeg) if d == 0]  # ascending: a heap
+    indeg = dict.fromkeys(keep, 0)
+    children: dict[str, list[str]] = {v: [] for v in keep}
+    for v in keep.difference(cut):
+        for p in g.parents[v]:
+            if p in keep:
+                indeg[v] += 1
+                children[p].append(v)
+    ready = sorted(index[v] for v, d in indeg.items() if d == 0)  # ascending: a heap
     order: list[str] = []
     while ready:
-        i = heapq.heappop(ready)
-        order.append(g.nodes[i])
-        for c in children[i]:
+        v = g.nodes[heapq.heappop(ready)]
+        order.append(v)
+        for c in children[v]:
             indeg[c] -= 1
             if indeg[c] == 0:
-                heapq.heappush(ready, c)
-    if len(order) != len(g.nodes):
-        raise GraphError(f"directed part contains a cycle: {' -> '.join(_cycle(g, set(order)))}")
+                heapq.heappush(ready, index[c])
+    if len(order) != len(keep):
+        raise GraphError(f"directed part contains a cycle: {' -> '.join(_cycle(g, keep.difference(order)))}")
     return order
 
 
-def _cycle(g: SemiMarkovianGraph, done: set[str]) -> list[str]:
-    """A directed cycle, first node repeated last, among the nodes Kahn's
-    loop left unsorted: each keeps an unsorted parent, so walking up such
+def _cycle(g: SemiMarkovianGraph, left: frozenset[str]) -> list[str]:
+    """A directed cycle, first node repeated last, among the nodes Kahn's loop
+    ``left`` unsorted: each keeps a parent among them, so walking up such
     parents from the earliest-declared one must come back to a node."""
-    path, n = {}, next(n for n in g.nodes if n not in done)  # a dict: ordered, O(1) lookups
+    path, n = {}, min(left, key=g.index.__getitem__)  # a dict: ordered, O(1) lookups
     while n not in path:
         path[n] = None
-        n = min(g.parents[n] - done, key=g.index.__getitem__)
+        n = min((p for p in g.parents[n] if p in left), key=g.index.__getitem__)
     walk = list(path)
     return [n, *walk[:walk.index(n):-1], n]
 

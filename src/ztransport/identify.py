@@ -17,6 +17,11 @@ the product of conditionals built over a c-component, an expression whose
 marginals are sums of it and whose conditionals are quotients of those.
 Both answer ``restrict``, ``marginal_expr`` and ``conditional_expr``; only
 a base distribution can switch on experiments.
+
+Every call reads one diagram g, never rebuilt, and a node set V.  The
+graph at hand is G[V] with the arrows into ``P.do`` cut: the cut is always
+exactly the experiment the current distribution comes from.  A graph is
+built only for a failure witness.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ class DistLabel:
         if self.domain == E.TARGET and self.do:
             raise InputError("target distributions carry no interventions")
 
-    def restrict(self, keep: tuple[str, ...]) -> "DistLabel":
+    def restrict(self, keep: frozenset[str]) -> "DistLabel":
         return self
 
     def marginal_expr(self, y: tuple[str, ...]) -> ProbExpr:
@@ -136,10 +141,9 @@ class _Joint:
     rand_vars: tuple[str, ...]
     do: frozenset[str]
 
-    def restrict(self, keep: tuple[str, ...]) -> "_Joint":
-        keep_set = frozenset(keep)
-        removed = [v for v in self.rand_vars if v not in keep_set]
-        kept = tuple(v for v in self.rand_vars if v in keep_set)
+    def restrict(self, keep: frozenset[str]) -> "_Joint":
+        removed = [v for v in self.rand_vars if v not in keep]
+        kept = tuple(v for v in self.rand_vars if v in keep)
         return _Joint(marginal_sum(removed, self.joint), kept, self.do)
 
     def marginal_expr(self, y: tuple[str, ...]) -> ProbExpr:
@@ -152,10 +156,11 @@ class _Joint:
         return E.Quotient(num, den)
 
 
-def _chain_over(P: DistLabel | _Joint, g: SemiMarkovianGraph, members: frozenset[str]) -> _Joint:
+def _chain_over(P: DistLabel | _Joint, g: SemiMarkovianGraph, V: frozenset[str], members: frozenset[str]) -> _Joint:
     """The joint of ``members`` as the product of P's conditionals, each
-    variable given every predecessor in g's topological order (ID's line 7)."""
-    order = topological_order(g)
+    variable given every predecessor in the topological order of the graph
+    at hand (ID's line 7)."""
+    order = topological_order(g, V, P.do)
     rand_vars, factors = [], []
     for i, v in enumerate(order):
         if v in members:
@@ -173,12 +178,12 @@ def _gid(
     z: frozenset[str],
     P: DistLabel | _Joint,
     g: SemiMarkovianGraph,
+    V: frozenset[str],
     trace: IdentTrace,
     depth: int,
 ) -> ProbExpr:
-    """Identify P_x(y) from P, switching on experiments on subsets of z.
-    P reads the experiment on ``P.do``, which may name nodes outside ``g``;
-    g may still carry arrows into ``P.do``; the ancestral step cuts them."""
+    """Identify P_x(y) from P, switching on experiments on subsets of z, in
+    the graph at hand: G[V] with the arrows into ``P.do`` cut."""
     if depth <= 0:
         raise InternalError("recursion depth guard exceeded")
 
@@ -186,17 +191,11 @@ def _gid(
     if not x:
         return P.marginal_expr(g.sorted(y))
 
-    # restrict to the ancestors of y with the arrows into P's experiment
-    # cut: the only place the recursion cuts arrows
-    an_y = ancestors(g, y, cut=P.do)
-    cut = P.do & an_y
-    if len(an_y) < len(g.nodes) or any(g.parents[v] or g.siblings[v] for v in cut):
-        g = induced_subgraph(g, an_y, cut)
-        P = P.restrict(g.nodes)
-        x &= an_y
-        if not x:
-            return P.marginal_expr(g.sorted(y))
-    V = g.node_set
+    # restrict to the ancestors of y
+    V = ancestors(g, y, cut=P.do, within=V)
+    P, x = P.restrict(V), x & V
+    if not x:
+        return P.marginal_expr(g.sorted(y))
 
     # cover x with the non-ancestors it creates, switching on experiments
     # where the controllable set allows it; y is among its own ancestors, so
@@ -204,7 +203,7 @@ def _gid(
     xa = (x | P.do) & V
     w = V - xa - y
     if w:
-        w -= ancestors(g, y, cut=xa)
+        w -= ancestors(g, y, cut=xa, within=V)
     z_w = z & (x | w)
     if z_w | w:
         if z_w:
@@ -214,7 +213,7 @@ def _gid(
             if not isinstance(P, DistLabel):
                 raise InternalError("activation requires a base distribution")
             P = DistLabel(P.domain, P.do | z_w)
-        return _gid(y, (x | w) - z_w, z - z_w, P, g, trace, depth - 1)
+        return _gid(y, (x | w) - z_w, z - z_w, P, g, V, trace, depth - 1)
 
     # factorize over the confounded components
     comps = c_components(g, V - xa)
@@ -230,24 +229,23 @@ def _gid(
             if newly and not isinstance(P, DistLabel):
                 raise InternalError("activation requires a base distribution")
             p_i = DistLabel(P.domain, P.do | newly) if newly else P
-            factors.append(_gid(c, V - c - z, z & c, p_i, g, trace, depth - 1))
+            factors.append(_gid(c, V - c - z, z & c, p_i, g, V, trace, depth - 1))
         return sum_over(g.sorted(V - (y | xa)), product(factors))
     c = comps[0]
 
-    # the confounded component of g holding c; spanning the whole graph, it
-    # is a dead end
-    containing = c_component(g, c)
+    # the confounded component holding c, where the cut leaves no bidirected
+    # edge at P.do; spanning the whole graph at hand, it is a dead end
+    containing = c_component(g, c, within=V - P.do)
     if containing == V:
-        raise FailedFactor(Witness("hedge", g, induced_subgraph(g, c)))
+        raise FailedFactor(Witness("hedge", induced_subgraph(g, V, P.do), induced_subgraph(g, c)))
 
-    chain = _chain_over(P, g, containing)
-    # the component is intact in g: emit its factor chain directly
+    chain = _chain_over(P, g, V, containing)
+    # the component is intact in the graph at hand: emit its factor chain directly
     if c == containing:
         return marginal_sum(g.sorted(c - y), chain.joint)
 
     # otherwise descend into the strictly larger component
-    g2 = induced_subgraph(g, containing)
-    return _gid(y, x & containing, z, chain, g2, trace, depth - 1)
+    return _gid(y, x & containing, z, chain, g, containing, trace, depth - 1)
 
 
 def _identify(
@@ -286,7 +284,7 @@ def gid_z(
     distribution plus experiments on subsets of z.  Returns a source-only
     formula or a hedge witness."""
     return _identify(
-        y, x, z, g, lambda q, trace, depth: _gid(q.y, q.x, q.z, DistLabel(), g, trace, depth)
+        y, x, z, g, lambda q, trace, depth: _gid(q.y, q.x, q.z, DistLabel(), g, g.node_set, trace, depth)
     )
 
 
@@ -312,7 +310,7 @@ def bi(y: Iterable[str], x: Iterable[str], dist: DistLabel, g: SemiMarkovianGrap
         if not any(q.y <= c for c in c_components(g, rest)):
             raise InputError("y must lie inside one confounded component of g minus x")
     # the recursion reads the do-set as a frozenset, whatever dist was given
-    return _gid(q.y, q.x, frozenset(), DistLabel(dist.domain, q.z), g, IdentTrace(), 4 * len(g.nodes) + 8)
+    return _gid(q.y, q.x, frozenset(), DistLabel(dist.domain, q.z), g, g.node_set, IdentTrace(), 4 * len(g.nodes) + 8)
 
 
 def direct_transportable(c: frozenset[str], d: SelectionDiagram) -> bool:
@@ -332,17 +330,14 @@ def _sid(
     """sID^z: P_x(y) in the target from the target's observational
     distribution and source experiments on subsets of z.  After the
     c-component factorization each factor c is identified by BI, whose
-    ancestral step gives it G[An(c)] with the arrows into its experiment
+    ancestral step narrows it to An(c) with the arrows into its experiment
     cut, so its cost grows with An(c), not with the whole diagram."""
     g = d.graph
     # restrict to the ancestors of y
-    an_y = ancestors(g, y)
-    x, z = x & an_y, z & an_y
+    V = ancestors(g, y)
+    x, z = x & V, z & V
     if not x:
         return term(E.TARGET, outcome=g.sorted(y))
-    if an_y != g.node_set:
-        g = induced_subgraph(g, an_y)
-    V = g.node_set
     # cover x with the non-ancestors it creates; experiments stay inactive
     # until after the factorization
     x |= V - ancestors(g, y, cut=x)
@@ -359,7 +354,7 @@ def _sid(
         do_set = z - c if direct else frozenset()
         base = DistLabel(E.SOURCE if direct else E.TARGET, do_set)
         try:
-            factors.append(_gid(c, V - c - do_set, frozenset(), base, g, trace, depth))
+            factors.append(_gid(c, V - c - do_set, frozenset(), base, g, V, trace, depth))
         except FailedFactor as e:
             if direct:
                 raise

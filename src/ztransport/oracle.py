@@ -114,8 +114,10 @@ class DiscreteSCM:
     private noise distribution.  ``cpts[v]`` is ``cpt(v)``, computed once
     at construction for every node whose table is not passed in.  ``plan``
     is the diagram's elimination plan; left out, it is made and checked
-    against the model's arities, and one passed in must have been checked
-    at these arities already (``generate_pair`` checks one per pair).
+    against the model's arities, and the mechanism tables are checked too.
+    One passed in must have been checked at these arities already, with
+    well-formed tables (``generate_pair`` checks one per pair and draws
+    its tables in range).
     """
 
     diagram: SemiMarkovianGraph
@@ -128,11 +130,32 @@ class DiscreteSCM:
 
     def __post_init__(self):
         if self.plan is None:
+            self._check_mechanisms()
             hidden_arities = {e: len(u) for e, u in self.latents.items()}
             object.__setattr__(self, "plan", _plan(self.diagram, self.arities, hidden_arities))
         given = self.cpts
         cpts = {v: given[v] if v in given else self.cpt(v) for v in self.diagram.nodes}
         object.__setattr__(self, "cpts", MappingProxyType(cpts))
+
+    def _check_mechanisms(self) -> None:
+        """Raise InputError unless every mechanism table is an integer array
+        of the shape its inputs give, holding only values of its node (numpy
+        would read a negative value as an index from the end)."""
+        g = self.diagram
+        for v in g.nodes:
+            fn = self.functions.get(v)
+            if not (isinstance(fn, np.ndarray) and np.issubdtype(fn.dtype, np.integer)):
+                raise InputError(f"mechanism of {v} must be an integer array")
+            try:
+                k = self.arities[v]
+                shape = (*(self.arities[p] for p in g.sorted(g.parents[v])),
+                         *(len(self.latents[e]) for e in g.bidirected_order if v in e), len(self.noise[v]))
+            except KeyError as e:
+                raise InputError(f"model has no arity, latent or noise for {e.args[0]}") from None
+            if fn.shape != shape:
+                raise InputError(f"mechanism of {v} has shape {fn.shape}, not {shape}")
+            if fn.size and not (fn.min() >= 0 and fn.max() < k):
+                raise InputError(f"mechanism of {v} has a value outside 0..{k - 1}")
 
     def cpt(self, v: str) -> np.ndarray:
         """P(v | observed parents, shared latents at v), private noise folded in.

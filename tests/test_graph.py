@@ -85,6 +85,10 @@ def test_ancestors_with_a_cut_equal_ancestors_of_the_mutilated_graph():
         w = [v for v in g.nodes if rng.random() < 0.3]
         cut = frozenset(v for v in g.nodes if rng.random() < 0.4)
         assert zt.ancestors(g, w, cut=cut) == zt.ancestors(zt.mutilate(g, cut), w)
+        # within a node set holding w: the ancestors in the cut subgraph on it
+        within = frozenset(w).union(v for v in g.nodes if rng.random() < 0.6)
+        sub = zt.induced_subgraph(g, within, cut)
+        assert zt.ancestors(g, w, cut=cut, within=within) == zt.ancestors(sub, w)
     # nodes outside g in the cut are never reached
     assert zt.ancestors(chain(), ["Y"], cut=frozenset({"X", "Q"})) == {"X", "Y"}
 
@@ -210,6 +214,9 @@ def test_c_component_is_the_member_of_the_partition_holding_w():
             w = {u for u in containing if rng.random() < 0.5} | {v}
             if len(zt.c_components(zt.induced_subgraph(g, w))) == 1:
                 assert zt.c_component(g, w) == containing
+            # within a node set holding v: the component of G[within] holding it
+            within = frozenset(u for u in g.nodes if rng.random() < 0.6) | {v}
+            assert zt.c_component(g, [v], within=within) == zt.c_component(zt.induced_subgraph(g, within), [v])
 
 
 def test_c_components_of_a_node_set_partition_its_induced_subgraph():
@@ -276,12 +283,18 @@ def sort_every_pop_order(g):
 def test_topological_order_equals_the_sort_every_pop_reference():
     # random_graph declares every arrow forward, which topological_order
     # answers without the heap; most shuffled redeclarations do not
-    graphs = [random_graph(seed, master=23, max_nodes=10, max_bi=6)[0] for seed in range(60)]
-    graphs += [g for g, _ in redeclared_graphs(master=23)]
-    forward = [all(g.index[a] < g.index[b] for a, b in g.directed_edges) for g in graphs]
+    graphs = [random_graph(seed, master=23, max_nodes=10, max_bi=6) for seed in range(60)]
+    graphs += redeclared_graphs(master=23)
+    forward = [all(g.index[a] < g.index[b] for a, b in g.directed_edges) for g, _ in graphs]
     assert any(forward) and not all(forward)
-    for g in graphs:
+    assert [g.forward for g, _ in graphs] == forward
+    for g, rng in graphs:
         assert zt.topological_order(g) == sort_every_pop_order(g)
+        # on a node set less the arrows into a cut: the order of that subgraph
+        w = [v for v in g.nodes if rng.random() < 0.6]
+        cut = frozenset(v for v in g.nodes if rng.random() < 0.3)
+        sub = zt.induced_subgraph(g, w, cut)
+        assert zt.topological_order(g, w, cut) == zt.topological_order(sub) == sort_every_pop_order(sub)
 
 
 def test_topological_order_names_a_cycle():
@@ -291,6 +304,10 @@ def test_topological_order_names_a_cycle():
     loop = zt.SemiMarkovianGraph(("A", "B"), frozenset({("A", "B"), ("B", "B")}), frozenset())
     with pytest.raises(GraphError, match=r"^directed part contains a cycle: B -> B$"):
         zt.topological_order(loop)
+    # on a node set, the cycle is one inside it
+    with pytest.raises(GraphError, match=r"^directed part contains a cycle: B -> B$"):
+        zt.topological_order(loop, ["B"])
+    assert zt.topological_order(loop, ["A", "B"], frozenset({"B"})) == ["A", "B"]
 
 
 def test_a_cycle_message_names_a_cycle_of_the_graph():
@@ -318,6 +335,7 @@ def test_topological_order_of_an_ancestral_subgraph_is_the_filtered_order():
     g = G(["A", "C", "D"], [("D", "A")])
     assert zt.topological_order(g) == ["C", "D", "A"]
     assert zt.topological_order(zt.induced_subgraph(g, ["A", "C"])) == ["A", "C"]
+    assert zt.topological_order(g, ["A", "C"]) == ["A", "C"]
 
 
 # -- m-separation ---------------------------------------------------------

@@ -433,6 +433,38 @@ def test_results_on_random_diagrams_are_pinned():
     assert h.hexdigest() == RESULTS_SHA256
 
 
+def redeclared_diagram(seed: int, master: int = 37):
+    """random_diagram(seed, master) with its nodes declared in a shuffled
+    order, so declaration order is mostly no topological order."""
+    d, x, y, z = random_diagram(seed, master)
+    g = d.graph
+    rng = np.random.default_rng([master, seed, 1])
+    g = zt.SemiMarkovianGraph.create(
+        [str(v) for v in rng.permutation(g.nodes)], g.directed_edges, [tuple(e) for e in g.bidirected_edges]
+    )
+    return D(g, d.s_targets), x, y, z
+
+
+# sha256 of the records of the same 3,000 results on the diagrams re-declared
+# in a shuffled order, where every order is read off the arrows, not the
+# declaration; computed before the recursion read node sets instead of built
+# subgraphs
+REDECLARED_RESULTS_SHA256 = "675c6e6088f3fb673986974ad0c61a2dcb35017569e2a6684b5e517f6df18ea3"
+
+
+def test_results_on_redeclared_random_diagrams_are_pinned():
+    h = hashlib.sha256()
+    forward = 0
+    for seed in range(1000):
+        d, x, y, z = redeclared_diagram(seed)
+        g = d.graph
+        forward += all(g.index[a] < g.index[b] for a, b in g.directed_edges)
+        for r in (sid_z(y, x, d, z), gid_z(y, x, z, g), transportable(y, x, d)):
+            h.update(json.dumps(result_record(r), sort_keys=True).encode())
+    assert forward < 500  # most re-declarations are not forward
+    assert h.hexdigest() == REDECLARED_RESULTS_SHA256
+
+
 # sha256 of the text and LaTeX renders, raw and normalized, of the formulas
 # of the same 3,000 results, computed before the two renderers were one walk
 # and recomputed when a primed dummy took its base's LaTeX spelling (v1' is
@@ -518,51 +550,62 @@ def test_transport_decision_agrees_with_its_two_ingredients():
                 assert (w.kind == "shedge") == bool(w.s_targets_in_component)
 
 
+def spy_on(monkeypatch, name):
+    """Rebind ``identify.<name>`` to a wrapper that records each call's
+    arguments and result; returns the list of (args, kwargs, result)."""
+    calls, fn = [], getattr(identify, name)
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs, fn(*args, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(identify, name, spy)
+    return calls
+
+
 def test_gid_factors_get_their_own_ancestral_graphs(monkeypatch):
     # gid_z decomposes into {U}, {Z}, {Y1}, {Y2} and switches on the
-    # experiment on Z for three of them; each factor's graph is its own
-    # ancestral set (arrows into Z cut), never the whole diagram
+    # experiment on Z for three of them; each factor's chain is read off its
+    # own ancestral set (arrows into Z cut), never the whole diagram, and
+    # no graph is built
     g = zt.SemiMarkovianGraph.create(
         ["U", "Z", "X", "Y1", "Y2"],
         [("U", "Z"), ("Z", "X"), ("X", "Y1"), ("Z", "Y1"), ("X", "Y2"), ("U", "Y2")],
     )
-    # the ancestral step passes a cut, possibly empty; no other call does
-    received = []
-    induced_subgraph = identify.induced_subgraph
-
-    def spy(h, w, *cut):
-        sub = induced_subgraph(h, w, *cut)
-        if cut:
-            received.append(sub)
-        return sub
-
-    monkeypatch.setattr(identify, "induced_subgraph", spy)
+    # the graph at hand, G[V] less the arrows into the cut, is what a chain is read off
+    orders = spy_on(monkeypatch, "topological_order")
+    built = spy_on(monkeypatch, "induced_subgraph")
     r = gid_z(["Y1", "Y2"], ["X"], ["Z"], g)
     assert r.ok and r.trace.decompositions == 1
     assert len(r.trace.partition) == 4
-    ancestral = {zt.ancestors(g, c, cut=frozenset({"Z"}) - c) for c in r.trace.partition}
-    assert received
-    for h in received:
-        assert h.node_set != g.node_set
-        assert h.node_set in ancestral
+    ancestral = {(zt.ancestors(g, c, cut=frozenset({"Z"}) - c), frozenset({"Z"}) - c) for c in r.trace.partition}
+    read = [(frozenset(w), cut) for (_, w, cut), _, _ in orders]
+    assert len(read) == 3
+    for w, cut in read:
+        assert w != g.node_set
+        assert (w, cut) in ancestral
+    assert built == []
     assert check_sound(r.formula, D(g, []), ["X"], ["Y1", "Y2"], ["Z"]) <= TOL
 
 
-def test_sid_z_builds_only_the_graphs_its_factors_recurse_on(monkeypatch):
-    # fig5c factorizes into {V1}, {Y1}, {Y2}; the partitions are read off
-    # the graph at hand, so the only graphs built are the three factors'
-    # ancestral graphs, arrows into each factor's experiment cut
-    built = []
-    induced_subgraph = identify.induced_subgraph
-
-    def spy(h, w, *cut):
-        built.append(induced_subgraph(h, w, *cut))
-        return built[-1]
-
-    monkeypatch.setattr(identify, "induced_subgraph", spy)
+def test_sid_z_builds_no_graph_unless_it_fails(monkeypatch):
+    # fig5c factorizes into {V1}, {Y1}, {Y2}; each factor's ancestral step
+    # narrows the node set to its own ancestral set, arrows into its
+    # experiment cut; the partitions are read off the node set at hand
+    narrowed = spy_on(monkeypatch, "ancestors")
+    built = spy_on(monkeypatch, "induced_subgraph")
     r = sid_z(["Y1", "Y2"], ["X1", "X2"], fig5c(), ["V1", "X2"])
     assert r.ok and r.trace.partition == ({"V1"}, {"Y1"}, {"Y2"})
-    assert [h.nodes for h in built] == [("V1",), ("X1", "V1", "Y1"), ("X2", "V1", "Y2")]
+    # the ancestral step reads a node set; sid_z's own calls read the diagram
+    assert [(an, kw["cut"]) for _, kw, an in narrowed if "within" in kw] == [
+        ({"V1"}, {"X2"}), ({"X1", "V1", "Y1"}, set()), ({"X2", "V1", "Y2"}, {"V1", "X2"})
+    ]
+    assert built == []
+    # a query that transports builds no graph; one that fails builds its
+    # witness's two graphs and nothing else
+    assert transportable(["Y"], ["X"], fig2a()).ok and built == []
+    w = transportable(["Y"], ["X"], D(bow_graph(), ["Y"])).witness
+    assert [sub for _, _, sub in built] == [w.f_graph, w.f_sub]
 
 
 def test_single_activation_and_matching_decompositions():

@@ -206,6 +206,52 @@ def test_a_model_built_directly_still_checks_the_cell_budget():
         DiscreteSCM(g, dict.fromkeys(g.nodes, 100), {}, noise, functions)
 
 
+def bow_model(y_table):
+    """A model on X -> Y, X <-> Y: X reads (latent, noise), Y reads (X, latent, noise)."""
+    g = bow_graph()
+    latents = {e: np.full(4, 0.25) for e in g.bidirected_edges}
+    noise = {v: np.array([0.5, 0.5]) for v in g.nodes}
+    functions = {"X": np.zeros((4, 2), dtype=int), "Y": y_table}
+    return DiscreteSCM(g, {"X": 2, "Y": 2}, latents, noise, functions)
+
+
+@pytest.mark.parametrize(
+    "y_table, message",
+    [
+        (np.full((2, 4, 2), 5), "value outside 0..1"),
+        (np.full((2, 4, 2), -1), "value outside 0..1"),  # numpy would index from the end
+        (np.zeros((2, 2), dtype=int), r"shape \(2, 2\), not \(2, 4, 2\)"),
+        (np.zeros((2, 4, 2, 1), dtype=int), "shape"),
+        (np.zeros((2, 4, 2)), "integer array"),
+        (np.zeros((2, 4, 2), dtype=bool), "integer array"),
+        ([[[0, 0]] * 4] * 2, "integer array"),
+    ],
+    ids=["too-large", "negative", "too-few-axes", "too-many-axes", "float", "bool", "list"],
+)
+def test_a_malformed_mechanism_table_is_an_input_error(y_table, message):
+    with pytest.raises(InputError, match=message):
+        bow_model(y_table)
+
+
+def test_a_model_missing_an_input_is_an_input_error():
+    g = chain_graph()
+    noise = {v: np.array([0.5, 0.5]) for v in ("Z", "X")}  # none for Y
+    functions = {"Z": np.zeros(2, dtype=int), "X": np.zeros((2, 2), dtype=int), "Y": np.zeros((2, 2), dtype=int)}
+    with pytest.raises(InputError, match="no arity, latent or noise for Y"):
+        DiscreteSCM(g, dict.fromkeys(g.nodes, 2), {}, noise, functions)
+    noise["Y"] = noise["X"]
+    del functions["Y"]
+    with pytest.raises(InputError, match="mechanism of Y must be an integer array"):
+        DiscreteSCM(g, dict.fromkeys(g.nodes, 2), {}, noise, functions)
+
+
+def test_a_well_formed_model_built_directly_enumerates():
+    y = np.zeros((2, 4, 2), dtype=np.int8)
+    y[1] = 1  # Y copies X
+    t = enumerate_joint(bow_model(y))
+    assert t.prob({"X": 0, "Y": 0}) == pytest.approx(1.0)
+
+
 def test_generate_pair_checks_the_budget_once_however_many_attempts(monkeypatch):
     plans, draws = [], []
     plan, draw = oracle._plan, oracle._draw_scm
