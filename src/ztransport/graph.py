@@ -5,6 +5,8 @@ bidirected edges, each standing for a hidden common cause of its two
 endpoints.  All values are immutable; every operation returns a new graph.
 Node order is declaration order and is used as the canonical tie-break
 everywhere, so results are deterministic.
+A node set may also be a mask, an int whose bit i stands for ``g.nodes[i]``;
+one walk over masks, ``_reach``, answers every reachability question.
 """
 
 from __future__ import annotations
@@ -13,9 +15,11 @@ import heapq
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Container, Iterable
+from itertools import compress
+from typing import Iterable, Sequence
 
 NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_BITS = bytes.maketrans(b"01", b"\0\1")  # bin()'s digits as compress() selectors
 
 
 class InputError(ValueError):
@@ -94,6 +98,23 @@ class SemiMarkovianGraph:
         return {n: tuple(s) for n, s in ne.items()}
 
     @cached_property
+    def parent_bits(self) -> tuple[int, ...]:
+        """The mask of node i's parents, for each i."""
+        return self._bits(self.directed_edges)
+
+    @cached_property
+    def sibling_bits(self) -> tuple[int, ...]:
+        """The mask of node i's bidirected-edge neighbours, for each i."""
+        return self._bits(arrow for a, b in self.bidirected_edges for arrow in ((a, b), (b, a)))
+
+    def _bits(self, arrows: Iterable[tuple[str, str]]) -> tuple[int, ...]:
+        """For each node i, the mask of the tails of the given arrows into it."""
+        bits = [0] * len(self.nodes)
+        for a, b in arrows:
+            bits[self.index[b]] |= 1 << self.index[a]
+        return tuple(bits)
+
+    @cached_property
     def forward(self) -> bool:
         """Every arrow points from an earlier-declared node to a later one."""
         index = self.index
@@ -108,6 +129,14 @@ class SemiMarkovianGraph:
     def sorted(self, nodes: Iterable[str]) -> tuple[str, ...]:
         """Return the given nodes in declaration order."""
         return tuple(sorted(nodes, key=self.index.__getitem__))
+
+    def mask(self, nodes: Iterable[str]) -> int:
+        """The mask of the given nodes, less any name outside g."""
+        return sum({1 << self.index[n] for n in nodes if n in self.index})
+
+    def names(self, m: int) -> tuple[str, ...]:
+        """The nodes of mask m in declaration order."""
+        return tuple(_pick(self.nodes, m))
 
     def check_nodes(self, nodes: Iterable[str]) -> frozenset[str]:
         s = frozenset(nodes)
@@ -154,22 +183,24 @@ class Query:
         g.check_nodes(self.z)
 
 
-def _reach(adj: dict, start: Iterable, stop: Container = frozenset(), keep: Container | None = None) -> frozenset:
-    """``start`` plus every node reachable from it through ``adj``, a map from
-    each node to its neighbours, inside ``keep`` (default: all of ``adj``);
-    a node in ``stop`` is reached but not walked from."""
-    keep = adj if keep is None else keep
-    front = list(start)
-    seen = set(front)
+def _pick(items: Sequence, m: int) -> Iterable:
+    """The items at the set bits of mask m, in index order."""
+    return compress(items, bin(m)[:1:-1].encode().translate(_BITS))
+
+
+def _reach(adj: Sequence[int], start: int, stop: int = 0, keep: int = -1) -> int:
+    """The mask of ``start`` plus every index reachable from it through
+    ``adj`` (``adj[i]`` the mask of i's neighbours) inside mask ``keep``
+    (default: everywhere); an index in ``stop`` is reached but not walked from."""
+    unseen, go, front = keep & ~start, ~stop, start & ~stop
     while front:
-        n = front.pop()
-        if n in stop:
-            continue
-        for m in adj[n]:
-            if m not in seen and m in keep:
-                seen.add(m)
-                front.append(m)
-    return frozenset(seen)
+        i = front.bit_length() - 1
+        front ^= 1 << i
+        new = adj[i] & unseen
+        if new:
+            unseen ^= new
+            front |= new & go
+    return start | keep & ~unseen
 
 
 def ancestors(
@@ -181,7 +212,8 @@ def ancestors(
     not followed, so the result is ``ancestors(induced_subgraph(g, within,
     cut), w)`` without building that graph; ``cut`` may name nodes outside g.
     """
-    return _reach(g.parents, g.check_nodes(w), cut, within)
+    keep = -1 if within is None else g.mask(within)
+    return frozenset(g.names(_reach(g.parent_bits, g.mask(g.check_nodes(w)), g.mask(cut), keep)))
 
 
 def induced_subgraph(g: SemiMarkovianGraph, w: Iterable[str], cut: Iterable[str] = ()) -> SemiMarkovianGraph:
@@ -206,20 +238,24 @@ def c_component(g: SemiMarkovianGraph, w: Iterable[str], within: frozenset[str] 
     """Nodes joined to w by bidirected paths in G[within] (default: all of g),
     inclusive of w, which it must hold: for a bidirected-connected w, the
     member of ``c_components(g, within)`` holding it."""
-    return _reach(g.siblings, g.check_nodes(w), keep=within)
+    keep = -1 if within is None else g.mask(within)
+    return frozenset(g.names(_reach(g.sibling_bits, g.mask(g.check_nodes(w)), keep=keep)))
 
 
 def c_components(g: SemiMarkovianGraph, w: Iterable[str] | None = None) -> list[frozenset[str]]:
     """Partition of w (default: all of g) into the maximal bidirected-connected
     components of G[w], without building G[w]; ordered by the declaration
     index of each component's earliest member."""
-    keep = g.node_set if w is None else g.check_nodes(w)
-    visited: set[str] = set()
-    comps: list[frozenset[str]] = []
-    for start in g.sorted(keep):
-        if start not in visited:
-            comps.append(_reach(g.siblings, (start,), keep=keep))
-            visited |= comps[-1]
+    keep = g.mask(g.nodes if w is None else g.check_nodes(w))
+    return [frozenset(g.names(c)) for c in _partition(g, keep)]
+
+
+def _partition(g: SemiMarkovianGraph, keep: int) -> list[int]:
+    """``c_components`` on masks: the components of G[keep], earliest first."""
+    comps = []
+    while keep:
+        comps.append(_reach(g.sibling_bits, keep & -keep, keep=keep))
+        keep &= ~comps[-1]
     return comps
 
 
@@ -284,29 +320,24 @@ def m_separated(
         raise InputError("a, b, c must be pairwise disjoint")
     if not sa or not sb:
         return True
-    # DAG view with one hidden parent per bidirected edge, keyed by the edge
-    # itself so that it cannot clash with a node name
-    pa: dict[str | frozenset[str], set] = {n: set(g.parents[n]) for n in g.nodes}
-    for e in g.bidirected_edges:
-        pa[e] = set()
+    # DAG view with one hidden parent per bidirected edge: index len(g.nodes) + k
+    # stands for the k-th edge of g.bidirected_order, so it names no node
+    n, pa = len(g.nodes), list(g.parent_bits)
+    for k, e in enumerate(g.bidirected_order):
         for v in e:
-            pa[v].add(e)
+            pa[g.index[v]] |= 1 << (n + k)
+    pa += [0] * len(g.bidirected_order)
 
     # restrict to ancestors of a | b | c in the latent-expanded DAG
-    relevant = _reach(pa, sa | sb | sc)
+    ma, mb, mc = g.mask(sa), g.mask(sb), g.mask(sc)
+    relevant = _reach(pa, ma | mb | mc)
 
-    # moralize: undirected skeleton plus marriages of co-parents
-    adj: dict[str, set[str]] = {n: set() for n in relevant}
-    for n in relevant:
-        for p in pa[n]:
-            if p in relevant:
-                adj[n].add(p)
-                adj[p].add(n)
-        ps = [p for p in pa[n] if p in relevant]
-        for i in range(len(ps)):
-            for j in range(i + 1, len(ps)):
-                adj[ps[i]].add(ps[j])
-                adj[ps[j]].add(ps[i])
+    # moralize: undirected skeleton plus marriages of co-parents (all relevant, as their children are)
+    adj = [0] * len(pa)
+    for i in _pick(range(len(pa)), relevant):
+        adj[i] |= pa[i]
+        for p in _pick(range(len(pa)), pa[i]):
+            adj[p] |= pa[i] | 1 << i
 
     # test connectivity a -> b, walking on from no node of the conditioning set
-    return sb.isdisjoint(_reach(adj, sa, sc))
+    return not mb & _reach(adj, ma, mc)

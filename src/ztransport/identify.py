@@ -21,7 +21,9 @@ a base distribution can switch on experiments.
 Every call reads one diagram g, never rebuilt, and a node set V.  The
 graph at hand is G[V] with the arrows into ``P.do`` cut: the cut is always
 exactly the experiment the current distribution comes from.  A graph is
-built only for a failure witness.
+built only for a failure witness.  Its node sets (y, x, z, V, the cut, the
+components) are masks over g's declaration indices (``g.mask``, ``g.names``):
+names enter only to build terms, sums, do-sets, the partition and witnesses.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ from .graph import (
     Query,
     SelectionDiagram,
     SemiMarkovianGraph,
+    _partition,
+    _reach,
     ancestors,
-    c_component,
     c_components,
     induced_subgraph,
     topological_order,
@@ -64,15 +67,14 @@ class DistLabel:
         if self.domain == E.TARGET and self.do:
             raise InputError("target distributions carry no interventions")
 
-    def restrict(self, keep: frozenset[str]) -> "DistLabel":
+    def restrict(self, g: SemiMarkovianGraph, keep: int) -> "DistLabel":
         return self
 
     def marginal_expr(self, y: tuple[str, ...]) -> ProbExpr:
         return term(self.domain, outcome=y, do=self.do) if y else ONE
 
     def conditional_expr(self, v: str, given: tuple[str, ...]) -> ProbExpr:
-        cond = [w for w in given if w not in self.do]
-        return term(self.domain, outcome=(v,), given=cond, do=self.do)
+        return term(self.domain, outcome=(v,), given=set(given) - self.do, do=self.do)
 
 
 @dataclass(frozen=True)
@@ -141,13 +143,12 @@ class _Joint:
     rand_vars: tuple[str, ...]
     do: frozenset[str]
 
-    def restrict(self, keep: frozenset[str]) -> "_Joint":
-        removed = [v for v in self.rand_vars if v not in keep]
-        kept = tuple(v for v in self.rand_vars if v in keep)
-        return _Joint(marginal_sum(removed, self.joint), kept, self.do)
+    def restrict(self, g: SemiMarkovianGraph, keep: int) -> "_Joint":
+        kept = tuple(filter(frozenset(g.names(keep)).__contains__, self.rand_vars))
+        return _Joint(self.marginal_expr(kept), kept, self.do)
 
     def marginal_expr(self, y: tuple[str, ...]) -> ProbExpr:
-        return self.restrict(y).joint
+        return marginal_sum([v for v in self.rand_vars if v not in y], self.joint)
 
     def conditional_expr(self, v: str, given: tuple[str, ...]) -> ProbExpr:
         given_r = frozenset(given) & frozenset(self.rand_vars)
@@ -156,54 +157,45 @@ class _Joint:
         return E.Quotient(num, den)
 
 
-def _chain_over(P: DistLabel | _Joint, g: SemiMarkovianGraph, V: frozenset[str], members: frozenset[str]) -> _Joint:
+def _chain_over(P: DistLabel | _Joint, g: SemiMarkovianGraph, V: int, members: int) -> _Joint:
     """The joint of ``members`` as the product of P's conditionals, each
     variable given every predecessor in the topological order of the graph
-    at hand (ID's line 7)."""
-    order = topological_order(g, V, P.do)
-    rand_vars, factors = [], []
-    for i, v in enumerate(order):
-        if v in members:
-            rand_vars.append(v)
-            factors.append(P.conditional_expr(v, tuple(order[:i])))
-    return _Joint(product(factors), tuple(rand_vars), P.do)
+    at hand (ID's line 7): on a forward diagram, declaration order."""
+    order = g.names(V) if g.forward else tuple(topological_order(g, g.names(V), P.do))
+    chosen = frozenset(g.names(members))
+    rand_vars = tuple(v for v in order if v in chosen)
+    return _Joint(product(P.conditional_expr(v, order[:order.index(v)]) for v in rand_vars), rand_vars, P.do)
 
 
 # ---------------------------------------------------------------------------
 # GID^z, and BI as GID^z with no controllable experiments left
 
 def _gid(
-    y: frozenset[str],
-    x: frozenset[str],
-    z: frozenset[str],
-    P: DistLabel | _Joint,
-    g: SemiMarkovianGraph,
-    V: frozenset[str],
-    trace: IdentTrace,
-    depth: int,
+    y: int, x: int, z: int, P: DistLabel | _Joint, cut: int, g: SemiMarkovianGraph, V: int, trace: IdentTrace, depth: int
 ) -> ProbExpr:
     """Identify P_x(y) from P, switching on experiments on subsets of z, in
-    the graph at hand: G[V] with the arrows into ``P.do`` cut."""
+    the graph at hand: G[V] with the arrows into ``P.do`` cut, whose mask
+    is ``cut``."""
     if depth <= 0:
         raise InternalError("recursion depth guard exceeded")
 
     # nothing left to intervene on: read the marginal off the current P
     if not x:
-        return P.marginal_expr(g.sorted(y))
+        return P.marginal_expr(g.names(y))
 
     # restrict to the ancestors of y
-    V = ancestors(g, y, cut=P.do, within=V)
-    P, x = P.restrict(V), x & V
+    V = _reach(g.parent_bits, y, cut, V)
+    P, x = P.restrict(g, V), x & V
     if not x:
-        return P.marginal_expr(g.sorted(y))
+        return P.marginal_expr(g.names(y))
 
     # cover x with the non-ancestors it creates, switching on experiments
     # where the controllable set allows it; y is among its own ancestors, so
     # only nodes outside x, P's do-set and y can be non-ancestors
-    xa = (x | P.do) & V
-    w = V - xa - y
+    xa = (x | cut) & V
+    w = V & ~xa & ~y
     if w:
-        w -= ancestors(g, y, cut=xa, within=V)
+        w &= ~_reach(g.parent_bits, y, xa, V)
     z_w = z & (x | w)
     if z_w | w:
         if z_w:
@@ -212,40 +204,40 @@ def _gid(
                 raise InternalError("experiments were activated twice in one trace")
             if not isinstance(P, DistLabel):
                 raise InternalError("activation requires a base distribution")
-            P = DistLabel(P.domain, P.do | z_w)
-        return _gid(y, (x | w) - z_w, z - z_w, P, g, V, trace, depth - 1)
+            P, cut = DistLabel(P.domain, P.do.union(g.names(z_w))), cut | z_w
+        return _gid(y, (x | w) & ~z_w, z & ~z_w, P, cut, g, V, trace, depth - 1)
 
     # factorize over the confounded components
-    comps = c_components(g, V - xa)
+    comps = _partition(g, V & ~xa)
     if trace.partition is None:
-        trace.partition = tuple(comps)
+        trace.partition = tuple(frozenset(g.names(c)) for c in comps)
     if len(comps) > 1:
         trace.decompositions += 1
         if trace.decompositions > 1:
             raise InternalError("decomposition executed twice in one trace")
         factors = []
         for c in comps:
-            newly = z & (V - c)
+            newly = z & V & ~c
             if newly and not isinstance(P, DistLabel):
                 raise InternalError("activation requires a base distribution")
-            p_i = DistLabel(P.domain, P.do | newly) if newly else P
-            factors.append(_gid(c, V - c - z, z & c, p_i, g, V, trace, depth - 1))
-        return sum_over(g.sorted(V - (y | xa)), product(factors))
+            p_i = DistLabel(P.domain, P.do.union(g.names(newly))) if newly else P
+            factors.append(_gid(c, V & ~c & ~z, z & c, p_i, cut | newly, g, V, trace, depth - 1))
+        return sum_over(g.names(V & ~(y | xa)), product(factors))
     c = comps[0]
 
     # the confounded component holding c, where the cut leaves no bidirected
     # edge at P.do; spanning the whole graph at hand, it is a dead end
-    containing = c_component(g, c, within=V - P.do)
+    containing = _reach(g.sibling_bits, c, keep=V & ~cut)
     if containing == V:
-        raise FailedFactor(Witness("hedge", induced_subgraph(g, V, P.do), induced_subgraph(g, c)))
+        raise FailedFactor(Witness("hedge", induced_subgraph(g, g.names(V), P.do), induced_subgraph(g, g.names(c))))
 
     chain = _chain_over(P, g, V, containing)
     # the component is intact in the graph at hand: emit its factor chain directly
     if c == containing:
-        return marginal_sum(g.sorted(c - y), chain.joint)
+        return marginal_sum(g.names(c & ~y), chain.joint)
 
     # otherwise descend into the strictly larger component
-    return _gid(y, x & containing, z, chain, g, containing, trace, depth - 1)
+    return _gid(y, x & containing, z, chain, cut, g, containing, trace, depth - 1)
 
 
 def _identify(
@@ -253,10 +245,11 @@ def _identify(
     x: Iterable[str],
     z: Iterable[str],
     g: SemiMarkovianGraph,
-    run: Callable[[Query, IdentTrace, int], ProbExpr],
+    run: Callable[[int, int, int, IdentTrace, int], ProbExpr],
 ) -> IdentResult:
-    """Check the query, then call ``run(query, trace, depth)`` with a fresh
-    trace and a depth guard; a ``FailedFactor`` becomes the result's witness."""
+    """Check the query, then call ``run(y, x, z, trace, depth)`` with its sets
+    as masks, a fresh trace and a depth guard; a ``FailedFactor`` becomes the
+    result's witness."""
     q = Query.create(x, y, z)
     q.validate_against(g)
     warnings: tuple[str, ...] = ()
@@ -268,7 +261,7 @@ def _identify(
         q = Query(q.x, q.y, q.z - q.y)
     trace = IdentTrace()
     try:
-        f = run(q, trace, 4 * len(g.nodes) + 8)
+        f = run(g.mask(q.y), g.mask(q.x), g.mask(q.z), trace, 4 * len(g.nodes) + 8)
     except FailedFactor as e:
         return IdentResult(witness=e.witness, warnings=warnings, trace=trace)
     return IdentResult(formula=f, warnings=warnings, trace=trace)
@@ -284,7 +277,7 @@ def gid_z(
     distribution plus experiments on subsets of z.  Returns a source-only
     formula or a hedge witness."""
     return _identify(
-        y, x, z, g, lambda q, trace, depth: _gid(q.y, q.x, q.z, DistLabel(), g, g.node_set, trace, depth)
+        y, x, z, g, lambda y, x, z, trace, depth: _gid(y, x, z, DistLabel(), 0, g, g.mask(g.nodes), trace, depth)
     )
 
 
@@ -310,7 +303,8 @@ def bi(y: Iterable[str], x: Iterable[str], dist: DistLabel, g: SemiMarkovianGrap
         if not any(q.y <= c for c in c_components(g, rest)):
             raise InputError("y must lie inside one confounded component of g minus x")
     # the recursion reads the do-set as a frozenset, whatever dist was given
-    return _gid(q.y, q.x, frozenset(), DistLabel(dist.domain, q.z), g, g.node_set, IdentTrace(), 4 * len(g.nodes) + 8)
+    P, V = DistLabel(dist.domain, q.z), g.mask(g.nodes)
+    return _gid(g.mask(q.y), g.mask(q.x), 0, P, g.mask(q.z), g, V, IdentTrace(), 4 * len(g.nodes) + 8)
 
 
 def direct_transportable(c: frozenset[str], d: SelectionDiagram) -> bool:
@@ -319,14 +313,7 @@ def direct_transportable(c: frozenset[str], d: SelectionDiagram) -> bool:
     return not (d.s_targets & d.graph.check_nodes(c))
 
 
-def _sid(
-    y: frozenset[str],
-    x: frozenset[str],
-    d: SelectionDiagram,
-    z: frozenset[str],
-    trace: IdentTrace,
-    depth: int,
-) -> ProbExpr:
+def _sid(y: int, x: int, d: SelectionDiagram, z: int, trace: IdentTrace, depth: int) -> ProbExpr:
     """sID^z: P_x(y) in the target from the target's observational
     distribution and source experiments on subsets of z.  After the
     c-component factorization each factor c is identified by BI, whose
@@ -334,33 +321,33 @@ def _sid(
     cut, so its cost grows with An(c), not with the whole diagram."""
     g = d.graph
     # restrict to the ancestors of y
-    V = ancestors(g, y)
+    V = _reach(g.parent_bits, y)
     x, z = x & V, z & V
     if not x:
-        return term(E.TARGET, outcome=g.sorted(y))
+        return term(E.TARGET, outcome=g.names(y))
     # cover x with the non-ancestors it creates; experiments stay inactive
     # until after the factorization
-    x |= V - ancestors(g, y, cut=x)
+    x |= V & ~_reach(g.parent_bits, y, x)
     # factorize over the confounded components; each factor call gets x and
     # its do-set covering the rest of its graph, so it neither activates nor
     # decomposes again
-    comps = c_components(g, V - x)
-    trace.partition = tuple(comps)
+    comps = _partition(g, V & ~x)
+    trace.partition = tuple(frozenset(g.names(c)) for c in comps)
     factors = []
-    for c in comps:
+    for c, members in zip(comps, trace.partition):
         # the factor transports directly iff no marked node lies in the
         # component; it then reads the source experiment on z outside it
-        direct = direct_transportable(c, d)
-        do_set = z - c if direct else frozenset()
-        base = DistLabel(E.SOURCE if direct else E.TARGET, do_set)
+        direct = direct_transportable(members, d)
+        do_set = z & ~c if direct else 0
+        base = DistLabel(E.SOURCE if direct else E.TARGET, frozenset(g.names(do_set)))
         try:
-            factors.append(_gid(c, V - c - do_set, frozenset(), base, g, V, trace, depth))
+            factors.append(_gid(c, V & ~c & ~do_set, 0, base, do_set, g, V, trace, depth))
         except FailedFactor as e:
             if direct:
                 raise
             w = e.witness
-            raise FailedFactor(Witness("shedge", w.f_graph, w.f_sub, d.s_targets & c)) from e
-    return sum_over(g.sorted(V - (y | x)), product(factors))
+            raise FailedFactor(Witness("shedge", w.f_graph, w.f_sub, d.s_targets & members)) from e
+    return sum_over(g.names(V & ~(y | x)), product(factors))
 
 
 def sid_z(
@@ -372,7 +359,7 @@ def sid_z(
     """Decide z-transportability of P_x(y) and emit a transport formula
     over the target observational distribution and source experiments on
     subsets of z, or fail with a hedge / s-hedge witness."""
-    return _identify(y, x, z, d.graph, lambda q, trace, depth: _sid(q.y, q.x, d, q.z, trace, depth))
+    return _identify(y, x, z, d.graph, lambda y, x, z, trace, depth: _sid(y, x, d, z, trace, depth))
 
 
 def transportable(y: Iterable[str], x: Iterable[str], d: SelectionDiagram) -> IdentResult:

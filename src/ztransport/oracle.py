@@ -114,7 +114,7 @@ class DiscreteSCM:
     private noise distribution.  ``cpts[v]`` is ``cpt(v)``, computed once
     at construction for every node whose table is not passed in.  ``plan``
     is the diagram's elimination plan; left out, it is made and checked
-    against the model's arities, and the mechanism tables are checked too.
+    against the model's arities, and every input table and vector is checked.
     One passed in must have been checked at these arities already, with
     well-formed tables (``generate_pair`` checks one per pair and draws
     its tables in range).
@@ -140,7 +140,8 @@ class DiscreteSCM:
     def _check_mechanisms(self) -> None:
         """Raise InputError unless every mechanism table is an integer array
         of the shape its inputs give, holding only values of its node (numpy
-        would read a negative value as an index from the end)."""
+        would read a negative value as an index from the end), and every
+        latent and noise vector is a distribution."""
         g = self.diagram
         for v in g.nodes:
             fn = self.functions.get(v)
@@ -156,6 +157,12 @@ class DiscreteSCM:
                 raise InputError(f"mechanism of {v} has shape {fn.shape}, not {shape}")
             if fn.size and not (fn.min() >= 0 and fn.max() < k):
                 raise InputError(f"mechanism of {v} has a value outside 0..{k - 1}")
+        named = [(f"latent of {' <-> '.join(g.sorted(e))}", self.latents[e]) for e in g.bidirected_order]
+        for name, p in named + [(f"noise of {v}", self.noise[v]) for v in g.nodes]:
+            p = np.asarray(p)
+            if not (p.ndim == 1 and p.dtype.kind in "fiu" and np.isfinite(p).all() and p.min(initial=0) >= 0
+                    and abs(p.sum() - 1) <= 1e-9):
+                raise InputError(f"{name} must be a 1-D array of finite, nonnegative numbers summing to 1, not {p}")
 
     def cpt(self, v: str) -> np.ndarray:
         """P(v | observed parents, shared latents at v), private noise folded in.

@@ -144,6 +144,26 @@ def random_graph(seed: int, master: int = 101, max_nodes: int = 7, max_bi: int =
     return G(names, directed, bidirected), rng
 
 
+def sparse_graph(seed: int, master: int, max_parents: int = 2, n_bi: int | None = None):
+    """A graph of n = 65-130 nodes, past one 64-bit word, declared in order:
+    each node draws 0..max_parents parents among the five declared before
+    it, and n_bi (default n/2) bidirected edges join nodes at most five apart."""
+    rng = np.random.default_rng([master, seed])
+    n = int(rng.integers(65, 131))
+    n_bi = n // 2 if n_bi is None else n_bi
+    names = [f"V{i}" for i in range(n)]
+    directed = [
+        (names[int(j)], names[i])
+        for i in range(1, n)
+        for j in rng.choice(range(max(0, i - 5), i), size=min(i, int(rng.integers(0, max_parents + 1))), replace=False)
+    ]
+    bidirected: set[tuple[str, str]] = set()
+    while len(bidirected) < n_bi:
+        a = int(rng.integers(0, n - 1))
+        bidirected.add((names[a], names[min(n - 1, a + int(rng.integers(1, 6)))]))
+    return G(names, directed, sorted(bidirected)), rng
+
+
 def random_diagram(seed: int, master: int = 101):
     """Random selection diagram plus a random query over it."""
     g, rng = random_graph(seed, master)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 import ztransport as zt
@@ -8,6 +10,7 @@ from helpers import (
     fig2a,
     random_diagram,
     random_graph,
+    sparse_graph,
     union_find_components,
 )
 
@@ -70,11 +73,12 @@ def test_ancestors_unknown_node():
 
 
 def redeclared_graphs(master: int, n: int = 60):
-    """random_graph diagrams with their nodes declared in a shuffled order,
-    so declaration order is no longer a topological order, each followed by
-    a copy with the arrows into a random set cut; yields (graph, rng)."""
-    for seed in range(n):
-        g, rng = random_graph(seed, master=master, max_nodes=10, max_bi=6)
+    """n random_graph diagrams, then two sparse_graph ones of over 64 nodes,
+    with their nodes declared in a shuffled order, so declaration order is
+    no longer a topological order, each followed by a copy with the arrows
+    into a random set cut; yields (graph, rng)."""
+    small = (random_graph(seed, master=master, max_nodes=10, max_bi=6) for seed in range(n))
+    for g, rng in itertools.chain(small, (sparse_graph(seed, master) for seed in range(2))):
         g = G([str(v) for v in rng.permutation(g.nodes)], g.directed_edges, [tuple(e) for e in g.bidirected_edges])
         yield g, rng
         yield zt.mutilate(g, [v for v in g.nodes if rng.random() < 0.3]), rng
@@ -91,6 +95,15 @@ def test_ancestors_with_a_cut_equal_ancestors_of_the_mutilated_graph():
         assert zt.ancestors(g, w, cut=cut, within=within) == zt.ancestors(sub, w)
     # nodes outside g in the cut are never reached
     assert zt.ancestors(chain(), ["Y"], cut=frozenset({"X", "Q"})) == {"X", "Y"}
+
+
+def test_a_mask_names_its_nodes_in_declaration_order():
+    for g, rng in redeclared_graphs(master=43):
+        w = [v for v in g.nodes if rng.random() < 0.5]
+        assert g.names(g.mask(rng.permutation(w))) == g.sorted(w)
+    assert (chain().mask([]), chain().names(0)) == (0, ())
+    # a name outside g is left out, as ancestors' cut allows
+    assert chain().mask(["X", "Q"]) == chain().mask(["X"])
 
 
 def ancestors_by_fixed_point(g, w, cut=frozenset()):
@@ -194,8 +207,8 @@ def test_c_components_matches_union_find():
 
 
 def test_c_components_partition_property():
-    for seed in range(200):
-        g, _ = random_graph(seed, master=13, max_nodes=10)
+    graphs = [random_graph(seed, master=13, max_nodes=10) for seed in range(200)]
+    for g, _ in graphs + [sparse_graph(seed, master=13) for seed in range(3)]:
         members = zt.c_components(g)
         assert set().union(*members) == set(g.nodes) if members else not g.nodes
         for i in range(len(members)):
@@ -376,6 +389,18 @@ def test_m_separated_symmetry_and_brute_force():
         got = zt.m_separated(g, a, b, c)
         assert got == zt.m_separated(g, b, a, c)
         assert got == brute_force_separated(g, a, b, c)
+    # past 64 nodes (and hidden causes), on sparse graphs that keep the
+    # path enumeration small, between nodes close enough to be joined
+    verdicts = []
+    for seed in range(4):
+        g, rng = sparse_graph(seed, master=17, max_parents=1, n_bi=4)
+        for _ in range(10):
+            i = int(rng.integers(0, len(g.nodes) - 8))
+            a, b = {g.nodes[i]}, {g.nodes[i + int(rng.integers(1, 8))]}
+            c = {v for v in g.nodes[max(0, i - 5): i + 10] if v not in a | b and rng.random() < 0.3}
+            verdicts.append(zt.m_separated(g, a, b, c))
+            assert verdicts[-1] == brute_force_separated(g, a, b, c)
+    assert any(verdicts) and not all(verdicts)
 
 
 # -- the direct-transport test as a separation statement ----------------------

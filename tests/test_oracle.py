@@ -245,6 +245,50 @@ def test_a_model_missing_an_input_is_an_input_error():
         DiscreteSCM(g, dict.fromkeys(g.nodes, 2), {}, noise, functions)
 
 
+NO_DISTRIBUTION = "must be a 1-D array of finite, nonnegative numbers summing to 1, not "
+
+
+@pytest.mark.parametrize(
+    "y_noise, shown",
+    [
+        ([0.7, 0.7], r"\[0.7 0.7\]"),  # used to fail in the enumeration, blaming it
+        ([-0.5, 1.5], r"\[-0.5  1.5\]"),  # used to give a joint with negative cells
+    ],
+    ids=["sum", "negative"],
+)
+def test_a_noise_vector_that_is_no_distribution_is_an_input_error(y_noise, shown):
+    g = zt.SemiMarkovianGraph.create(["X", "Y"], [("X", "Y")])
+    noise = {"X": np.array([0.5, 0.5]), "Y": np.array(y_noise)}
+    functions = {"X": np.array([0, 1]), "Y": np.array([[0, 1], [0, 1]])}  # Y copies its noise
+    with pytest.raises(InputError, match=f"^noise of Y {NO_DISTRIBUTION}{shown}$"):
+        DiscreteSCM(g, {"X": 2, "Y": 2}, {}, noise, functions)
+
+
+@pytest.mark.parametrize(
+    "vectors, named",
+    [
+        ({"Y": [np.nan, 1.0]}, "noise of Y"),
+        ({"Y": [np.inf, 1.0]}, "noise of Y"),
+        ({"Y": [[0.5], [0.5]]}, "noise of Y"),  # two axes, the first of the length Y's mechanism reads
+        ({"Y": ["a", "b"]}, "noise of Y"),
+        ({"X <-> Y": [0.5, 0.5, 0.5, -0.5]}, "latent of X <-> Y"),
+        ({"X <-> Y": np.full(4, 0.25 + 1e-9)}, "latent of X <-> Y"),
+    ],
+    ids=["nan", "inf", "two-axes", "strings", "latent-negative", "latent-sum"],
+)
+def test_a_latent_or_noise_vector_that_is_no_distribution_is_an_input_error(vectors, named):
+    g = bow_graph()
+    (edge,) = g.bidirected_edges
+    latents = {edge: np.asarray(vectors.get("X <-> Y", np.full(4, 0.25)))}
+    noise = {v: np.asarray(vectors.get(v, [0.5, 0.5])) for v in g.nodes}
+    functions = {"X": np.zeros((4, 2), dtype=int), "Y": np.zeros((2, 4, 2), dtype=int)}
+    with pytest.raises(InputError, match=f"^{named} {NO_DISTRIBUTION}"):
+        DiscreteSCM(g, {"X": 2, "Y": 2}, latents, noise, functions)
+    # within the tolerance is a distribution
+    noise["Y"] = np.array([0.5, 0.5 + 1e-12])
+    DiscreteSCM(g, {"X": 2, "Y": 2}, {edge: np.full(4, 0.25)}, noise, functions)
+
+
 def test_a_well_formed_model_built_directly_enumerates():
     y = np.zeros((2, 4, 2), dtype=np.int8)
     y[1] = 1  # Y copies X
