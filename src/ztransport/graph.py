@@ -88,16 +88,6 @@ class SemiMarkovianGraph:
         return {n: tuple(s) for n, s in pa.items()}  # tuples: a long-lived diagram caches one per node
 
     @cached_property
-    def siblings(self) -> dict[str, tuple[str, ...]]:
-        """Bidirected-edge neighbours."""
-        ne: dict[str, list[str]] = {n: [] for n in self.nodes}
-        for e in self.bidirected_edges:
-            a, b = e
-            ne[a].append(b)
-            ne[b].append(a)
-        return {n: tuple(s) for n, s in ne.items()}
-
-    @cached_property
     def parent_bits(self) -> tuple[int, ...]:
         """The mask of node i's parents, for each i."""
         return self._bits(self.directed_edges)
@@ -315,21 +305,19 @@ def m_separated(
     Bidirected edges behave as paths through a fresh hidden common cause.
     Uses the ancestral moral graph construction.
     """
-    sa, sb, sc = g.check_nodes(a), g.check_nodes(b), g.check_nodes(c)
-    if sa & sb or sa & sc or sb & sc:
+    ma, mb, mc = (g.mask(g.check_nodes(s)) for s in (a, b, c))
+    if ma & mb or ma & mc or mb & mc:
         raise InputError("a, b, c must be pairwise disjoint")
-    if not sa or not sb:
+    if not ma or not mb:
         return True
     # DAG view with one hidden parent per bidirected edge: index len(g.nodes) + k
     # stands for the k-th edge of g.bidirected_order, so it names no node
-    n, pa = len(g.nodes), list(g.parent_bits)
+    n, pa = len(g.nodes), list(g.parent_bits) + [0] * len(g.bidirected_order)
     for k, e in enumerate(g.bidirected_order):
         for v in e:
             pa[g.index[v]] |= 1 << (n + k)
-    pa += [0] * len(g.bidirected_order)
 
     # restrict to ancestors of a | b | c in the latent-expanded DAG
-    ma, mb, mc = g.mask(sa), g.mask(sb), g.mask(sc)
     relevant = _reach(pa, ma | mb | mc)
 
     # moralize: undirected skeleton plus marriages of co-parents (all relevant, as their children are)

@@ -40,8 +40,6 @@ from .graph import (
     SemiMarkovianGraph,
     _partition,
     _reach,
-    ancestors,
-    c_components,
     induced_subgraph,
     topological_order,
 )
@@ -160,22 +158,32 @@ class _Joint:
 def _chain_over(P: DistLabel | _Joint, g: SemiMarkovianGraph, V: int, members: int) -> _Joint:
     """The joint of ``members`` as the product of P's conditionals, each
     variable given every predecessor in the topological order of the graph
-    at hand (ID's line 7): on a forward diagram, declaration order."""
-    order = g.names(V) if g.forward else tuple(topological_order(g, g.names(V), P.do))
+    at hand (ID's line 7): on a forward diagram, declaration order, read off V."""
+    order = g.names(V) if g.forward else topological_order(g, g.names(V), P.do)
     chosen = frozenset(g.names(members))
-    rand_vars = tuple(v for v in order if v in chosen)
-    return _Joint(product(P.conditional_expr(v, order[:order.index(v)]) for v in rand_vars), rand_vars, P.do)
+    rand_vars, factors = [], []
+    for i, v in enumerate(order):
+        if v in chosen:
+            rand_vars.append(v)
+            factors.append(P.conditional_expr(v, tuple(order[:i])))
+    return _Joint(product(factors), tuple(rand_vars), P.do)
 
 
 # ---------------------------------------------------------------------------
 # GID^z, and BI as GID^z with no controllable experiments left
 
 def _gid(
-    y: int, x: int, z: int, P: DistLabel | _Joint, cut: int, g: SemiMarkovianGraph, V: int, trace: IdentTrace, depth: int
+    y: int,
+    x: int,
+    z: int,
+    P: DistLabel | _Joint,
+    g: SemiMarkovianGraph,
+    V: int,
+    trace: IdentTrace,
+    depth: int,
 ) -> ProbExpr:
     """Identify P_x(y) from P, switching on experiments on subsets of z, in
-    the graph at hand: G[V] with the arrows into ``P.do`` cut, whose mask
-    is ``cut``."""
+    the graph at hand: G[V] with the arrows into ``P.do`` cut."""
     if depth <= 0:
         raise InternalError("recursion depth guard exceeded")
 
@@ -184,6 +192,7 @@ def _gid(
         return P.marginal_expr(g.names(y))
 
     # restrict to the ancestors of y
+    cut = g.mask(P.do)
     V = _reach(g.parent_bits, y, cut, V)
     P, x = P.restrict(g, V), x & V
     if not x:
@@ -204,8 +213,8 @@ def _gid(
                 raise InternalError("experiments were activated twice in one trace")
             if not isinstance(P, DistLabel):
                 raise InternalError("activation requires a base distribution")
-            P, cut = DistLabel(P.domain, P.do.union(g.names(z_w))), cut | z_w
-        return _gid(y, (x | w) & ~z_w, z & ~z_w, P, cut, g, V, trace, depth - 1)
+            P = DistLabel(P.domain, P.do.union(g.names(z_w)))
+        return _gid(y, (x | w) & ~z_w, z & ~z_w, P, g, V, trace, depth - 1)
 
     # factorize over the confounded components
     comps = _partition(g, V & ~xa)
@@ -221,7 +230,7 @@ def _gid(
             if newly and not isinstance(P, DistLabel):
                 raise InternalError("activation requires a base distribution")
             p_i = DistLabel(P.domain, P.do.union(g.names(newly))) if newly else P
-            factors.append(_gid(c, V & ~c & ~z, z & c, p_i, cut | newly, g, V, trace, depth - 1))
+            factors.append(_gid(c, V & ~c & ~z, z & c, p_i, g, V, trace, depth - 1))
         return sum_over(g.names(V & ~(y | xa)), product(factors))
     c = comps[0]
 
@@ -237,7 +246,7 @@ def _gid(
         return marginal_sum(g.names(c & ~y), chain.joint)
 
     # otherwise descend into the strictly larger component
-    return _gid(y, x & containing, z, chain, cut, g, containing, trace, depth - 1)
+    return _gid(y, x & containing, z, chain, g, containing, trace, depth - 1)
 
 
 def _identify(
@@ -247,9 +256,8 @@ def _identify(
     g: SemiMarkovianGraph,
     run: Callable[[int, int, int, IdentTrace, int], ProbExpr],
 ) -> IdentResult:
-    """Check the query, then call ``run(y, x, z, trace, depth)`` with its sets
-    as masks, a fresh trace and a depth guard; a ``FailedFactor`` becomes the
-    result's witness."""
+    """Check the query, then call ``run(y, x, z, trace, depth)`` on its masks,
+    a fresh trace and a depth guard; a ``FailedFactor`` is the result's witness."""
     q = Query.create(x, y, z)
     q.validate_against(g)
     warnings: tuple[str, ...] = ()
@@ -277,7 +285,7 @@ def gid_z(
     distribution plus experiments on subsets of z.  Returns a source-only
     formula or a hedge witness."""
     return _identify(
-        y, x, z, g, lambda y, x, z, trace, depth: _gid(y, x, z, DistLabel(), 0, g, g.mask(g.nodes), trace, depth)
+        y, x, z, g, lambda y, x, z, trace, depth: _gid(y, x, z, DistLabel(), g, g.mask(g.nodes), trace, depth)
     )
 
 
@@ -297,14 +305,14 @@ def bi(y: Iterable[str], x: Iterable[str], dist: DistLabel, g: SemiMarkovianGrap
     q.validate_against(g)
     if q.y & q.z:
         raise InputError("y overlaps the do-set of dist")
+    y, x, cut = g.mask(q.y), g.mask(q.x), g.mask(q.z)
     # callers must ask about a single factor at a time
-    if q.x:
-        rest = ancestors(g, q.y, cut=q.z) - q.x - q.z
-        if not any(q.y <= c for c in c_components(g, rest)):
+    if x:
+        rest = _reach(g.parent_bits, y, cut) & ~x & ~cut
+        if not any(y & c == y for c in _partition(g, rest)):
             raise InputError("y must lie inside one confounded component of g minus x")
     # the recursion reads the do-set as a frozenset, whatever dist was given
-    P, V = DistLabel(dist.domain, q.z), g.mask(g.nodes)
-    return _gid(g.mask(q.y), g.mask(q.x), 0, P, g.mask(q.z), g, V, IdentTrace(), 4 * len(g.nodes) + 8)
+    return _gid(y, x, 0, DistLabel(dist.domain, q.z), g, g.mask(g.nodes), IdentTrace(), 4 * len(g.nodes) + 8)
 
 
 def direct_transportable(c: frozenset[str], d: SelectionDiagram) -> bool:
@@ -313,7 +321,14 @@ def direct_transportable(c: frozenset[str], d: SelectionDiagram) -> bool:
     return not (d.s_targets & d.graph.check_nodes(c))
 
 
-def _sid(y: int, x: int, d: SelectionDiagram, z: int, trace: IdentTrace, depth: int) -> ProbExpr:
+def _sid(
+    y: int,
+    x: int,
+    d: SelectionDiagram,
+    z: int,
+    trace: IdentTrace,
+    depth: int,
+) -> ProbExpr:
     """sID^z: P_x(y) in the target from the target's observational
     distribution and source experiments on subsets of z.  After the
     c-component factorization each factor c is identified by BI, whose
@@ -341,7 +356,7 @@ def _sid(y: int, x: int, d: SelectionDiagram, z: int, trace: IdentTrace, depth: 
         do_set = z & ~c if direct else 0
         base = DistLabel(E.SOURCE if direct else E.TARGET, frozenset(g.names(do_set)))
         try:
-            factors.append(_gid(c, V & ~c & ~do_set, 0, base, do_set, g, V, trace, depth))
+            factors.append(_gid(c, V & ~c & ~do_set, 0, base, g, V, trace, depth))
         except FailedFactor as e:
             if direct:
                 raise

@@ -264,8 +264,8 @@ def _draw_scm(d: SelectionDiagram, rng: np.random.Generator, arity: int, plan: t
     noise_arity = _private_noise_arity(arity)
     latents = dict(zip(g.bidirected_order, _positive_simplex(rng, len(g.bidirected_order), LATENT_ARITY)))
     noise = dict(zip(g.nodes, _positive_simplex(rng, len(g.nodes), noise_arity)))
-    shapes = [(arity,) * len(g.parents[v]) + (LATENT_ARITY,) * len(g.siblings[v]) + (noise_arity,)
-              for v in g.nodes]
+    shapes = [(arity,) * len(g.parents[v]) + (LATENT_ARITY,) * sib.bit_count() + (noise_arity,)
+              for v, sib in zip(g.nodes, g.sibling_bits)]
     flat = rng.integers(0, arity, size=sum(math.prod(s) for s in shapes))
     functions, start = {}, 0
     for v, shape in zip(g.nodes, shapes):
