@@ -122,7 +122,11 @@ class SemiMarkovianGraph:
 
     def mask(self, nodes: Iterable[str]) -> int:
         """The mask of the given nodes, less any name outside g."""
-        return sum({1 << self.index[n] for n in nodes if n in self.index})
+        index, m = self.index, 0
+        for n in nodes:
+            if n in index:
+                m |= 1 << index[n]
+        return m
 
     def names(self, m: int) -> tuple[str, ...]:
         """The nodes of mask m in declaration order."""

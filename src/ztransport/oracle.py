@@ -13,7 +13,8 @@ Distributions are variable-elimination contractions of the truncated
 factorization (Koller & Friedman 2009, ch. 9), all run from one plan per
 diagram.  An intervened variable has no mechanism, only a free axis, so
 one contraction holds the distribution under every assignment of its
-do-set.  A formula is checked as one array over all of its free slots
+do-set; a source do-set is contracted only when a formula first reads it.
+A formula is checked as one array over all of its free slots
 (``expr.compile_expr``) against the true effect.
 """
 
@@ -22,10 +23,11 @@ from __future__ import annotations
 import itertools
 import math
 import weakref
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import ClassVar, Iterable, Mapping
+from typing import ClassVar
 
 import numpy as np
 
@@ -37,7 +39,7 @@ MAX_NODES = 12
 MAX_TABLE_ENTRIES = 10_000_000
 LATENT_ARITY = 4
 MIN_ATOM = 0.05
-_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # each live graph's plan, dropped with it
+_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # each live graph's plan and peaks, dropped with it
 
 
 def _private_noise_arity(arity: int) -> int:
@@ -197,9 +199,10 @@ def _plan(g: SemiMarkovianGraph, arities: Mapping[str, int], hidden_arities: Map
     replaced by a ones-axis over v's label; the output labels stay the
     same, so one plan and one budget check serve every do-set.  Raises
     InputError if, at these arities, an intermediate or a CPT times ``onehot``
-    (the one-hot mechanism table that builds it) exceeds the cell budget."""
-    steps = _PLANS.get(g)
-    if steps is None:
+    (the one-hot mechanism table that builds it) exceeds the cell budget.
+    The peak is kept with the plan, by arities and ``onehot``."""
+    entry = _PLANS.get(g)
+    if entry is None:
         order, index = topological_order(g), g.index
         at: dict[str, list[frozenset[str]]] = {v: [] for v in g.nodes}
         for e in g.bidirected_order:
@@ -217,15 +220,27 @@ def _plan(g: SemiMarkovianGraph, arities: Mapping[str, int], hidden_arities: Map
             acc = tuple(sorted(set(acc).union(cpt).difference(closed)))
             free += sorted(closed, reverse=True)
             steps.append((v, opened, tuple((label[e],) for e in opened), cpt, acc))
-        steps = _PLANS[g] = tuple(steps)
+        entry = _PLANS[g] = (tuple(steps), {})
+    steps, peaks = entry
+    key = (tuple(arities[v] for v in g.nodes), tuple(hidden_arities[e] for e in g.bidirected_order), onehot)
+    cells = peaks.get(key)
+    if cells is None:
+        cells = peaks[key] = _peak_cells(g, steps, arities, hidden_arities, onehot)
+    if cells > MAX_TABLE_ENTRIES:
+        raise InputError(f"enumeration needs {cells} cells at once; budget is {MAX_TABLE_ENTRIES}")
+    return steps
+
+
+def _peak_cells(g: SemiMarkovianGraph, steps: tuple[tuple, ...], arities: Mapping[str, int],
+                hidden_arities: Mapping[frozenset[str], int], onehot: int) -> int:
+    """The most cells a step of the plan holds at once: its intermediate, or
+    its CPT times ``onehot``."""
     size, cells = [arities[v] for v in g.nodes], 1
     for _, opened, opened_subs, cpt, acc in steps:
         for e, (i,) in zip(opened, opened_subs):
             size[i:i + 1] = [hidden_arities[e]]
         cells = max(cells, onehot * math.prod([size[i] for i in cpt]), math.prod([size[i] for i in acc]))
-    if cells > MAX_TABLE_ENTRIES:
-        raise InputError(f"enumeration needs {cells} cells at once; budget is {MAX_TABLE_ENTRIES}")
-    return steps
+    return cells
 
 
 def _contract(m: DiscreteSCM, do: Iterable[str] = ()) -> np.ndarray:
@@ -370,27 +385,56 @@ class DistributionSet:
         except KeyError:
             raise EvalError(f"unknown variable: {v}")
 
-    def joint(self, domain: str, do: frozenset[str]) -> np.ndarray:
-        """The array over ``nodes`` of a domain's distribution under do() on
-        the given variables, their axes free."""
+    def _check(self, domain: str, do: frozenset[str]) -> None:
+        """Raise EvalError unless the domain has a table under do() on the
+        given variables; reads no table."""
         if domain == TARGET:
             if do:
                 raise EvalError("target terms carry no interventions")
-            return self.target_joint.probs
-        if domain == SOURCE:
-            try:
-                return self.source_joints[do]
-            except KeyError:
-                raise EvalError(f"no source table for do({sorted(do)})")
-        raise EvalError(f"bad domain: {domain!r}")
+        elif domain != SOURCE:
+            raise EvalError(f"bad domain: {domain!r}")
+        elif do not in self.source_joints:
+            raise EvalError(f"no source table for do({sorted(do)})")
+
+    def joint(self, domain: str, do: frozenset[str]) -> np.ndarray:
+        """The array over ``nodes`` of a domain's distribution under do() on
+        the given variables, their axes free."""
+        self._check(domain, do)
+        return self.target_joint.probs if domain == TARGET else self.source_joints[do]
 
     def table_for(self, domain: str, do_assignment: Mapping[str, int]) -> Table:
-        """The distribution under one do() assignment."""
-        joint = self.joint(domain, frozenset(do_assignment))
+        """The distribution under one do() assignment; its values are checked
+        before the joint is read."""
+        do = frozenset(do_assignment)
+        self._check(domain, do)
         for v, val in do_assignment.items():
             if not (is_int(val) and 0 <= val < self.node_arities[v]):
                 raise EvalError(f"value {val!r} out of range for {v}")
-        return _table(self.nodes, joint, do_assignment)
+        return _table(self.nodes, self.joint(domain, do), do_assignment)
+
+
+class _Experiments(Mapping):
+    """A source model's contractions by do-set, each made on its first
+    lookup and kept; a do-set never looked up is never contracted."""
+
+    def __init__(self, p: DiscreteModelPair, do_sets: Iterable[frozenset[str]]):
+        self._pair = p
+        self._joints: dict[frozenset[str], np.ndarray | None] = dict.fromkeys(do_sets)
+
+    def __getitem__(self, do: frozenset[str]) -> np.ndarray:
+        joint = self._joints[do]
+        if joint is None:
+            joint = self._joints[do] = _contract(self._pair.source, do) if do else self._pair.source_joint
+        return joint
+
+    def __contains__(self, do: object) -> bool:
+        return do in self._joints
+
+    def __iter__(self):
+        return iter(self._joints)
+
+    def __len__(self) -> int:
+        return len(self._joints)
 
 
 def build_distribution_set(p: DiscreteModelPair, z: Iterable[str]) -> DistributionSet:
@@ -399,7 +443,8 @@ def build_distribution_set(p: DiscreteModelPair, z: Iterable[str]) -> Distributi
     The index set is every Z' with Z' a subset of z and Z' != V, including
     the empty set (the source observational distribution).  The
     observational joints are the pair's own; every other Z' is one
-    contraction, whose free Z' axes hold every assignment.
+    contraction, whose free Z' axes hold every assignment, made when a
+    formula first reads it.
     """
     g = p.diagram.graph
     zs = g.sorted(g.check_nodes(z))
@@ -408,8 +453,8 @@ def build_distribution_set(p: DiscreteModelPair, z: Iterable[str]) -> Distributi
     entries = len(subsets) * math.prod(p.source.arities.values())
     if entries > MAX_TABLE_ENTRIES:
         raise InputError(f"distribution set needs {entries} table entries; budget is {MAX_TABLE_ENTRIES}")
-    source = {frozenset(c): _contract(p.source, c) if c else p.source_joint for c in subsets}
-    return DistributionSet(Table(g.nodes, p.target_joint), MappingProxyType(source), dict(p.source.arities))
+    source = _Experiments(p, map(frozenset, subsets))
+    return DistributionSet(Table(g.nodes, p.target_joint), source, dict(p.source.arities))
 
 
 def ground_truth_effect(m: DiscreteSCM, x: Mapping[str, int], y: Iterable[str]) -> Table:

@@ -104,6 +104,10 @@ def test_a_mask_names_its_nodes_in_declaration_order():
     assert (chain().mask([]), chain().names(0)) == (0, ())
     # a name outside g is left out, as ancestors' cut allows
     assert chain().mask(["X", "Q"]) == chain().mask(["X"])
+    big, _ = sparse_graph(0, master=43)  # a mask of more than one 64-bit word
+    w = [big.nodes[i] for i in (0, 63, 64, len(big.nodes) - 1)]
+    assert big.mask([w[2], "Q", *w, "V999"]) == sum(1 << big.index[v] for v in w)
+    assert big.names(big.mask(["Q", *reversed(w)])) == tuple(w)
 
 
 def ancestors_by_fixed_point(g, w, cut=frozenset()):

@@ -183,8 +183,27 @@ def test_distribution_set_entry_budget():
 
 def test_generate_pair_cell_budget_checked_from_structure():
     # fig2a at arity 100 would need 10^8 observed cells; nothing is drawn
+    d = fig2a()
+    for _ in range(2):  # the second call reads the verdict kept with the plan
+        with pytest.raises(InputError, match="needs 100000000 cells"):
+            generate_pair(d, seed=1, arity=100)
     with pytest.raises(InputError, match="budget"):
         generate_pair(fig2a(), seed=1, arity=100)
+
+
+def test_the_budget_verdict_is_kept_with_the_plan(monkeypatch):
+    walks = []
+    peak = oracle._peak_cells
+    monkeypatch.setattr(oracle, "_peak_cells", lambda *a: walks.append(a) or peak(*a))
+    d = fig5c()
+    generate_pair(d, seed=1)
+    generate_pair(d, seed=2)  # same diagram and arity: no second walk
+    assert len(walks) == 1
+    generate_pair(d, seed=1, arity=3)  # another arity is another verdict
+    assert len(walks) == 2
+    pair = generate_pair(d, seed=1)
+    pair.source.exogenized(["X1"])  # onehot 1, not the noise arity: its own verdict
+    assert len(walks) == 3
 
 
 def test_target_reuses_source_cpts_outside_the_marks():
@@ -508,6 +527,34 @@ def test_distribution_set_tables_equal_per_assignment_enumeration():
             want = enumerate_joint(pair.source, dict(key))
             assert table.vars == want.vars
             assert np.array_equal(table.probs, want.probs)
+
+
+def test_a_source_experiment_is_contracted_when_first_read(monkeypatch):
+    contractions = []
+    contract = oracle._contract
+    monkeypatch.setattr(oracle, "_contract", lambda m, do=(): contractions.append((m, frozenset(do))) or contract(m, do))
+    d = fig5a()  # marks W
+    q = zt.Query.create(["X"], ["Y"], ["Z1", "Z2"])
+    formula = E.term(E.SOURCE, ["Y"], given=["X"], do=["Z1"])  # reads do(Z1) alone
+    pair = generate_pair(d, seed=1)
+    tables = build_distribution_set(pair, q.z)
+    keys = {frozenset(), frozenset({"Z1"}), frozenset({"Z2"}), frozenset({"Z1", "Z2"})}
+    assert (set(tables.source_joints), len(tables.source_joints)) == (keys, 4)
+    assert frozenset({"Z1", "Z2"}) in tables.source_joints and frozenset({"W"}) not in tables.source_joints
+    with pytest.raises(E.EvalError, match="out of range"):
+        tables.table_for(E.SOURCE, {"Z2": 2})  # a bad value contracts nothing
+    with pytest.raises(E.EvalError, match="no source table"):
+        tables.table_for(E.SOURCE, {"W": 2})
+    assert [do for m, do in contractions if m is pair.source and do] == []
+    for _ in range(2):
+        assert validate_formula(formula, pair, q, tables=tables) <= 1e-9
+    assert [do for m, do in contractions if m is pair.source and do] == [frozenset({"Z1"})]
+    assert tables.source_joints[frozenset({"Z1"})] is tables.source_joints[frozenset({"Z1"})]
+    assert tables.source_joints[frozenset()] is pair.source_joint
+    assert (set(tables.source_joints), len(tables.source_joints)) == (keys, 4)
+    with pytest.raises(TypeError):
+        tables.source_joints[frozenset({"Z2"})] = pair.source_joint  # read-only
+    assert [do for m, do in contractions if m is pair.source and do] == [frozenset({"Z1"})]
 
 
 def test_distribution_set_no_marks_target_equals_source():
