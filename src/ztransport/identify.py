@@ -24,11 +24,18 @@ exactly the experiment the current distribution comes from.  A graph is
 built only for a failure witness.  Its node sets (y, x, z, V, the cut, the
 components) are masks over g's declaration indices (``g.mask``, ``g.names``):
 names enter only to build terms, sums, do-sets, the partition and witnesses.
+
+``sid_z`` reads each factor's An(c) off one ancestor table per call (each
+node's ancestors in An(y), arrows into z cut) and starts the factor's
+recursion after its ancestral step (``_gid_an``); a nested call takes that
+step with one mask walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 from typing import Callable, Iterable
 
 from . import expr as E
@@ -39,6 +46,7 @@ from .graph import (
     SelectionDiagram,
     SemiMarkovianGraph,
     _partition,
+    _pick,
     _reach,
     induced_subgraph,
     topological_order,
@@ -72,7 +80,8 @@ class DistLabel:
         return term(self.domain, outcome=y, do=self.do) if y else ONE
 
     def conditional_expr(self, v: str, given: tuple[str, ...]) -> ProbExpr:
-        return term(self.domain, outcome=(v,), given=set(given) - self.do, do=self.do)
+        do = self.do
+        return E.Term(self.domain, tuple(sorted(do)), (v,), tuple(sorted([w for w in given if w not in do])))
 
 
 @dataclass(frozen=True)
@@ -158,8 +167,17 @@ class _Joint:
 def _chain_over(P: DistLabel | _Joint, g: SemiMarkovianGraph, V: int, members: int) -> _Joint:
     """The joint of ``members`` as the product of P's conditionals, each
     variable given every predecessor in the topological order of the graph
-    at hand (ID's line 7): on a forward diagram, declaration order, read off V."""
-    order = g.names(V) if g.forward else topological_order(g, g.names(V), P.do)
+    at hand (ID's line 7): on a forward diagram, declaration order, so a
+    member's predecessors are the nodes of V below its index, as many as
+    the bits of V below its bit."""
+    if g.forward:
+        order = g.names(V)
+        factors = [
+            P.conditional_expr(g.nodes[i], order[: (V & ((1 << i) - 1)).bit_count()])
+            for i in _pick(range(len(g.nodes)), members)
+        ]
+        return _Joint(product(factors), g.names(members), P.do)
+    order = topological_order(g, g.names(V), P.do)
     chosen = frozenset(g.names(members))
     rand_vars, factors = [], []
     for i, v in enumerate(order):
@@ -194,7 +212,22 @@ def _gid(
     # restrict to the ancestors of y
     cut = g.mask(P.do)
     V = _reach(g.parent_bits, y, cut, V)
-    P, x = P.restrict(g, V), x & V
+    return _gid_an(y, x & V, z, P.restrict(g, V), g, V, cut, trace, depth)
+
+
+def _gid_an(
+    y: int,
+    x: int,
+    z: int,
+    P: DistLabel | _Joint,
+    g: SemiMarkovianGraph,
+    V: int,
+    cut: int,
+    trace: IdentTrace,
+    depth: int,
+) -> ProbExpr:
+    """``_gid`` from its ancestral step on: V is An(y) in the graph at hand
+    and ``cut`` the mask of ``P.do``."""
     if not x:
         return P.marginal_expr(g.names(y))
 
@@ -321,6 +354,18 @@ def direct_transportable(c: frozenset[str], d: SelectionDiagram) -> bool:
     return not (d.s_targets & d.graph.check_nodes(c))
 
 
+def _ancestor_table(g: SemiMarkovianGraph, V: int, cut: int) -> list[int]:
+    """Entry i is the mask of node i's ancestors, i included, with the arrows
+    into ``cut`` cut, for each i in V, which must be closed under ancestors;
+    0 elsewhere.  One pass in topological order: an entry outside the cut is
+    the OR of its parents' entries."""
+    table, pa = [0] * len(g.nodes), g.parent_bits
+    order = _pick(range(len(g.nodes)), V) if g.forward else map(g.index.__getitem__, topological_order(g, g.names(V)))
+    for i in order:
+        table[i] = 1 << i if cut >> i & 1 else reduce(or_, _pick(table, pa[i]), 1 << i)
+    return table
+
+
 def _sid(
     y: int,
     x: int,
@@ -331,9 +376,9 @@ def _sid(
 ) -> ProbExpr:
     """sID^z: P_x(y) in the target from the target's observational
     distribution and source experiments on subsets of z.  After the
-    c-component factorization each factor c is identified by BI, whose
-    ancestral step narrows it to An(c) with the arrows into its experiment
-    cut, so its cost grows with An(c), not with the whole diagram."""
+    c-component factorization each factor c is identified by BI on An(c)
+    with the arrows into its experiment cut, read off one ancestor table per
+    call, so its cost grows with An(c), not with the whole diagram."""
     g = d.graph
     # restrict to the ancestors of y
     V = _reach(g.parent_bits, y)
@@ -348,15 +393,23 @@ def _sid(
     # decomposes again
     comps = _partition(g, V & ~x)
     trace.partition = tuple(frozenset(g.names(c)) for c in comps)
-    factors = []
+    # a factor's ancestral set is read off an ancestor table of V, made when
+    # first needed: arrows into z cut for direct factors, none for the others
+    factors, tables, z_names = [], {}, frozenset(g.names(z))
     for c, members in zip(comps, trace.partition):
         # the factor transports directly iff no marked node lies in the
         # component; it then reads the source experiment on z outside it
         direct = direct_transportable(members, d)
         do_set = z & ~c if direct else 0
-        base = DistLabel(E.SOURCE if direct else E.TARGET, frozenset(g.names(do_set)))
+        base = DistLabel(E.SOURCE, z_names - members) if direct else DistLabel(E.TARGET)
+        if direct not in tables:
+            tables[direct] = _ancestor_table(g, V, z if direct else 0)
+        # An(c) with the arrows into z - c cut is c plus its parents' entries:
+        # a path from an ancestor to its first node in c runs outside c, so
+        # outside z, and lies in the entry of that node's parent on it
+        an = c | reduce(or_, _pick(tables[direct], reduce(or_, _pick(g.parent_bits, c), 0)), 0)
         try:
-            factors.append(_gid(c, V & ~c & ~do_set, 0, base, g, V, trace, depth))
+            factors.append(_gid_an(c, an & ~c & ~do_set, 0, base, g, an, do_set, trace, depth))
         except FailedFactor as e:
             if direct:
                 raise

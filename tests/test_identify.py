@@ -640,27 +640,83 @@ def test_gid_factors_get_their_own_ancestral_graphs(monkeypatch):
 
 
 def test_sid_z_builds_no_graph_unless_it_fails(monkeypatch):
-    # fig5c factorizes into {V1}, {Y1}, {Y2}; each factor's ancestral step
-    # narrows the node set to its own ancestral set, arrows into its
-    # experiment cut; the partitions are read off the node set at hand
-    walks = spy_on(monkeypatch, "_reach")
+    # fig5c factorizes into {V1}, {Y1}, {Y2}; each factor's recursion starts
+    # on its own ancestral set, arrows into its experiment cut, read off
+    # sid_z's ancestor table; the partitions are read off the node set at hand
+    entries = spy_on(monkeypatch, "_gid_an")
+    chains = spy_on(monkeypatch, "_chain_over")
     built = spy_on(monkeypatch, "induced_subgraph")
     d = fig5c()
     g = d.graph
     r = sid_z(["Y1", "Y2"], ["X1", "X2"], d, ["V1", "X2"])
     assert r.ok and r.trace.partition == ({"V1"}, {"Y1"}, {"Y2"})
-    # the ancestral step walks up inside a node set (a keep mask, the fourth
-    # argument); sid_z's own walks read the whole diagram
-    assert [(set(g.names(an)), set(g.names(args[2]))) for args, _, an in walks
-            if args[0] is g.parent_bits and len(args) == 4] == [
+    # each factor enters with (An(c), its cut) as a node set and a cut mask
+    assert [(set(g.names(V)), set(g.names(cut))) for (_, _, _, _, _, V, cut, _, _), _, _ in entries] == [
         ({"V1"}, {"X2"}), ({"X1", "V1", "Y1"}, set()), ({"X2", "V1", "Y2"}, {"V1", "X2"})
     ]
+    # {V1} and {Y2} need no intervention inside their ancestral sets; only
+    # {Y1}'s chain is built, off its ancestral set with nothing cut
+    assert [(set(g.names(V)), set(P.do)) for (P, _, V, _), _, _ in chains] == [({"X1", "V1", "Y1"}, set())]
     assert built == []
     # a query that transports builds no graph; one that fails builds its
     # witness's two graphs and nothing else
     assert transportable(["Y"], ["X"], fig2a()).ok and built == []
     w = transportable(["Y"], ["X"], D(bow_graph(), ["Y"])).witness
     assert [sub for _, _, sub in built] == [w.f_graph, w.f_sub]
+
+
+def test_sid_z_factors_start_on_their_ancestral_sets(monkeypatch):
+    # each factor's recursion starts on An(c) inside An(y), with the arrows
+    # into its cut cut (z - c for a direct factor, nothing for a marked one),
+    # as the graph module's walk finds it; forward diagrams, re-declared ones
+    # and some past 64 nodes, with the query's z and with every node controllable
+    entries = spy_on(monkeypatch, "_gid_an")
+    checked = {"cut": 0, "meets z": 0, "marked": 0, "past 64": 0}
+    queries = [q for seed in range(200) for q in (random_diagram(seed, master=37), redeclared_diagram(seed))]
+    queries += [sparse_diagram(seed) for seed in range(10)]
+    for d, x, y, z in queries:
+        g = d.graph
+        an_y = zt.ancestors(g, y)
+        for zq in (z, set(g.nodes) - set(y)):
+            entries.clear()
+            sid_z(y, x, d, zq)
+            zc = (set(zq) - set(y)) & an_y
+            for (c, cx, _, P, _, V, cut, _, depth), _, _ in entries:
+                if depth != 4 * len(g.nodes) + 8:
+                    continue  # a call inside a factor's recursion
+                c = frozenset(g.names(c))
+                do_set = frozenset(zc - c) if direct_transportable(c, d) else frozenset()
+                assert set(g.names(cut)) == do_set and P.do == do_set
+                an_c = zt.ancestors(g, c, cut=do_set, within=an_y)
+                assert set(g.names(V)) == an_c and set(g.names(cx)) == an_c - c - do_set
+                checked["cut"] += bool(do_set)
+                checked["meets z"] += bool(do_set and c & zc)
+                checked["marked"] += not direct_transportable(c, d)
+                checked["past 64"] += len(g.nodes) > 64
+    assert min(checked.values()) > 20, checked
+
+
+def test_ancestor_table_matches_ancestors_under_random_cuts():
+    # one entry per node of a node set closed under ancestors, each the
+    # node's ancestors with the arrows into the cut cut; zero elsewhere
+    rng = np.random.default_rng(71)
+    graphs = [random_graph(seed, master=71, max_nodes=10, max_bi=6)[0] for seed in range(40)]
+    graphs += [sparse_graph(seed, master=71)[0] for seed in range(2)]
+    graphs += [
+        zt.SemiMarkovianGraph.create(
+            [str(v) for v in rng.permutation(g.nodes)], g.directed_edges, [tuple(e) for e in g.bidirected_edges]
+        )
+        for g in graphs
+    ]
+    assert any(len(g.nodes) > 64 and not g.forward for g in graphs)
+    for g in graphs:
+        for k in range(3):
+            cut = frozenset(v for v in g.nodes if rng.random() < 0.3)
+            within = zt.ancestors(g, [v for v in g.nodes if rng.random() < 0.2] or g.nodes[-1:]) if k else g.node_set
+            table = identify._ancestor_table(g, g.mask(within), g.mask(cut))
+            assert len(table) == len(g.nodes)
+            for v, entry in zip(g.nodes, table):
+                assert set(g.names(entry)) == (zt.ancestors(g, [v], cut=cut) if v in within else set())
 
 
 def test_single_activation_and_matching_decompositions():
