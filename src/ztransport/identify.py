@@ -26,9 +26,9 @@ components) are masks over g's declaration indices (``g.mask``, ``g.names``):
 names enter only to build terms, sums, do-sets, the partition and witnesses.
 
 ``sid_z`` reads each factor's An(c) off one ancestor table per call (each
-node's ancestors in An(y), arrows into z cut) and starts the factor's
-recursion after its ancestral step (``_gid_an``); a nested call takes that
-step with one mask walk.
+node's ancestors in An(y), arrows into z cut, filled in one topological
+order of An(y)) and starts the factor's recursion after its ancestral
+step (``_gid_an``); a nested call takes that step with one mask walk.
 """
 
 from __future__ import annotations
@@ -167,17 +167,8 @@ class _Joint:
 def _chain_over(P: DistLabel | _Joint, g: SemiMarkovianGraph, V: int, members: int) -> _Joint:
     """The joint of ``members`` as the product of P's conditionals, each
     variable given every predecessor in the topological order of the graph
-    at hand (ID's line 7): on a forward diagram, declaration order, so a
-    member's predecessors are the nodes of V below its index, as many as
-    the bits of V below its bit."""
-    if g.forward:
-        order = g.names(V)
-        factors = [
-            P.conditional_expr(g.nodes[i], order[: (V & ((1 << i) - 1)).bit_count()])
-            for i in _pick(range(len(g.nodes)), members)
-        ]
-        return _Joint(product(factors), g.names(members), P.do)
-    order = topological_order(g, g.names(V), P.do)
+    at hand (ID's line 7): on a forward diagram, declaration order, read off V."""
+    order = g.names(V) if g.forward else topological_order(g, g.names(V), P.do)
     chosen = frozenset(g.names(members))
     rand_vars, factors = [], []
     for i, v in enumerate(order):
@@ -354,13 +345,12 @@ def direct_transportable(c: frozenset[str], d: SelectionDiagram) -> bool:
     return not (d.s_targets & d.graph.check_nodes(c))
 
 
-def _ancestor_table(g: SemiMarkovianGraph, V: int, cut: int) -> list[int]:
+def _ancestor_table(g: SemiMarkovianGraph, order: list[int], cut: int) -> list[int]:
     """Entry i is the mask of node i's ancestors, i included, with the arrows
-    into ``cut`` cut, for each i in V, which must be closed under ancestors;
-    0 elsewhere.  One pass in topological order: an entry outside the cut is
-    the OR of its parents' entries."""
+    into ``cut`` cut, for each index i in ``order``, a node set closed under
+    ancestors in topological order; 0 elsewhere.  An entry outside the cut
+    is the OR of its parents' entries."""
     table, pa = [0] * len(g.nodes), g.parent_bits
-    order = _pick(range(len(g.nodes)), V) if g.forward else map(g.index.__getitem__, topological_order(g, g.names(V)))
     for i in order:
         table[i] = 1 << i if cut >> i & 1 else reduce(or_, _pick(table, pa[i]), 1 << i)
     return table
@@ -394,8 +384,10 @@ def _sid(
     comps = _partition(g, V & ~x)
     trace.partition = tuple(frozenset(g.names(c)) for c in comps)
     # a factor's ancestral set is read off an ancestor table of V, made when
-    # first needed: arrows into z cut for direct factors, none for the others
+    # first needed: arrows into z cut for direct factors, none for the others;
+    # V's order serves both, since cutting arrows keeps it topological
     factors, tables, z_names = [], {}, frozenset(g.names(z))
+    order = [g.index[v] for v in topological_order(g, g.names(V))]
     for c, members in zip(comps, trace.partition):
         # the factor transports directly iff no marked node lies in the
         # component; it then reads the source experiment on z outside it
@@ -403,7 +395,7 @@ def _sid(
         do_set = z & ~c if direct else 0
         base = DistLabel(E.SOURCE, z_names - members) if direct else DistLabel(E.TARGET)
         if direct not in tables:
-            tables[direct] = _ancestor_table(g, V, z if direct else 0)
+            tables[direct] = _ancestor_table(g, order, z if direct else 0)
         # An(c) with the arrows into z - c cut is c plus its parents' entries:
         # a path from an ancestor to its first node in c runs outside c, so
         # outside z, and lies in the entry of that node's parent on it

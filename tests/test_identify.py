@@ -713,7 +713,7 @@ def test_ancestor_table_matches_ancestors_under_random_cuts():
         for k in range(3):
             cut = frozenset(v for v in g.nodes if rng.random() < 0.3)
             within = zt.ancestors(g, [v for v in g.nodes if rng.random() < 0.2] or g.nodes[-1:]) if k else g.node_set
-            table = identify._ancestor_table(g, g.mask(within), g.mask(cut))
+            table = identify._ancestor_table(g, [g.index[v] for v in zt.topological_order(g, within)], g.mask(cut))
             assert len(table) == len(g.nodes)
             for v, entry in zip(g.nodes, table):
                 assert set(g.names(entry)) == (zt.ancestors(g, [v], cut=cut) if v in within else set())
