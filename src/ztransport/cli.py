@@ -132,8 +132,7 @@ def write_diagram(qf: QueryFile) -> str:
     """Canonical text for a parsed file; parsing it back is the identity."""
     g = qf.diagram.graph
     lines = [f"node {n}" for n in g.nodes]
-    seen_d = sorted(g.directed_edges, key=lambda e: (g.index[e[0]], g.index[e[1]]))
-    lines += [f"{a} -> {b}" for a, b in seen_d]
+    lines += [f"{a} -> {b}" for a, kids in zip(g.nodes, g.child_bits) for b in g.names(kids)]
     lines += [f"{a} <-> {b}" for a, b in map(g.sorted, g.bidirected_order)]
     lines += [f"select {n}" for n in g.sorted(qf.diagram.s_targets)]
     q = qf.query

@@ -5,13 +5,13 @@ bidirected edges, each standing for a hidden common cause of its two
 endpoints.  All values are immutable; every operation returns a new graph.
 Node order is declaration order and is used as the canonical tie-break
 everywhere, so results are deterministic.
-A node set may also be a mask, an int whose bit i stands for ``g.nodes[i]``;
-one walk over masks, ``_reach``, answers every reachability question.
+A node set may also be a mask, an int whose bit i stands for ``g.nodes[i]``.
+Masks are the one adjacency encoding (``parent_bits``, ``child_bits``, ``sibling_bits``):
+one walk over them, ``_reach``, finds every reachable set, and one, ``_order``, every order.
 """
 
 from __future__ import annotations
 
-import heapq
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -81,16 +81,14 @@ class SemiMarkovianGraph:
         return frozenset(self.nodes)
 
     @cached_property
-    def parents(self) -> dict[str, tuple[str, ...]]:
-        pa: dict[str, list[str]] = {n: [] for n in self.nodes}
-        for a, b in self.directed_edges:
-            pa[b].append(a)
-        return {n: tuple(s) for n, s in pa.items()}  # tuples: a long-lived diagram caches one per node
-
-    @cached_property
     def parent_bits(self) -> tuple[int, ...]:
         """The mask of node i's parents, for each i."""
         return self._bits(self.directed_edges)
+
+    @cached_property
+    def child_bits(self) -> tuple[int, ...]:
+        """The mask of node i's children, for each i."""
+        return self._bits((b, a) for a, b in self.directed_edges)
 
     @cached_property
     def sibling_bits(self) -> tuple[int, ...]:
@@ -107,8 +105,7 @@ class SemiMarkovianGraph:
     @cached_property
     def forward(self) -> bool:
         """Every arrow points from an earlier-declared node to a later one."""
-        index = self.index
-        return all(index[a] < index[b] for a, b in self.directed_edges)
+        return all(pa < 1 << i for i, pa in enumerate(self.parent_bits))
 
     @cached_property
     def bidirected_order(self) -> tuple[frozenset[str], ...]:
@@ -206,8 +203,19 @@ def ancestors(
     not followed, so the result is ``ancestors(induced_subgraph(g, within,
     cut), w)`` without building that graph; ``cut`` may name nodes outside g.
     """
-    keep = -1 if within is None else g.mask(within)
-    return frozenset(g.names(_reach(g.parent_bits, g.mask(g.check_nodes(w)), g.mask(cut), keep)))
+    return _walk(g, g.parent_bits, w, within, g.mask(cut))
+
+
+def _walk(
+    g: SemiMarkovianGraph, adj: Sequence[int], w: Iterable[str], within: Iterable[str] | None, stop: int = 0
+) -> frozenset[str]:
+    """``_reach`` on names, from w through ``adj`` in G[within] (default: all of g), not on from ``stop``;
+    raises InputError unless w and within are node sets of g and within holds w."""
+    start = g.mask(g.check_nodes(w))
+    keep = -1 if within is None else g.mask(g.check_nodes(within))
+    if start & ~keep:
+        raise InputError(f"node(s) outside within: {', '.join(g.names(start & ~keep))}")
+    return frozenset(g.names(_reach(adj, start, stop, keep)))
 
 
 def induced_subgraph(g: SemiMarkovianGraph, w: Iterable[str], cut: Iterable[str] = ()) -> SemiMarkovianGraph:
@@ -232,8 +240,7 @@ def c_component(g: SemiMarkovianGraph, w: Iterable[str], within: frozenset[str] 
     """Nodes joined to w by bidirected paths in G[within] (default: all of g),
     inclusive of w, which it must hold: for a bidirected-connected w, the
     member of ``c_components(g, within)`` holding it."""
-    keep = -1 if within is None else g.mask(within)
-    return frozenset(g.names(_reach(g.sibling_bits, g.mask(g.check_nodes(w)), keep=keep)))
+    return _walk(g, g.sibling_bits, w, within)
 
 
 def c_components(g: SemiMarkovianGraph, w: Iterable[str] | None = None) -> list[frozenset[str]]:
@@ -253,49 +260,47 @@ def _partition(g: SemiMarkovianGraph, keep: int) -> list[int]:
     return comps
 
 
-def topological_order(
-    g: SemiMarkovianGraph, w: Iterable[str] | None = None, cut: frozenset[str] = frozenset()
-) -> list[str]:
-    """Topological order of the directed part of G[w] (default: all of g)
-    less the arrows into ``cut``, declaration order as tie-break: each step
-    takes the ready node of smallest declaration index.  On a forward graph,
-    and so on every subgraph of one, that is declaration order itself; on
-    any other, G[w]'s order need not be g's order filtered to w."""
-    keep = g.node_set if w is None else g.check_nodes(w)
-    if g.forward:
-        return list(g.sorted(keep))
-    index = g.index
-    indeg = dict.fromkeys(keep, 0)
-    children: dict[str, list[str]] = {v: [] for v in keep}
-    for v in keep.difference(cut):
-        for p in g.parents[v]:
-            if p in keep:
-                indeg[v] += 1
-                children[p].append(v)
-    ready = sorted(index[v] for v, d in indeg.items() if d == 0)  # ascending: a heap
-    order: list[str] = []
+def topological_order(g: SemiMarkovianGraph, w: Iterable[str] | None = None, cut: Iterable[str] = ()) -> list[str]:
+    """``_order`` on names, for G[w] (default: all of g) less the arrows into ``cut`` (names outside
+    g allowed).  Unless g is forward, G[w]'s order need not be g's order filtered to w."""
+    keep = g.mask(g.nodes if w is None else g.check_nodes(w))
+    return [g.nodes[i] for i in _order(g, keep, g.mask(cut))]
+
+
+def _order(g: SemiMarkovianGraph, keep: int, cut: int = 0) -> list[int]:
+    """Kahn's loop on masks: G[keep]'s indices less the arrows into ``cut`` in
+    topological order, each step taking the smallest ready index; on a
+    forward graph, and so on every subgraph of one, ascending order."""
+    if g.forward:  # g.index holds the ints 0..n-1; range() would make each one past 256 anew
+        return list(_pick(g.index.values(), keep))
+    pa, ch, left, order = g.parent_bits, g.child_bits, keep, []
+    ready = sum(1 << i for i in _pick(g.index.values(), keep) if cut >> i & 1 or not pa[i] & keep)
     while ready:
-        v = g.nodes[heapq.heappop(ready)]
-        order.append(v)
-        for c in children[v]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                heapq.heappush(ready, index[c])
-    if len(order) != len(keep):
-        raise GraphError(f"directed part contains a cycle: {' -> '.join(_cycle(g, keep.difference(order)))}")
+        i = (ready & -ready).bit_length() - 1
+        order.append(i)
+        left ^= 1 << i
+        ready ^= 1 << i
+        kids = ch[i] & left  # a child in the cut is ready already: setting its bit again changes nothing
+        while kids:
+            c = kids.bit_length() - 1
+            kids ^= 1 << c
+            if not pa[c] & left:
+                ready |= 1 << c
+    if left:
+        raise GraphError(f"directed part contains a cycle: {' -> '.join(_cycle(g, left))}")
     return order
 
 
-def _cycle(g: SemiMarkovianGraph, left: frozenset[str]) -> list[str]:
-    """A directed cycle, first node repeated last, among the nodes Kahn's loop
-    ``left`` unsorted: each keeps a parent among them, so walking up such
-    parents from the earliest-declared one must come back to a node."""
-    path, n = {}, min(left, key=g.index.__getitem__)  # a dict: ordered, O(1) lookups
-    while n not in path:
-        path[n] = None
-        n = min((p for p in g.parents[n] if p in left), key=g.index.__getitem__)
+def _cycle(g: SemiMarkovianGraph, left: int) -> list[str]:
+    """A directed cycle, first node repeated last, among the indices Kahn's loop ``left``
+    unordered: each keeps a parent there, so walking up the earliest one must repeat an index."""
+    path, i = {}, (left & -left).bit_length() - 1  # a dict: ordered, O(1) lookups
+    while i not in path:
+        path[i] = None
+        up = g.parent_bits[i] & left
+        i = (up & -up).bit_length() - 1
     walk = list(path)
-    return [n, *walk[:walk.index(n):-1], n]
+    return [g.nodes[j] for j in (i, *walk[:walk.index(i):-1], i)]
 
 
 def m_separated(

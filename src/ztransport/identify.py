@@ -45,11 +45,11 @@ from .graph import (
     Query,
     SelectionDiagram,
     SemiMarkovianGraph,
+    _order,
     _partition,
     _pick,
     _reach,
     induced_subgraph,
-    topological_order,
 )
 
 
@@ -164,17 +164,16 @@ class _Joint:
         return E.Quotient(num, den)
 
 
-def _chain_over(P: DistLabel | _Joint, g: SemiMarkovianGraph, V: int, members: int) -> _Joint:
+def _chain_over(P: DistLabel | _Joint, g: SemiMarkovianGraph, V: int, cut: int, members: int) -> _Joint:
     """The joint of ``members`` as the product of P's conditionals, each
     variable given every predecessor in the topological order of the graph
-    at hand (ID's line 7): on a forward diagram, declaration order, read off V."""
-    order = g.names(V) if g.forward else topological_order(g, g.names(V), P.do)
-    chosen = frozenset(g.names(members))
+    at hand, G[V] less the arrows into ``cut`` (ID's line 7)."""
+    order, nodes = _order(g, V, cut), g.nodes
+    names = [nodes[i] for i in order]
     rand_vars, factors = [], []
-    for i, v in enumerate(order):
-        if v in chosen:
-            rand_vars.append(v)
-            factors.append(P.conditional_expr(v, tuple(order[:i])))
+    for k in sorted(map(order.index, _pick(g.index.values(), members))):  # the members' places in order
+        rand_vars.append(names[k])
+        factors.append(P.conditional_expr(names[k], tuple(names[:k])))
     return _Joint(product(factors), tuple(rand_vars), P.do)
 
 
@@ -264,7 +263,7 @@ def _gid_an(
     if containing == V:
         raise FailedFactor(Witness("hedge", induced_subgraph(g, g.names(V), P.do), induced_subgraph(g, g.names(c))))
 
-    chain = _chain_over(P, g, V, containing)
+    chain = _chain_over(P, g, V, cut, containing)
     # the component is intact in the graph at hand: emit its factor chain directly
     if c == containing:
         return marginal_sum(g.names(c & ~y), chain.joint)
@@ -387,7 +386,7 @@ def _sid(
     # first needed: arrows into z cut for direct factors, none for the others;
     # V's order serves both, since cutting arrows keeps it topological
     factors, tables, z_names = [], {}, frozenset(g.names(z))
-    order = [g.index[v] for v in topological_order(g, g.names(V))]
+    order = _order(g, V)
     for c, members in zip(comps, trace.partition):
         # the factor transports directly iff no marked node lies in the
         # component; it then reads the source experiment on z outside it

@@ -33,7 +33,7 @@ import numpy as np
 
 from .expr import EvalError, ProbExpr, SOURCE, TARGET, align_axes, base_var, compile_expr, is_int
 from .expr import evaluate  # noqa: F401  (scalar evaluation, also importable from here)
-from .graph import InputError, Query, SelectionDiagram, SemiMarkovianGraph, topological_order
+from .graph import InputError, Query, SelectionDiagram, SemiMarkovianGraph, _pick, topological_order
 
 MAX_NODES = 12
 MAX_TABLE_ENTRIES = 10_000_000
@@ -145,13 +145,13 @@ class DiscreteSCM:
         would read a negative value as an index from the end), and every
         latent and noise vector is a distribution."""
         g = self.diagram
-        for v in g.nodes:
+        for v, pa in zip(g.nodes, g.parent_bits):
             fn = self.functions.get(v)
             if not (isinstance(fn, np.ndarray) and np.issubdtype(fn.dtype, np.integer)):
                 raise InputError(f"mechanism of {v} must be an integer array")
             try:
                 k = self.arities[v]
-                shape = (*(self.arities[p] for p in g.sorted(g.parents[v])),
+                shape = (*(self.arities[p] for p in g.names(pa)),
                          *(len(self.latents[e]) for e in g.bidirected_order if v in e), len(self.noise[v]))
             except KeyError as e:
                 raise InputError(f"model has no arity, latent or noise for {e.args[0]}") from None
@@ -204,10 +204,7 @@ def _plan(g: SemiMarkovianGraph, arities: Mapping[str, int], hidden_arities: Map
     entry = _PLANS.get(g)
     if entry is None:
         order, index = topological_order(g), g.index
-        at: dict[str, list[frozenset[str]]] = {v: [] for v in g.nodes}
-        for e in g.bidirected_order:
-            for v in e:
-                at[v].append(e)
+        at = {v: [e for e in g.bidirected_order if v in e] for v in g.nodes}
         last = {e: v for v in order for e in at[v]}
         label: dict[frozenset[str], int] = {}
         fresh, free, acc, steps = itertools.count(len(g.nodes)), [], (), []
@@ -215,7 +212,7 @@ def _plan(g: SemiMarkovianGraph, arities: Mapping[str, int], hidden_arities: Map
             opened = tuple(e for e in at[v] if e not in label)
             for e in opened:
                 label[e] = free.pop() if free else next(fresh)
-            cpt = tuple(sorted(index[p] for p in g.parents[v])) + tuple(label[e] for e in at[v]) + (index[v],)
+            cpt = (*_pick(range(len(g.nodes)), g.parent_bits[index[v]]), *(label[e] for e in at[v]), index[v])
             closed = [label[e] for e in at[v] if last[e] == v]
             acc = tuple(sorted(set(acc).union(cpt).difference(closed)))
             free += sorted(closed, reverse=True)
@@ -279,8 +276,8 @@ def _draw_scm(d: SelectionDiagram, rng: np.random.Generator, arity: int, plan: t
     noise_arity = _private_noise_arity(arity)
     latents = dict(zip(g.bidirected_order, _positive_simplex(rng, len(g.bidirected_order), LATENT_ARITY)))
     noise = dict(zip(g.nodes, _positive_simplex(rng, len(g.nodes), noise_arity)))
-    shapes = [(arity,) * len(g.parents[v]) + (LATENT_ARITY,) * sib.bit_count() + (noise_arity,)
-              for v, sib in zip(g.nodes, g.sibling_bits)]
+    shapes = [(arity,) * pa.bit_count() + (LATENT_ARITY,) * sib.bit_count() + (noise_arity,)
+              for pa, sib in zip(g.parent_bits, g.sibling_bits)]
     flat = rng.integers(0, arity, size=sum(math.prod(s) for s in shapes))
     functions, start = {}, 0
     for v, shape in zip(g.nodes, shapes):

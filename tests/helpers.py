@@ -212,7 +212,7 @@ def union_find_components(g: zt.SemiMarkovianGraph) -> set[frozenset[str]]:
 
 def brute_force_separated(g, a, b, c):
     """Path-enumeration d-separation oracle on the latent-expanded DAG."""
-    pa = {n: set(g.parents[n]) for n in g.nodes}
+    pa = {n: {a for a, b in g.directed_edges if b == n} for n in g.nodes}
     ch = {n: {b for a, b in g.directed_edges if a == n} for n in g.nodes}
     for k, e in enumerate(sorted(g.bidirected_edges, key=lambda e: sorted(e))):
         u = f"u{k}"

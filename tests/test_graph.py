@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -95,6 +96,15 @@ def test_ancestors_with_a_cut_equal_ancestors_of_the_mutilated_graph():
         assert zt.ancestors(g, w, cut=cut, within=within) == zt.ancestors(sub, w)
     # nodes outside g in the cut are never reached
     assert zt.ancestors(chain(), ["Y"], cut=frozenset({"X", "Q"})) == {"X", "Y"}
+    # within must be a node set of g that holds w
+    for w, within, message in (
+        (["Y"], {"X"}, "node(s) outside within: Y"),
+        (["X", "Y"], {"Z", "Y"}, "node(s) outside within: X"),
+        (["Y"], {"Y", "Q"}, "unknown node(s): Q"),
+        (["Q"], {"Y"}, "unknown node(s): Q"),
+    ):
+        with pytest.raises(InputError, match=rf"^{re.escape(message)}$"):
+            zt.ancestors(chain(), w, within=within)
 
 
 def test_a_mask_names_its_nodes_in_declaration_order():
@@ -234,6 +244,18 @@ def test_c_component_is_the_member_of_the_partition_holding_w():
             # within a node set holding v: the component of G[within] holding it
             within = frozenset(u for u in g.nodes if rng.random() < 0.6) | {v}
             assert zt.c_component(g, [v], within=within) == zt.c_component(zt.induced_subgraph(g, within), [v])
+    # within must be a node set of g that holds w: on X -> Z -> Y, X <-> Y no
+    # component of G[{X}] holds Y, and {X, Y} is not a set inside G[{X}]
+    g = G(["X", "Z", "Y"], [("X", "Z"), ("Z", "Y")], [("X", "Y")])
+    for w, within, message in (
+        (["Y"], {"X"}, "node(s) outside within: Y"),
+        (["X", "Y"], {"X"}, "node(s) outside within: Y"),
+        (["Y"], {"Y", "Q"}, "unknown node(s): Q"),
+        (["Q"], {"Y"}, "unknown node(s): Q"),
+    ):
+        with pytest.raises(InputError, match=rf"^{re.escape(message)}$"):
+            zt.c_component(g, w, within=within)
+    assert zt.c_component(g, ["Y"], within={"X", "Y"}) == {"X", "Y"}
 
 
 def test_c_components_of_a_node_set_partition_its_induced_subgraph():
@@ -283,7 +305,7 @@ def test_topological_order_diamond():
 
 def sort_every_pop_order(g):
     """Reference: sort the ready list by declaration index before each pop."""
-    indeg = {n: len(g.parents[n]) for n in g.nodes}
+    indeg = {n: sum(b == n for _, b in g.directed_edges) for n in g.nodes}
     ready = [n for n in g.nodes if indeg[n] == 0]
     order = []
     while ready:
@@ -299,7 +321,7 @@ def sort_every_pop_order(g):
 
 def test_topological_order_equals_the_sort_every_pop_reference():
     # random_graph declares every arrow forward, which topological_order
-    # answers without the heap; most shuffled redeclarations do not
+    # answers without Kahn's loop; most shuffled redeclarations do not
     graphs = [random_graph(seed, master=23, max_nodes=10, max_bi=6) for seed in range(60)]
     graphs += redeclared_graphs(master=23)
     forward = [all(g.index[a] < g.index[b] for a, b in g.directed_edges) for g, _ in graphs]
@@ -324,6 +346,10 @@ def test_topological_order_names_a_cycle():
     # on a node set, the cycle is one inside it
     with pytest.raises(GraphError, match=r"^directed part contains a cycle: B -> B$"):
         zt.topological_order(loop, ["B"])
+    # past bit 64: a 70-node chain closed at its end
+    nodes = [f"V{i}" for i in range(70)]
+    with pytest.raises(GraphError, match=r"^directed part contains a cycle: V66 -> V67 -> V68 -> V69 -> V66$"):
+        G(nodes, [*zip(nodes, nodes[1:]), ("V69", "V66")])
     assert zt.topological_order(loop, ["A", "B"], frozenset({"B"})) == ["A", "B"]
 
 

@@ -630,7 +630,7 @@ def test_gid_factors_get_their_own_ancestral_graphs(monkeypatch):
     assert r.ok and r.trace.decompositions == 1
     assert len(r.trace.partition) == 4
     ancestral = {(zt.ancestors(g, c, cut=frozenset({"Z"}) - c), frozenset({"Z"}) - c) for c in r.trace.partition}
-    read = [(frozenset(g.names(V)), P.do) for (P, _, V, _), _, _ in chains]
+    read = [(frozenset(g.names(V)), P.do) for (P, _, V, _, _), _, _ in chains]
     assert len(read) == 3
     for w, cut in read:
         assert w != g.node_set
@@ -656,7 +656,7 @@ def test_sid_z_builds_no_graph_unless_it_fails(monkeypatch):
     ]
     # {V1} and {Y2} need no intervention inside their ancestral sets; only
     # {Y1}'s chain is built, off its ancestral set with nothing cut
-    assert [(set(g.names(V)), set(P.do)) for (P, _, V, _), _, _ in chains] == [({"X1", "V1", "Y1"}, set())]
+    assert [(set(g.names(V)), set(P.do)) for (P, _, V, _, _), _, _ in chains] == [({"X1", "V1", "Y1"}, set())]
     assert built == []
     # a query that transports builds no graph; one that fails builds its
     # witness's two graphs and nothing else

@@ -49,7 +49,7 @@ def brute_force_joint(m: DiscreteSCM, do: dict) -> dict:
                 if v in do:
                     values[v] = do[v]
                     continue
-                idx = tuple(values[p] for p in g.sorted(g.parents[v]))
+                idx = tuple(values[p] for p in g.sorted(a for a, b in g.directed_edges if b == v))
                 idx += tuple(u_of[e] for e in edge_order if v in e)
                 idx += (noise_of[v],)
                 values[v] = int(m.functions[v][idx])
@@ -413,7 +413,7 @@ def test_truncated_factorization_on_markovian_graphs():
             full = {**assign, **do}
             want = 1.0
             for v in keep:
-                pa = {p: full[p] for p in g.parents[v]}
+                pa = {a: full[a] for a, b in g.directed_edges if b == v}
                 want *= obs.conditional({v: full[v]}, pa)
             assert got.prob(assign) == pytest.approx(want, abs=1e-10)
 
