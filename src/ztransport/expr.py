@@ -71,9 +71,10 @@ class Term(ProbExpr):
             raise ExprError(f"bad domain: {self.domain!r}")
         if self.domain == TARGET and self.do:
             raise ExprError("target terms carry no interventions")
-        if set(self.outcome) & set(self.given):
+        outcome = frozenset(self.outcome)
+        if not outcome.isdisjoint(self.given):
             raise ExprError("outcome and conditioners overlap")
-        if set(self.do) & set(self.outcome):
+        if not outcome.isdisjoint(self.do):
             raise ExprError("interventions and outcome overlap")
         if not self.outcome:
             raise ExprError("term needs a nonempty outcome")
@@ -136,18 +137,31 @@ def sum_over(over: Iterable[str], body: ProbExpr) -> ProbExpr:
 
 def _slots(e: ProbExpr, bind: bool) -> frozenset[str]:
     """The value slots of ``e``; with ``bind``, those a sum binds are left out."""
+    out: set[str] = set()
+    _add_slots(e, bind, out)
+    return frozenset(out)
+
+
+def _add_slots(e: ProbExpr, bind: bool, out: set[str]) -> None:
+    """Add ``_slots(e, bind)`` to ``out``; a sum that binds walks its body into a set of its own."""
     if isinstance(e, Term):
-        return frozenset(e.do) | frozenset(e.outcome) | frozenset(e.given)
-    if isinstance(e, Product):
-        return frozenset().union(*(_slots(f, bind) for f in e.factors))
-    if isinstance(e, Sum):
-        body = _slots(e.body, bind)
-        return body - e.over if bind else body | e.over
-    if isinstance(e, Quotient):
-        return _slots(e.num, bind) | _slots(e.den, bind)
-    if isinstance(e, One):
-        return frozenset()
-    raise ExprError(f"not a ProbExpr: {e!r}")
+        out.update(e.do, e.outcome, e.given)
+    elif isinstance(e, Product):
+        for f in e.factors:
+            _add_slots(f, bind, out)
+    elif isinstance(e, Sum):
+        if bind:
+            body: set[str] = set()
+            _add_slots(e.body, bind, body)
+            out.update(body.difference(e.over))
+        else:
+            out.update(e.over)
+            _add_slots(e.body, bind, out)
+    elif isinstance(e, Quotient):
+        _add_slots(e.num, bind, out)
+        _add_slots(e.den, bind, out)
+    elif not isinstance(e, One):
+        raise ExprError(f"not a ProbExpr: {e!r}")
 
 
 def free_variables(e: ProbExpr) -> frozenset[str]:
@@ -236,8 +250,8 @@ def validate(e: ProbExpr, bound: frozenset[str] = frozenset()) -> None:
     if isinstance(e, Sum):
         if e.over & bound:
             raise ExprError(f"double binding of {sorted(e.over & bound)}")
-        if not e.over <= free_variables(e.body):
-            missing = e.over - free_variables(e.body)
+        missing = e.over - free_variables(e.body)
+        if missing:
             raise ExprError(f"sum binds variables absent from body: {sorted(missing)}")
         validate(e.body, bound | e.over)
     elif isinstance(e, Product):

@@ -291,6 +291,20 @@ def _order(g: SemiMarkovianGraph, keep: int, cut: int = 0) -> list[int]:
     return order
 
 
+def _ahead(g: SemiMarkovianGraph, keep: int, cut: int, members: int) -> list[tuple[int, int]]:
+    """Each index i of ``members`` (inside ``keep``) in ``_order(g, keep, cut)``'s order, paired
+    with the mask of the indices ahead of i there; on a forward graph those are
+    keep's smaller indices, so no order is walked."""
+    if g.forward:
+        return [(i, keep & ((1 << i) - 1)) for i in _pick(g.index.values(), members)]
+    ahead, out = 0, []
+    for i in _order(g, keep, cut):
+        if members >> i & 1:
+            out.append((i, ahead))
+        ahead |= 1 << i
+    return out
+
+
 def _cycle(g: SemiMarkovianGraph, left: int) -> list[str]:
     """A directed cycle, first node repeated last, among the indices Kahn's loop ``left``
     unordered: each keeps a parent there, so walking up the earliest one must repeat an index."""

@@ -45,6 +45,7 @@ from .graph import (
     Query,
     SelectionDiagram,
     SemiMarkovianGraph,
+    _ahead,
     _order,
     _partition,
     _pick,
@@ -72,6 +73,7 @@ class DistLabel:
             raise InputError(f"bad domain: {self.domain!r}")
         if self.domain == E.TARGET and self.do:
             raise InputError("target distributions carry no interventions")
+        object.__setattr__(self, "_do_names", tuple(sorted(self.do)))  # as each of its terms spells it
 
     def restrict(self, g: SemiMarkovianGraph, keep: int) -> "DistLabel":
         return self
@@ -80,8 +82,8 @@ class DistLabel:
         return term(self.domain, outcome=y, do=self.do) if y else ONE
 
     def conditional_expr(self, v: str, given: tuple[str, ...]) -> ProbExpr:
-        do = self.do
-        return E.Term(self.domain, tuple(sorted(do)), (v,), tuple(sorted([w for w in given if w not in do])))
+        """P(v | given) as one term; ``given`` arrives name-sorted and holds no node of the do-set."""
+        return E.Term(self.domain, self._do_names, (v,), given)
 
 
 @dataclass(frozen=True)
@@ -167,13 +169,13 @@ class _Joint:
 def _chain_over(P: DistLabel | _Joint, g: SemiMarkovianGraph, V: int, cut: int, members: int) -> _Joint:
     """The joint of ``members`` as the product of P's conditionals, each
     variable given every predecessor in the topological order of the graph
-    at hand, G[V] less the arrows into ``cut`` (ID's line 7)."""
-    order, nodes = _order(g, V, cut), g.nodes
-    names = [nodes[i] for i in order]
-    rand_vars, factors = [], []
-    for k in sorted(map(order.index, _pick(g.index.values(), members))):  # the members' places in order
-        rand_vars.append(names[k])
-        factors.append(P.conditional_expr(names[k], tuple(names[:k])))
+    at hand, G[V] less the arrows into ``cut`` (ID's line 7).  ``cut`` is
+    ``P.do``'s mask, so a conditioning set is its mask of predecessors less
+    the cut, handed to P name-sorted and cut-free."""
+    nodes, rand_vars, factors = g.nodes, [], []
+    for i, ahead in _ahead(g, V, cut, members):
+        rand_vars.append(nodes[i])
+        factors.append(P.conditional_expr(nodes[i], tuple(sorted(_pick(nodes, ahead & ~cut)))))
     return _Joint(product(factors), tuple(rand_vars), P.do)
 
 

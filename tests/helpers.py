@@ -259,6 +259,13 @@ def brute_force_separated(g, a, b, c):
     return not any(open_paths(s) for s in a)
 
 
+def chain_conditioners(g, w, cut, v) -> tuple[str, ...]:
+    """Reference for a chain term's conditioning set: the nodes ahead of v in
+    ``topological_order(g, w, cut)``, less the cut, name-sorted."""
+    order = zt.topological_order(g, w, cut)
+    return tuple(sorted(set(order[:order.index(v)]) - set(cut)))
+
+
 def term_shapes_ok(e, z_allowed) -> bool:
     """The well-formedness contract: target terms are do-free and source
     do-sets remain inside the controllable set."""

@@ -30,6 +30,14 @@ def test_term_invariants():
         E.term(E.SOURCE, outcome=["Y"], do=["Y"])
     with pytest.raises(ExprError):
         E.term(E.SOURCE, outcome=[])
+    # the same checks on the dataclass itself, which takes its tuples as given
+    assert E.Term(E.SOURCE, ("Z",), ("Y",), ("W", "X")).given == ("W", "X")
+    with pytest.raises(ExprError, match="outcome and conditioners overlap"):
+        E.Term(E.SOURCE, (), ("X", "Y"), ("W", "Y"))
+    with pytest.raises(ExprError, match="interventions and outcome overlap"):
+        E.Term(E.SOURCE, ("Y", "Z"), ("Y",), ("X",))
+    with pytest.raises(ExprError, match="outcome and conditioners overlap"):  # checked first
+        E.Term(E.SOURCE, ("Y",), ("Y",), ("Y",))
 
 
 # -- normalize -----------------------------------------------------------------

@@ -29,6 +29,7 @@ from ztransport.oracle import (
 from helpers import (
     back_door_graph,
     bow_graph,
+    chain_conditioners,
     chain_graph,
     fig2a,
     fig2b,
@@ -434,16 +435,20 @@ def test_results_on_random_diagrams_are_pinned():
     assert h.hexdigest() == RESULTS_SHA256
 
 
+def redeclare(d, master: int, seed: int):
+    """d with its nodes declared in an order shuffled by (master, seed)."""
+    g, rng = d.graph, np.random.default_rng([master, seed, 1])
+    g = zt.SemiMarkovianGraph.create(
+        [str(v) for v in rng.permutation(g.nodes)], g.directed_edges, [tuple(e) for e in g.bidirected_edges]
+    )
+    return D(g, d.s_targets)
+
+
 def redeclared_diagram(seed: int, master: int = 37):
     """random_diagram(seed, master) with its nodes declared in a shuffled
     order, so declaration order is mostly no topological order."""
     d, x, y, z = random_diagram(seed, master)
-    g = d.graph
-    rng = np.random.default_rng([master, seed, 1])
-    g = zt.SemiMarkovianGraph.create(
-        [str(v) for v in rng.permutation(g.nodes)], g.directed_edges, [tuple(e) for e in g.bidirected_edges]
-    )
-    return D(g, d.s_targets), x, y, z
+    return redeclare(d, master, seed), x, y, z
 
 
 # sha256 of the records of the same 3,000 results on the diagrams re-declared
@@ -464,6 +469,27 @@ def test_results_on_redeclared_random_diagrams_are_pinned():
             h.update(json.dumps(result_record(r), sort_keys=True).encode())
     assert forward < 500  # most re-declarations are not forward
     assert h.hexdigest() == REDECLARED_RESULTS_SHA256
+
+
+def test_formulas_on_redeclared_random_diagrams_are_sound():
+    # criterion 4's check on the re-declared stream, whose chains mostly
+    # condition on Kahn orders, not on declaration order: every transportable
+    # formula validated on two model pairs, on every value of its free slots
+    worst, checked, non_forward = 0.0, 0, 0
+    for seed in range(1000):
+        d, x, y, z = redeclared_diagram(seed)
+        r = sid_z(y, x, d, z)
+        if not r.ok:
+            continue
+        zc = set(z) - set(y)
+        f, q = E.normalize(r.formula), zt.Query.create(x, y, zc)
+        for pair_seed in (1, 2):
+            pair = generate_pair(d, pair_seed)
+            worst = max(worst, validate_formula(f, pair, q, tables=build_distribution_set(pair, zc)))
+        checked += 1
+        non_forward += not d.graph.forward
+    assert worst <= TOL, worst
+    assert checked > 800 and non_forward > 600, (checked, non_forward)
 
 
 def pick(rng, items, k: int) -> list[str]:
@@ -499,16 +525,12 @@ WIDE_RESULTS_SHA256 = "31ed2e5b8fb82ca9001430bcd0c9cd58592ac09ef8eb24e3bc6e0a235
 def test_results_on_diagrams_past_64_nodes_are_pinned():
     h = hashlib.sha256()
     forward = 0
-    for redeclare in (False, True):
+    for shuffled in (False, True):
         for seed in range(100):
             d, x, y, z = sparse_diagram(seed)
+            if shuffled:
+                d = redeclare(d, 61, seed)
             g = d.graph
-            if redeclare:
-                rng = np.random.default_rng([61, seed, 1])
-                g = zt.SemiMarkovianGraph.create(
-                    [str(v) for v in rng.permutation(g.nodes)], g.directed_edges, [tuple(e) for e in g.bidirected_edges]
-                )
-                d = D(g, d.s_targets)
             forward += g.forward
             for r in (sid_z(y, x, d, z), gid_z(y, x, z, g), transportable(y, x, d)):
                 h.update(json.dumps(result_record(r), sort_keys=True).encode())
@@ -694,6 +716,42 @@ def test_sid_z_factors_start_on_their_ancestral_sets(monkeypatch):
                 checked["marked"] += not direct_transportable(c, d)
                 checked["past 64"] += len(g.nodes) > 64
     assert min(checked.values()) > 20, checked
+
+
+def test_chain_terms_condition_on_their_predecessors(monkeypatch):
+    # each chain term P(v | given) of a base distribution conditions on v's
+    # predecessors in the order of the graph at hand, less the cut, spelled
+    # name-sorted; the chain's variables come in that order; forward
+    # diagrams, re-declared ones and some past 64 nodes, both ways declared,
+    # with the query's z and with every node outside y controllable
+    chains = spy_on(monkeypatch, "_chain_over")
+    checked = {"forward": 0, "not forward": 0, "cut": 0, "past 64": 0}
+    queries = [q for seed in range(400) for q in (random_diagram(seed, master=37), redeclared_diagram(seed))]
+    for seed in range(10):
+        d, x, y, z = sparse_diagram(seed)
+        queries += [(d, x, y, z), (redeclare(d, 61, seed), x, y, z)]
+    for d, x, y, z in queries:
+        g = d.graph
+        chains.clear()
+        sid_z(y, x, d, z)
+        gid_z(y, x, z, g)
+        transportable(y, x, d)
+        for (P, _, V, cut, members), _, chain in chains:
+            w, cut = g.names(V), g.names(cut)
+            assert set(cut) == set(P.do)
+            order = zt.topological_order(g, w, cut)
+            assert chain.rand_vars == tuple(v for v in order if v in g.names(members))
+            if not isinstance(P, DistLabel):
+                continue  # a nested chain's factors are quotients of its sums
+            terms = chain.joint.factors if isinstance(chain.joint, E.Product) else (chain.joint,)
+            for t, v in zip(terms, chain.rand_vars, strict=True):
+                assert t.outcome == (v,) and t.do == tuple(sorted(P.do))
+                assert t.given == tuple(sorted(t.given)) and set(t.given).isdisjoint(t.do)
+                assert t.given == chain_conditioners(g, w, cut, v)
+                checked["forward" if g.forward else "not forward"] += 1
+                checked["cut"] += bool(cut)
+                checked["past 64"] += len(g.nodes) > 64
+    assert min(checked.values()) > 100, checked
 
 
 def test_ancestor_table_matches_ancestors_under_random_cuts():
