@@ -73,7 +73,6 @@ class DistLabel:
             raise InputError(f"bad domain: {self.domain!r}")
         if self.domain == E.TARGET and self.do:
             raise InputError("target distributions carry no interventions")
-        object.__setattr__(self, "_do_names", tuple(sorted(self.do)))  # as each of its terms spells it
 
     def restrict(self, g: SemiMarkovianGraph, keep: int) -> "DistLabel":
         return self
@@ -83,7 +82,7 @@ class DistLabel:
 
     def conditional_expr(self, v: str, given: tuple[str, ...]) -> ProbExpr:
         """P(v | given) as one term; ``given`` arrives name-sorted and holds no node of the do-set."""
-        return E.Term(self.domain, self._do_names, (v,), given)
+        return E.Term(self.domain, tuple(sorted(self.do)), (v,), given)
 
 
 @dataclass(frozen=True)
