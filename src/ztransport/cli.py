@@ -182,7 +182,10 @@ def _corrupt_formula(e: E.ProbExpr) -> E.ProbExpr:
 
 
 def validate(qf: QueryFile, seeds: range, arity: int = 2) -> tuple[int, dict]:
-    """Check the emitted formula against exact model pairs for each seed."""
+    """Check the emitted formula against exact model pairs for each seed;
+    an empty seed range is an InputError, since it would check nothing."""
+    if not seeds:
+        raise InputError("the seed range is empty: no model pair would be checked")
     res = sid_z(qf.query.y, qf.query.x, qf.diagram, qf.query.z)
     if not res.ok:
         return 2, _result_doc(res)

@@ -361,8 +361,19 @@ class _Style(NamedTuple):
         return self.sep.join(map(self.slot, vs))
 
 
+class _Text(_Style):
+    """Text spells each name lower-cased, and a list lower-cased whole spells
+    the same: ``str.lower``'s one context rule (Final_Sigma) looks across no
+    ``,``, which is neither cased nor case-ignorable.  One call per list."""
+
+    __slots__ = ()
+
+    def names(self, vs: Iterable[str]) -> str:
+        return self.sep.join(vs).lower()
+
+
 _STYLES = {
-    "text": _Style(str.lower, "P*", ",", "|", "({})", (Sum, Quotient), "sum_{{{}}} {}", "({}) / ({})"),
+    "text": _Text(str.lower, "P*", ",", "|", "({})", (Sum, Quotient), "sum_{{{}}} {}", "({}) / ({})"),
     "latex": _Style(
         _slot_latex, "P^{*}", ", ", r" \mid ", r"\left({}\right)", (Sum,), r"\sum_{{{}}} {}",
         r"\frac{{{}}}{{{}}}",

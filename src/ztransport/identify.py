@@ -34,8 +34,6 @@ step (``_gid_an``); a nested call takes that step with one mask walk.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import or_
 from typing import Callable, Iterable
 
 from . import expr as E
@@ -345,14 +343,24 @@ def direct_transportable(c: frozenset[str], d: SelectionDiagram) -> bool:
     return not (d.s_targets & d.graph.check_nodes(c))
 
 
+def _union(masks: list[int], m: int) -> int:
+    """The OR of ``masks[j]`` over the set bits j of mask m."""
+    u = 0
+    while m:
+        j = m.bit_length() - 1
+        m ^= 1 << j
+        u |= masks[j]
+    return u
+
+
 def _ancestor_table(g: SemiMarkovianGraph, order: list[int], cut: int) -> list[int]:
     """Entry i is the mask of node i's ancestors, i included, with the arrows
     into ``cut`` cut, for each index i in ``order``, a node set closed under
     ancestors in topological order; 0 elsewhere.  An entry outside the cut
-    is the OR of its parents' entries."""
+    is i's bit OR-ed with the entries at the set bits of i's parent mask."""
     table, pa = [0] * len(g.nodes), g.parent_bits
     for i in order:
-        table[i] = 1 << i if cut >> i & 1 else reduce(or_, _pick(table, pa[i]), 1 << i)
+        table[i] = 1 << i if cut >> i & 1 else _union(table, pa[i]) | 1 << i
     return table
 
 
@@ -368,7 +376,9 @@ def _sid(
     distribution and source experiments on subsets of z.  After the
     c-component factorization each factor c is identified by BI on An(c)
     with the arrows into its experiment cut, read off one ancestor table per
-    call, so its cost grows with An(c), not with the whole diagram."""
+    call (c OR-ed with the entries of its parents outside c), so its cost
+    grows with An(c), not with the whole diagram.  A factor is direct when
+    its mask meets no marked node's bit."""
     g = d.graph
     # restrict to the ancestors of y
     V = _reach(g.parent_bits, y)
@@ -387,19 +397,27 @@ def _sid(
     # first needed: arrows into z cut for direct factors, none for the others;
     # V's order serves both, since cutting arrows keeps it topological
     factors, tables, z_names = [], {}, frozenset(g.names(z))
-    order = _order(g, V)
+    order, marked = _order(g, V), g.mask(d.s_targets)
     for c, members in zip(comps, trace.partition):
         # the factor transports directly iff no marked node lies in the
         # component; it then reads the source experiment on z outside it
-        direct = direct_transportable(members, d)
+        direct = not c & marked
         do_set = z & ~c if direct else 0
         base = DistLabel(E.SOURCE, z_names - members) if direct else DistLabel(E.TARGET)
         if direct not in tables:
             tables[direct] = _ancestor_table(g, order, z if direct else 0)
-        # An(c) with the arrows into z - c cut is c plus its parents' entries:
-        # a path from an ancestor to its first node in c runs outside c, so
-        # outside z, and lies in the entry of that node's parent on it
-        an = c | reduce(or_, _pick(tables[direct], reduce(or_, _pick(g.parent_bits, c), 0)), 0)
+        table = tables[direct]
+        # An(c) with the arrows into z - c cut is c plus the entries of its
+        # parents outside c: a path from an ancestor to its first node in c
+        # runs outside c, so outside z, and lies in the entry of that node's
+        # parent on it.  An ancestor's entry lies inside its descendant's, so
+        # a parent already in an entry OR-ed in is skipped; the walk goes from
+        # the highest bit down, descendants first when declared in order
+        an, rest = c, _union(g.parent_bits, c) & ~c
+        while rest:
+            j = rest.bit_length() - 1
+            an |= table[j]
+            rest &= ~table[j]
         try:
             factors.append(_gid_an(c, an & ~c & ~do_set, 0, base, g, an, do_set, trace, depth))
         except FailedFactor as e:

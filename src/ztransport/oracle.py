@@ -255,7 +255,7 @@ def _contract(m: DiscreteSCM, do: Iterable[str] = ()) -> np.ndarray:
             args += (m.cpts[v], cpt_sub)
         acc, acc_sub = np.einsum(*args, out), out
     totals = acc.sum(axis=tuple(i for i, v in enumerate(m.diagram.nodes) if v not in do))
-    if np.abs(totals - 1.0).max(initial=0.0) > 1e-9:
+    if not np.abs(totals - 1.0).max(initial=0.0) <= 1e-9:  # a NaN total fails too
         raise OracleError(f"enumerated tables sum to {totals.min()}..{totals.max()}, not 1")
     acc.flags.writeable = False
     return acc

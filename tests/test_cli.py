@@ -203,6 +203,17 @@ def test_validate_marginal_query_exact():
     assert all(r["max_abs_error"] <= 1e-12 for r in doc["results"])
 
 
+@pytest.mark.parametrize("seeds", [range(0), range(5, 1)])
+def test_validate_on_an_empty_seed_range_is_an_input_error(tmp_path, capsys, seeds):
+    # checking no model pair is no pass, for a formula or a failure alike
+    for text in (FIG2A_TEXT, FIG2A_TEXT.replace("Z: Z", "Z: W")):
+        with pytest.raises(zt.InputError, match="seed range is empty"):
+            cli.validate(parse_diagram(text), seeds)
+    # the CLI refuses an empty --seeds with its own message first
+    assert cli.main(["validate", fig2a_file(tmp_path), "--seeds", "5..1"]) == 1
+    assert capsys.readouterr().err == "error: --seeds 5..1 is an empty range\n"
+
+
 def test_validate_not_transportable_exits_2():
     text = FIG2A_TEXT.replace("Z: Z", "Z: W")
     code, doc = cli.validate(parse_diagram(text), seeds=range(1, 3))

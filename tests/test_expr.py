@@ -125,6 +125,38 @@ def test_render_latex_escapes_underscores_and_primes_follow_the_base():
     assert E.render(e) == "sum_{w1',x_2'} P(w1',x_2',y)"
 
 
+def _lower_each(vs):
+    return ",".join(v.lower() for v in vs)
+
+
+# sigmas, cased letters whose lower case is longer or titlecase, and the
+# case-ignorable marks Final_Sigma skips over (prime, middle dot, colon, a
+# combining accent), mixed into names with digits and "_"
+SIGMA_NAMES = st.text(alphabet="ΣσςAaİẞǅ_'·:́019", min_size=1, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(SIGMA_NAMES, st.text(min_size=1, max_size=5)), min_size=1, max_size=9, unique=True))
+def test_render_text_spells_each_name_lower_cased_on_its_own(names):
+    # text lower-cases a whole list of names at once; it must spell every
+    # list as its names lower-cased one by one
+    outcome, given, do = names[0::3], names[1::3], names[2::3]
+    t = E.Term(E.SOURCE, tuple(do), tuple(outcome), tuple(given))
+    text = ("P_{%s}" % _lower_each(do) if do else "P") + f"({_lower_each(outcome)}"
+    text += f"|{_lower_each(given)})" if given else ")"
+    assert E.render(t) == text
+    assert E.render(E.Sum(frozenset(names), t)) == f"sum_{{{_lower_each(sorted(names))}}} {text}"
+
+
+def test_render_text_reads_final_sigma_inside_each_name():
+    # a capital sigma ending a name is final and one starting a name is not,
+    # whatever name sits on the other side of the ","
+    assert E.render(E.Term(E.SOURCE, ("ΣA",), ("AΣ", "ΣB"), ("Σ",))) == "P_{σa}(aς,σb|σ)"
+    # a prime is case-ignorable: a sigma before it is final unless a letter follows
+    e = E.marginal_sum(["AΣ"], E.Term(E.SOURCE, (), ("AΣ", "AΣ'B"), ("X_1",)))
+    assert E.render(e) == "sum_{aς'} P(aς',aσ'b|x_1)"
+
+
 def test_render_spells_each_distinct_slot_once_per_call(monkeypatch):
     calls = []
 

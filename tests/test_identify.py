@@ -777,6 +777,33 @@ def test_ancestor_table_matches_ancestors_under_random_cuts():
                 assert set(g.names(entry)) == (zt.ancestors(g, [v], cut=cut) if v in within else set())
 
 
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+def test_factor_ancestral_set_reaches_through_z_inside_the_factor_past_64_nodes(monkeypatch, reverse):
+    # the direct factor c = {V70, V71, V72} is a chain of its own: V70 and V71
+    # are parents inside c, and V71 is in z, so the ancestor table (arrows into
+    # all of z cut) holds V71 alone; yet the factor's cut is z - c, so An(c)
+    # reaches V0..V5 through V71's parent V5 as well as V40..V69 through V69
+    n = 80
+    nodes = [f"V{i}" for i in range(n)]
+    directed = [(f"V{i}", f"V{i + 1}") for i in range(n - 1)] + [("V5", "V71")]
+    g = zt.SemiMarkovianGraph.create(
+        nodes[::-1] if reverse else nodes, directed, [("V70", "V71"), ("V71", "V72"), ("V74", "V75")]
+    )
+    d, x, y, z = D(g, ["V75"]), ["V60"], ["V79"], {"V40", "V71"}
+    entries = spy_on(monkeypatch, "_gid_an")
+    assert sid_z(y, x, d, z).ok
+    an_y, seen = zt.ancestors(g, y), {}
+    for (c, cx, _, P, _, V, cut, _, depth), _, _ in entries:
+        if depth == 4 * n + 8:
+            c = frozenset(g.names(c))
+            do_set = z - c if direct_transportable(c, d) else frozenset()
+            assert set(g.names(cut)) == P.do == do_set
+            seen[c] = set(g.names(V))
+            assert seen[c] == zt.ancestors(g, c, cut=do_set, within=an_y)
+    assert seen[frozenset({"V70", "V71", "V72"})] == {f"V{i}" for i in (*range(6), *range(40, 73))}
+    assert seen[frozenset({"V74", "V75"})] == {f"V{i}" for i in range(76)}
+
+
 def test_single_activation_and_matching_decompositions():
     for seed in range(150):
         d, x, y, zset = random_diagram(seed, master=41)

@@ -308,6 +308,20 @@ def test_a_latent_or_noise_vector_that_is_no_distribution_is_an_input_error(vect
     DiscreteSCM(g, {"X": 2, "Y": 2}, {edge: np.full(4, 0.25)}, noise, functions)
 
 
+def test_a_nan_total_fails_the_sum_to_one_check():
+    # a model given a checked plan skips its own input checks, so a NaN in
+    # its noise reaches the contraction, whose totals are then all NaN
+    g = zt.SemiMarkovianGraph.create(["X", "Y"], [("X", "Y")])
+    noise = {"X": np.array([0.5, 0.5]), "Y": np.array([0.5, 0.5])}
+    functions = {"X": np.array([0, 1]), "Y": np.array([[0, 1], [0, 1]])}
+    checked = DiscreteSCM(g, {"X": 2, "Y": 2}, {}, noise, functions)
+    assert enumerate_joint(checked).probs.sum() == pytest.approx(1.0)
+    noise["X"] = np.array([np.nan, 0.5])
+    m = DiscreteSCM(g, {"X": 2, "Y": 2}, {}, noise, functions, plan=checked.plan)
+    with pytest.raises(OracleError, match="enumerated tables sum to nan..nan, not 1"):
+        enumerate_joint(m)
+
+
 def test_a_well_formed_model_built_directly_enumerates():
     y = np.zeros((2, 4, 2), dtype=np.int8)
     y[1] = 1  # Y copies X
