@@ -35,10 +35,8 @@ from .graph import (
     SelectionDiagram,
     SemiMarkovianGraph,
     ancestors,
-    c_component,
     c_components,
     induced_subgraph,
-    m_separated,
     mutilate,
     topological_order,
 )

@@ -128,22 +128,6 @@ def parse_diagram(text: str) -> QueryFile:
     return QueryFile(diagram=diagram, query=query)
 
 
-def write_diagram(qf: QueryFile) -> str:
-    """Canonical text for a parsed file; parsing it back is the identity."""
-    g = qf.diagram.graph
-    lines = [f"node {n}" for n in g.nodes]
-    lines += [f"{a} -> {b}" for a, kids in zip(g.nodes, g.child_bits) for b in g.names(kids)]
-    lines += [f"{a} <-> {b}" for a, b in map(g.sorted, g.bidirected_order)]
-    lines += [f"select {n}" for n in g.sorted(qf.diagram.s_targets)]
-    q = qf.query
-    if q.x:
-        lines.append("X: " + " ".join(g.sorted(q.x)))
-    lines.append("Y: " + " ".join(g.sorted(q.y)))
-    if q.z:
-        lines.append("Z: " + " ".join(g.sorted(q.z)))
-    return "\n".join(lines) + "\n"
-
-
 def _result_doc(res: IdentResult) -> dict:
     doc: dict = {"warnings": list(res.warnings)}
     if res.ok:

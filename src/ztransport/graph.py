@@ -197,25 +197,19 @@ def _reach(adj: Sequence[int], start: int, stop: int = 0, keep: int = -1) -> int
 def ancestors(
     g: SemiMarkovianGraph, w: Iterable[str], cut: frozenset[str] = frozenset(), within: frozenset[str] | None = None
 ) -> frozenset[str]:
-    """Directed-path ancestors of w, inclusive of w, in G[within] (default: all of g), which must hold w.
+    """Directed-path ancestors of w, inclusive of w, in G[within] (default: all of g).
 
     Bidirected edges contribute no ancestry.  The arrows into ``cut`` are
     not followed, so the result is ``ancestors(induced_subgraph(g, within,
     cut), w)`` without building that graph; ``cut`` may name nodes outside g.
+    It makes its own ``within`` checks: InputError unless w and within are
+    node sets of g and within holds w.
     """
-    return _walk(g, g.parent_bits, w, within, g.mask(cut))
-
-
-def _walk(
-    g: SemiMarkovianGraph, adj: Sequence[int], w: Iterable[str], within: Iterable[str] | None, stop: int = 0
-) -> frozenset[str]:
-    """``_reach`` on names, from w through ``adj`` in G[within] (default: all of g), not on from ``stop``;
-    raises InputError unless w and within are node sets of g and within holds w."""
     start = g.mask(g.check_nodes(w))
     keep = -1 if within is None else g.mask(g.check_nodes(within))
     if start & ~keep:
         raise InputError(f"node(s) outside within: {', '.join(g.names(start & ~keep))}")
-    return frozenset(g.names(_reach(adj, start, stop, keep)))
+    return frozenset(g.names(_reach(g.parent_bits, start, g.mask(cut), keep)))
 
 
 def induced_subgraph(g: SemiMarkovianGraph, w: Iterable[str], cut: Iterable[str] = ()) -> SemiMarkovianGraph:
@@ -234,13 +228,6 @@ def induced_subgraph(g: SemiMarkovianGraph, w: Iterable[str], cut: Iterable[str]
 def mutilate(g: SemiMarkovianGraph, cut_incoming: Iterable[str] = ()) -> SemiMarkovianGraph:
     """Delete arrows into ``cut_incoming``: the cut subgraph on all of g."""
     return induced_subgraph(g, g.nodes, cut_incoming)
-
-
-def c_component(g: SemiMarkovianGraph, w: Iterable[str], within: frozenset[str] | None = None) -> frozenset[str]:
-    """Nodes joined to w by bidirected paths in G[within] (default: all of g),
-    inclusive of w, which it must hold: for a bidirected-connected w, the
-    member of ``c_components(g, within)`` holding it."""
-    return _walk(g, g.sibling_bits, w, within)
 
 
 def c_components(g: SemiMarkovianGraph, w: Iterable[str] | None = None) -> list[frozenset[str]]:
@@ -318,40 +305,3 @@ def _cycle(g: SemiMarkovianGraph, left: int) -> list[str]:
         i = (up & -up).bit_length() - 1
     walk = list(path)
     return [g.nodes[j] for j in (i, *walk[:walk.index(i):-1], i)]
-
-
-def m_separated(
-    g: SemiMarkovianGraph,
-    a: Iterable[str],
-    b: Iterable[str],
-    c: Iterable[str] = (),
-) -> bool:
-    """True iff every path between a and b is blocked given c.
-
-    Bidirected edges behave as paths through a fresh hidden common cause.
-    Uses the ancestral moral graph construction.
-    """
-    ma, mb, mc = (g.mask(g.check_nodes(s)) for s in (a, b, c))
-    if ma & mb or ma & mc or mb & mc:
-        raise InputError("a, b, c must be pairwise disjoint")
-    if not ma or not mb:
-        return True
-    # DAG view with one hidden parent per bidirected edge: index len(g.nodes) + k
-    # stands for the k-th edge of g.bidirected_order, so it names no node
-    n, pa = len(g.nodes), list(g.parent_bits) + [0] * len(g.bidirected_order)
-    for k, e in enumerate(g.bidirected_order):
-        for v in e:
-            pa[g.index[v]] |= 1 << (n + k)
-
-    # restrict to ancestors of a | b | c in the latent-expanded DAG
-    relevant = _reach(pa, ma | mb | mc)
-
-    # moralize: undirected skeleton plus marriages of co-parents (all relevant, as their children are)
-    adj = [0] * len(pa)
-    for i in _pick(range(len(pa)), relevant):
-        adj[i] |= pa[i]
-        for p in _pick(range(len(pa)), pa[i]):
-            adj[p] |= pa[i] | 1 << i
-
-    # test connectivity a -> b, walking on from no node of the conditioning set
-    return not mb & _reach(adj, ma, mc)

@@ -398,12 +398,15 @@ def _sid(
     # V's order serves both, since cutting arrows keeps it topological
     factors, tables, z_names = [], {}, frozenset(g.names(z))
     order, marked = _order(g, V), g.mask(d.s_targets)
-    for c, members in zip(comps, trace.partition):
+    for c in comps:
         # the factor transports directly iff no marked node lies in the
         # component; it then reads the source experiment on z outside it
         direct = not c & marked
         do_set = z & ~c if direct else 0
-        base = DistLabel(E.SOURCE, z_names - members) if direct else DistLabel(E.TARGET)
+        # the do-set's names are z's less c's: c seldom meets z, so a factor
+        # spells few names, where g.names(do_set) would spell all of z's
+        # (that made sid_z about a quarter slower over large_decide)
+        base = DistLabel(E.SOURCE, z_names.difference(g.names(c & z))) if direct else DistLabel(E.TARGET)
         if direct not in tables:
             tables[direct] = _ancestor_table(g, order, z if direct else 0)
         table = tables[direct]
@@ -424,7 +427,7 @@ def _sid(
             if direct:
                 raise
             w = e.witness
-            raise FailedFactor(Witness("shedge", w.f_graph, w.f_sub, d.s_targets & members)) from e
+            raise FailedFactor(Witness("shedge", w.f_graph, w.f_sub, frozenset(g.names(c & marked)))) from e
     return sum_over(g.names(V & ~(y | x)), product(factors))
 
 

@@ -173,18 +173,6 @@ class DiscreteSCM:
         """
         return np.eye(self.arities[v])[self.functions[v]].swapaxes(-1, -2) @ self.noise[v]
 
-    def exogenized(self, nodes: Iterable[str]) -> "DiscreteSCM":
-        """Replace mechanisms so the given nodes depend on private noise only."""
-        nodes = self.diagram.check_nodes(nodes)
-        functions = dict(self.functions)
-        for v in nodes:
-            k = self.arities[v]
-            fn = self.functions[v]
-            flat = np.arange(fn.shape[-1]) % k
-            functions[v] = np.broadcast_to(flat, fn.shape).copy()
-        kept = {v: c for v, c in self.cpts.items() if v not in nodes}
-        return DiscreteSCM(self.diagram, self.arities, self.latents, self.noise, functions, kept)
-
 
 def _plan(g: SemiMarkovianGraph, arities: Mapping[str, int], hidden_arities: Mapping[frozenset[str], int],
           onehot: int = 1) -> tuple[tuple, ...]:

@@ -210,12 +210,12 @@ def union_find_components(g: zt.SemiMarkovianGraph) -> set[frozenset[str]]:
     return {frozenset(s) for s in groups.values()}
 
 
-def brute_force_separated(g, a, b, c):
+def brute_force_separated(g, a, b, c=()):
     """Path-enumeration d-separation oracle on the latent-expanded DAG."""
     pa = {n: {a for a, b in g.directed_edges if b == n} for n in g.nodes}
     ch = {n: {b for a, b in g.directed_edges if a == n} for n in g.nodes}
     for k, e in enumerate(sorted(g.bidirected_edges, key=lambda e: sorted(e))):
-        u = f"u{k}"
+        u = ("u", k)  # a tuple, so no node name can stand for it
         pa[u] = set()
         ch[u] = set(e)
         for v in e:
@@ -257,6 +257,18 @@ def brute_force_separated(g, a, b, c):
         return False
 
     return not any(open_paths(s) for s in a)
+
+
+def exogenize(m: zt.DiscreteSCM, nodes) -> zt.DiscreteSCM:
+    """m with the mechanisms of the given nodes replaced, so each depends on
+    its private noise only: the reference model for experiments on them."""
+    nodes = m.diagram.check_nodes(nodes)
+    functions = dict(m.functions)
+    for v in nodes:
+        fn = m.functions[v]
+        functions[v] = np.broadcast_to(np.arange(fn.shape[-1]) % m.arities[v], fn.shape).copy()
+    kept = {v: c for v, c in m.cpts.items() if v not in nodes}
+    return zt.DiscreteSCM(m.diagram, m.arities, m.latents, m.noise, functions, kept)
 
 
 def chain_conditioners(g, w, cut, v) -> tuple[str, ...]:

@@ -27,6 +27,7 @@ from helpers import (
     back_door_graph,
     bow_graph,
     chain_graph,
+    exogenize,
     fig2a,
     fig2b,
     fig2c,
@@ -332,7 +333,7 @@ def test_criterion_5_specialization_and_overlap_reformulation(capsys):
             pair = generate_pair(d0, 11)
             q_l = zt.Query.create(x, y, set(zset) - set(y))
             worst_l = max(worst_l, validate_formula(E.normalize(left.formula), pair, q_l))
-            m2 = pair.source.exogenized(zx)
+            m2 = exogenize(pair.source, zx)
             pair_r = DiscreteModelPair(d0, m2, m2)
             q_r = zt.Query.create(set(x) - set(zx), y, set(zset) - set(x) - set(y))
             worst_r = max(worst_r, validate_formula(E.normalize(right.formula), pair_r, q_r))

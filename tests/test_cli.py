@@ -9,9 +9,9 @@ import pytest
 import ztransport as zt
 from ztransport import cli
 from ztransport import expr as E
-from ztransport.cli import ParseError, parse_diagram, write_diagram
+from ztransport.cli import ParseError, parse_diagram
 
-from helpers import GOLDEN, fig2a, fig2b
+from helpers import fig2b
 
 FIG2A_TEXT = """\
 # four observables, selection on Z, experiments available on Z
@@ -120,23 +120,16 @@ def test_parse_error_message_and_line(text, message, line):
     assert str(info.value) == (message if line is None else f"line {line}: {message}")
 
 
-def test_roundtrip_canonical_writer():
-    # nodes named like the keywords: their edge lines start with a keyword
-    keywords = zt.SelectionDiagram.create(
+def test_parse_nodes_named_like_keywords():
+    # nodes named node and select: their edge lines start with a keyword
+    qf = parse_diagram("node -> select\nselect -> Y\nnode <-> Y\nselect node\nX: select\nY: Y\nZ: node\n")
+    assert qf.diagram == zt.SelectionDiagram.create(
         zt.SemiMarkovianGraph.create(
             ["node", "select", "Y"], [("node", "select"), ("select", "Y")], [("node", "Y")]
         ),
         ["node"],
     )
-    cases = [(make(), query) for make, query in GOLDEN.values()]
-    cases.append((keywords, (["select"], ["Y"], ["node"])))
-    for d, (x, y, z) in cases:
-        qf = cli.QueryFile(d, zt.Query.create(x, y, z))
-        text = write_diagram(qf)
-        back = parse_diagram(text)
-        assert back.diagram == d
-        assert back.query == qf.query
-        assert write_diagram(back) == text
+    assert qf.query == zt.Query.create(["select"], ["Y"], ["node"])
 
 
 # -- run -------------------------------------------------------------------
@@ -161,10 +154,13 @@ def test_run_hedge_document():
 
 
 def test_run_shedge_document():
-    d = fig2b()
-    qf = cli.QueryFile(d, zt.Query.create(["X"], ["Y"], ["Z"]))
-    text = write_diagram(qf).replace("select Z", "select W")
-    code, doc = cli.run(parse_diagram(text))
+    # fig2b with S pointed at W instead of Z
+    qf = parse_diagram(
+        "node Z\nnode W\nZ -> X\nW -> X\nX -> Y\nW -> Y\nX <-> Z\nZ <-> Y\nW <-> Y\n"
+        "select W\nX: X\nY: Y\nZ: Z\n"
+    )
+    assert qf.diagram.graph == fig2b().graph
+    code, doc = cli.run(qf)
     assert code == 2
     assert doc["witness"]["kind"] == "shedge"
     assert doc["witness"]["s_targets_in_component"] == ["W"]

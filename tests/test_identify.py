@@ -31,6 +31,7 @@ from helpers import (
     bow_graph,
     chain_conditioners,
     chain_graph,
+    exogenize,
     fig2a,
     fig2b,
     fig5c,
@@ -848,7 +849,7 @@ def test_gid_overlapping_z_x_equivalence():
             d0 = D(g, [])
             pair = generate_pair(d0, 11)
             assert check_sound(left.formula, d0, x, y, zset, seeds=(11,)) <= TOL
-            m2 = pair.source.exogenized(zx)
+            m2 = exogenize(pair.source, zx)
             pair_r = DiscreteModelPair(d0, m2, m2)
             q_r = zt.Query.create(set(x) - set(zx), y, set(zset) - set(x) - set(y))
             err = validate_formula(E.normalize(right.formula), pair_r, q_r)

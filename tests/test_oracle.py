@@ -22,7 +22,7 @@ from ztransport.oracle import (
     validate_formula,
 )
 
-from helpers import GOLDEN, bow_graph, chain_graph, fig2a, fig5a, fig5c, random_diagram, random_graph
+from helpers import GOLDEN, bow_graph, chain_graph, exogenize, fig2a, fig5a, fig5c, random_diagram, random_graph
 
 D = zt.SelectionDiagram.create
 
@@ -202,7 +202,7 @@ def test_the_budget_verdict_is_kept_with_the_plan(monkeypatch):
     generate_pair(d, seed=1, arity=3)  # another arity is another verdict
     assert len(walks) == 2
     pair = generate_pair(d, seed=1)
-    pair.source.exogenized(["X1"])  # onehot 1, not the noise arity: its own verdict
+    exogenize(pair.source, ["X1"])  # onehot 1, not the noise arity: its own verdict
     assert len(walks) == 3
 
 
@@ -337,7 +337,7 @@ def test_generate_pair_checks_the_budget_once_however_many_attempts(monkeypatch)
     pair = generate_pair(fig5c(), seed=3)  # attempt 0 is rejected on its source
     assert (len(plans), len(draws)) == (1, 2)
     assert pair.source.plan is pair.target.plan
-    pair.source.exogenized(["X1"])  # a model built any other way checks its own
+    exogenize(pair.source, ["X1"])  # a model built any other way checks its own
     assert len(plans) == 2
 
 
