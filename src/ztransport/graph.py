@@ -7,7 +7,8 @@ Node order is declaration order and is used as the canonical tie-break
 everywhere, so results are deterministic.
 A node set may also be a mask, an int whose bit i stands for ``g.nodes[i]``.
 Masks are the one adjacency encoding (``parent_bits``, ``child_bits``, ``sibling_bits``):
-one walk over them, ``_reach``, finds every reachable set, and one, ``_order``, every order.
+one walk over them, ``_reach``, finds every reachable set, and one, ``_ahead``, every order
+with each member's predecessors in it.
 """
 
 from __future__ import annotations
@@ -248,23 +249,30 @@ def _partition(g: SemiMarkovianGraph, keep: int) -> list[int]:
 
 
 def topological_order(g: SemiMarkovianGraph, w: Iterable[str] | None = None, cut: Iterable[str] = ()) -> list[str]:
-    """``_order`` on names, for G[w] (default: all of g) less the arrows into ``cut`` (names outside
-    g allowed).  Unless g is forward, G[w]'s order need not be g's order filtered to w."""
+    """``_ahead``'s order on names, for G[w] (default: all of g) less the arrows into ``cut`` (names
+    outside g allowed).  Unless g is forward, G[w]'s order need not be g's order filtered to w."""
     keep = g.mask(g.nodes if w is None else g.check_nodes(w))
-    return [g.nodes[i] for i in _order(g, keep, g.mask(cut))]
+    return [g.nodes[i] for i, _ in _ahead(g, keep, g.mask(cut), keep)]
 
 
-def _order(g: SemiMarkovianGraph, keep: int, cut: int = 0) -> list[int]:
-    """Kahn's loop on masks: G[keep]'s indices less the arrows into ``cut`` in
-    topological order, each step taking the smallest ready index; on a
-    forward graph, and so on every subgraph of one, ascending order."""
+def _ahead(g: SemiMarkovianGraph, keep: int, cut: int, members: int) -> list[tuple[int, int]]:
+    """Kahn's loop on masks, the one order of the graph layer: each index i of
+    ``members`` (inside ``keep``) in the topological order of G[keep] less the
+    arrows into ``cut``, paired with the mask of the indices ahead of i there.
+    Each step takes the smallest ready index, so on a forward graph, and on
+    every subgraph of one, the order is ascending and i's predecessors are
+    keep's smaller indices: no order is walked.  That branch is the one
+    reader of ``g.forward``: most chains have one member in a V of dozens,
+    and walking the order for it cost ``large_decide`` about a seventh of its
+    throughput."""
     if g.forward:  # g.index holds the ints 0..n-1; range() would make each one past 256 anew
-        return list(_pick(g.index.values(), keep))
-    pa, ch, left, order = g.parent_bits, g.child_bits, keep, []
+        return [(i, keep & ((1 << i) - 1)) for i in _pick(g.index.values(), members)]
+    pa, ch, left, out = g.parent_bits, g.child_bits, keep, []
     ready = sum(1 << i for i in _pick(g.index.values(), keep) if cut >> i & 1 or not pa[i] & keep)
     while ready:
         i = (ready & -ready).bit_length() - 1
-        order.append(i)
+        if members >> i & 1:
+            out.append((i, keep ^ left))  # the indices ordered so far
         left ^= 1 << i
         ready ^= 1 << i
         kids = ch[i] & left  # a child in the cut is ready already: setting its bit again changes nothing
@@ -275,23 +283,6 @@ def _order(g: SemiMarkovianGraph, keep: int, cut: int = 0) -> list[int]:
                 ready |= 1 << c
     if left:
         raise GraphError(f"directed part contains a cycle: {' -> '.join(_cycle(g, left))}")
-    return order
-
-
-def _ahead(g: SemiMarkovianGraph, keep: int, cut: int, members: int) -> list[tuple[int, int]]:
-    """Each index i of ``members`` (inside ``keep``) in ``_order(g, keep, cut)``'s order, paired
-    with the mask of the indices ahead of i there; on a forward graph those are
-    keep's smaller indices, so no order is walked.  That branch is the one
-    reader of ``g.forward`` besides ``_order``: most chains have one member
-    in a V of dozens, and walking the order for it cost ``large_decide``
-    about a seventh of its throughput."""
-    if g.forward:
-        return [(i, keep & ((1 << i) - 1)) for i in _pick(g.index.values(), members)]
-    ahead, out = 0, []
-    for i in _order(g, keep, cut):
-        if members >> i & 1:
-            out.append((i, ahead))
-        ahead |= 1 << i
     return out
 
 

@@ -27,8 +27,10 @@ names enter only to build terms, sums, do-sets, the partition and witnesses.
 
 ``sid_z`` reads each factor's An(c) off one ancestor table per call (each
 node's ancestors in An(y), arrows into z cut, filled in one topological
-order of An(y)) and starts the factor's recursion after its ancestral
-step (``_gid_an``); a nested call takes that step with one mask walk.
+order of An(y)) as one union of table entries, and starts the factor's
+recursion after its ancestral step (``_gid_an``); a nested call takes that
+step with one mask walk.  Every order here, An(y)'s and each chain's, is
+read off one walk, ``graph._ahead``.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .graph import (
     SelectionDiagram,
     SemiMarkovianGraph,
     _ahead,
-    _order,
     _partition,
     _pick,
     _reach,
@@ -166,9 +167,10 @@ class _Joint:
 def _chain_over(P: DistLabel | _Joint, g: SemiMarkovianGraph, V: int, cut: int, members: int) -> _Joint:
     """The joint of ``members`` as the product of P's conditionals, each
     variable given every predecessor in the topological order of the graph
-    at hand, G[V] less the arrows into ``cut`` (ID's line 7).  ``cut`` is
-    ``P.do``'s mask, so a conditioning set is its mask of predecessors less
-    the cut, handed to P name-sorted and cut-free."""
+    at hand, G[V] less the arrows into ``cut`` (ID's line 7).  One pass of
+    ``_ahead`` yields each member with its mask of predecessors.  ``cut`` is
+    ``P.do``'s mask, so a conditioning set is that mask less the cut, handed
+    to P name-sorted and cut-free."""
     nodes, rand_vars, factors = g.nodes, [], []
     for i, ahead in _ahead(g, V, cut, members):
         rand_vars.append(nodes[i])
@@ -397,7 +399,7 @@ def _sid(
     # first needed: arrows into z cut for direct factors, none for the others;
     # V's order serves both, since cutting arrows keeps it topological
     factors, tables, z_names = [], {}, frozenset(g.names(z))
-    order, marked = _order(g, V), g.mask(d.s_targets)
+    order, marked = [i for i, _ in _ahead(g, V, 0, V)], g.mask(d.s_targets)
     for c in comps:
         # the factor transports directly iff no marked node lies in the
         # component; it then reads the source experiment on z outside it
@@ -409,18 +411,11 @@ def _sid(
         base = DistLabel(E.SOURCE, z_names.difference(g.names(c & z))) if direct else DistLabel(E.TARGET)
         if direct not in tables:
             tables[direct] = _ancestor_table(g, order, z if direct else 0)
-        table = tables[direct]
         # An(c) with the arrows into z - c cut is c plus the entries of its
         # parents outside c: a path from an ancestor to its first node in c
         # runs outside c, so outside z, and lies in the entry of that node's
-        # parent on it.  An ancestor's entry lies inside its descendant's, so
-        # a parent already in an entry OR-ed in is skipped; the walk goes from
-        # the highest bit down, descendants first when declared in order
-        an, rest = c, _union(g.parent_bits, c) & ~c
-        while rest:
-            j = rest.bit_length() - 1
-            an |= table[j]
-            rest &= ~table[j]
+        # parent on it
+        an = c | _union(tables[direct], _union(g.parent_bits, c) & ~c)
         try:
             factors.append(_gid_an(c, an & ~c & ~do_set, 0, base, g, an, do_set, trace, depth))
         except FailedFactor as e:

@@ -24,7 +24,7 @@ import itertools
 import math
 import weakref
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 from typing import ClassVar
@@ -116,10 +116,10 @@ class DiscreteSCM:
     private noise distribution.  ``cpts[v]`` is ``cpt(v)``, computed once
     at construction for every node whose table is not passed in.  ``plan``
     is the diagram's elimination plan; left out, it is made and checked
-    against the model's arities, and every input table and vector is checked.
-    One passed in must have been checked at these arities already, with
-    well-formed tables (``generate_pair`` checks one per pair and draws
-    its tables in range).
+    against the model's arities.  One passed in must have been checked at
+    these arities already.  Every input table and vector is checked, except
+    in the models ``generate_pair`` draws (``_unchecked``): it checks one
+    plan per pair and draws its tables in range.
     """
 
     diagram: SemiMarkovianGraph
@@ -129,10 +129,12 @@ class DiscreteSCM:
     functions: dict[str, np.ndarray]
     cpts: Mapping[str, np.ndarray] = field(default_factory=dict, compare=False, repr=False)
     plan: tuple[tuple, ...] | None = field(default=None, compare=False, repr=False)
+    _unchecked: InitVar[bool] = False
 
-    def __post_init__(self):
-        if self.plan is None:
+    def __post_init__(self, _unchecked: bool):
+        if not _unchecked:
             self._check_mechanisms()
+        if self.plan is None:
             hidden_arities = {e: len(u) for e, u in self.latents.items()}
             object.__setattr__(self, "plan", _plan(self.diagram, self.arities, hidden_arities))
         given = self.cpts
@@ -271,7 +273,7 @@ def _draw_scm(d: SelectionDiagram, rng: np.random.Generator, arity: int, plan: t
     for v, shape in zip(g.nodes, shapes):
         stop = start + math.prod(shape)
         functions[v], start = flat[start:stop].reshape(shape), stop
-    return DiscreteSCM(g, dict.fromkeys(g.nodes, arity), latents, noise, functions, plan=plan)
+    return DiscreteSCM(g, dict.fromkeys(g.nodes, arity), latents, noise, functions, plan=plan, _unchecked=True)
 
 
 @dataclass(frozen=True)
@@ -327,7 +329,7 @@ def generate_pair(d: SelectionDiagram, seed: int, arity: int = 2) -> DiscreteMod
                 noise[v] = _positive_simplex(rng_t, 1, noise_arity)[0]
                 functions[v] = rng_t.integers(0, arity, size=source.functions[v].shape)
             shared = {v: c for v, c in source.cpts.items() if v not in d.s_targets}
-            target = DiscreteSCM(g, source.arities, source.latents, noise, functions, shared, plan)
+            target = DiscreteSCM(g, source.arities, source.latents, noise, functions, shared, plan, _unchecked=True)
         pair = DiscreteModelPair(d, source, target)
         if pair.source_joint.min() > 0 and pair.target_joint.min() > 0:
             return pair

@@ -45,6 +45,7 @@ def test_term_invariants():
 def test_normalize_absorbs_one():
     t = t_source_cond()
     assert E.normalize(E.Product((E.ONE, t))) == t
+    assert E.normalize(E.Quotient(t, E.ONE)) == t
 
 
 def test_normalize_commutative_products():
@@ -67,6 +68,9 @@ def test_normalize_drops_vacuous_sum_vars():
     # a bound variable that does not occur is dropped
     e = E.Sum(frozenset(["Q", "Y"]), t)
     assert E.normalize(e) == E.Sum(frozenset(["Y"]), t)
+    # so is a sum none of whose bound variables occurs
+    assert E.normalize(E.Sum(frozenset(["Q"]), t)) == t
+    assert E.normalize(E.Sum(frozenset(["Y"]), E.ONE)) == E.ONE
 
 
 def test_validate_rejects_double_binding():
@@ -319,8 +323,17 @@ def test_evaluate_missing_table():
 
 
 def test_evaluate_unbound_variable():
-    with pytest.raises(EvalError):
+    with pytest.raises(EvalError, match=r"^unbound variables: \['B'\]$"):
+        E.evaluate(E.term(E.TARGET, ["A"], given=["B"]), tiny_tables(), {"A": 0})
+    # a variable no table holds fails before any binding is read
+    with pytest.raises(EvalError, match=r"^variables not in table: \['Y'\]$"):
         E.evaluate(t_target_y(), tiny_tables(), {})
+
+
+def test_compile_rejects_a_term_naming_one_variable_twice():
+    # A and its marginalization dummy A' read the same table column
+    with pytest.raises(EvalError, match=r"^term names one variable twice: \['A', \"A'\"\]$"):
+        E.compile_expr(E.term(E.TARGET, ["A"], given=["A'"]), tiny_tables())
 
 
 def test_evaluate_zero_denominator_raises_only_at_that_binding():

@@ -4,6 +4,7 @@ import re
 import pytest
 
 import ztransport as zt
+from ztransport import graph
 from ztransport.graph import GraphError, InputError
 
 from helpers import (
@@ -304,20 +305,32 @@ def sort_every_pop_order(g):
 
 
 def test_topological_order_equals_the_sort_every_pop_reference():
-    # random_graph declares every arrow forward, which topological_order
-    # answers without Kahn's loop; most shuffled redeclarations do not
+    # random_graph and sparse_graph declare every arrow forward, which the
+    # walk answers without Kahn's loop; most shuffled redeclarations do not
     graphs = [random_graph(seed, master=23, max_nodes=10, max_bi=6) for seed in range(60)]
+    graphs += [sparse_graph(seed, master=23) for seed in range(2)]
     graphs += redeclared_graphs(master=23)
     forward = [all(g.index[a] < g.index[b] for a, b in g.directed_edges) for g, _ in graphs]
-    assert any(forward) and not all(forward)
     assert [g.forward for g, _ in graphs] == forward
+    kinds = set()
     for g, rng in graphs:
         assert zt.topological_order(g) == sort_every_pop_order(g)
         # on a node set less the arrows into a cut: the order of that subgraph
         w = [v for v in g.nodes if rng.random() < 0.6]
         cut = frozenset(v for v in g.nodes if rng.random() < 0.3)
         sub = zt.induced_subgraph(g, w, cut)
-        assert zt.topological_order(g, w, cut) == zt.topological_order(sub) == sort_every_pop_order(sub)
+        order = sort_every_pop_order(sub)
+        assert zt.topological_order(g, w, cut) == zt.topological_order(sub) == order
+        # the walk itself: each member of a random subset of w in that order,
+        # paired with the mask of the nodes ahead of it there; no member, no pair
+        members = [v for v in w if rng.random() < 0.5]
+        keep = g.mask(w)
+        want = [(g.index[v], g.mask(order[:k])) for k, v in enumerate(order) if v in members]
+        assert graph._ahead(g, keep, g.mask(cut), g.mask(members)) == want
+        assert graph._ahead(g, keep, g.mask(cut), 0) == []
+        kinds.add((g.forward, len(g.nodes) > 64))
+    # forward and non-forward graphs, each also past one 64-bit word
+    assert kinds == {(True, False), (False, False), (True, True), (False, True)}, kinds
 
 
 def test_topological_order_names_a_cycle():

@@ -147,6 +147,13 @@ def test_gid_rejects_overlapping_x_y():
         gid_z(["Y"], ["Y"], [], chain_graph())
 
 
+def test_an_empty_outcome_set_is_an_input_error():
+    g = chain_graph()
+    for decide in (lambda: gid_z([], ["X"], [], g), lambda: sid_z([], ["X"], D(g, ["Z"]), ["Z"])):
+        with pytest.raises(InputError, match="^outcome set y must be nonempty$"):
+            decide()
+
+
 def test_gid_drops_z_inside_y_with_warning():
     r = gid_z(["Y"], ["X"], ["Y"], chain_graph())
     assert r.ok

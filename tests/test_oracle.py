@@ -308,16 +308,28 @@ def test_a_latent_or_noise_vector_that_is_no_distribution_is_an_input_error(vect
     DiscreteSCM(g, {"X": 2, "Y": 2}, {edge: np.full(4, 0.25)}, noise, functions)
 
 
+def test_a_model_given_another_models_plan_still_checks_its_inputs():
+    # the plan spares the plan walk only; left unchecked, this noise of Y
+    # gives the joint [[-0.25, 0.75], [-0.25, 0.75]]
+    g = zt.SemiMarkovianGraph.create(["X", "Y"], [("X", "Y")])
+    noise = {"X": np.array([0.5, 0.5]), "Y": np.array([0.5, 0.5])}
+    functions = {"X": np.array([0, 1]), "Y": np.array([[0, 1], [0, 1]])}  # Y copies its noise
+    checked = DiscreteSCM(g, {"X": 2, "Y": 2}, {}, noise, functions)
+    noise["Y"] = np.array([-0.5, 1.5])
+    with pytest.raises(InputError, match=rf"^noise of Y {NO_DISTRIBUTION}\[-0.5  1.5\]$"):
+        DiscreteSCM(g, {"X": 2, "Y": 2}, {}, noise, functions, plan=checked.plan)
+
+
 def test_a_nan_total_fails_the_sum_to_one_check():
-    # a model given a checked plan skips its own input checks, so a NaN in
-    # its noise reaches the contraction, whose totals are then all NaN
+    # a model built unchecked, as generate_pair builds its draws, takes a NaN
+    # in its noise to the contraction, whose totals are then all NaN
     g = zt.SemiMarkovianGraph.create(["X", "Y"], [("X", "Y")])
     noise = {"X": np.array([0.5, 0.5]), "Y": np.array([0.5, 0.5])}
     functions = {"X": np.array([0, 1]), "Y": np.array([[0, 1], [0, 1]])}
     checked = DiscreteSCM(g, {"X": 2, "Y": 2}, {}, noise, functions)
     assert enumerate_joint(checked).probs.sum() == pytest.approx(1.0)
     noise["X"] = np.array([np.nan, 0.5])
-    m = DiscreteSCM(g, {"X": 2, "Y": 2}, {}, noise, functions, plan=checked.plan)
+    m = DiscreteSCM(g, {"X": 2, "Y": 2}, {}, noise, functions, plan=checked.plan, _unchecked=True)
     with pytest.raises(OracleError, match="enumerated tables sum to nan..nan, not 1"):
         enumerate_joint(m)
 
@@ -592,6 +604,9 @@ def test_ground_truth_full_outcome_is_joint():
     t = ground_truth_effect(pair.source, {"X": 1}, ["Z", "Y"])
     j = enumerate_joint(pair.source, {"X": 1})
     assert np.allclose(t.marginal(("Z", "Y")), j.marginal(("Z", "Y")))
+    # an outcome the intervention fixes is no outcome
+    with pytest.raises(InputError, match="^outcome overlaps the intervention assignment$"):
+        ground_truth_effect(pair.source, {"X": 1}, ["X", "Y"])
 
 
 def test_ground_truth_bow_differs_from_conditional():
