@@ -8,7 +8,9 @@ everywhere, so results are deterministic.
 A node set may also be a mask, an int whose bit i stands for ``g.nodes[i]``.
 Masks are the one adjacency encoding (``parent_bits``, ``child_bits``, ``sibling_bits``):
 one walk over them, ``_reach``, finds every reachable set, and one, ``_ahead``, every order
-with each member's predecessors in it.
+with each member's predecessors in it.  Spelling a mask as names (``names``, ``_pick``)
+costs its set bits when it has few, as most components and chains have; a denser
+mask costs one pass over its bits up to the highest.
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ from typing import Iterable, Sequence
 
 NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _BITS = bytes.maketrans(b"01", b"\0\1")  # bin()'s digits as compress() selectors
+# the most set bits a mask may have for _pick to walk them: walking 4 of them beat one
+# compress over bin() at every highest bit from 8 to 399
+_SPARSE = 4
 
 
 class InputError(ValueError):
@@ -176,8 +181,25 @@ class Query:
 
 
 def _pick(items: Sequence, m: int) -> Iterable:
-    """The items at the set bits of mask m, in index order."""
-    return compress(items, bin(m)[:1:-1].encode().translate(_BITS))
+    """The items at the set bits of mask m, in index order.  A sparse mask (at most
+    ``_SPARSE`` set bits) walks them lowest first, at a cost per set bit; a denser one
+    is one ``compress`` over ``bin(m)``, at a cost per bit up to the highest.  Only
+    the walk indexes ``items``."""
+    if m.bit_count() > _SPARSE:
+        return compress(items, bin(m)[:1:-1].encode().translate(_BITS))
+    out = []
+    while m:
+        low = m & -m
+        out.append(items[low.bit_length() - 1])
+        m ^= low
+    return out
+
+
+def _indices(g: SemiMarkovianGraph, m: int) -> Iterable[int]:
+    """The indices of mask m's set bits in order.  A dense m reads them off ``g.index``,
+    which holds the ints 0..n-1, where range() would make each one past 256 anew; a
+    sparse m's walk needs items it can index, and makes at most ``_SPARSE`` of them."""
+    return _pick(g.index.values() if m.bit_count() > _SPARSE else range(len(g.nodes)), m)
 
 
 def _reach(adj: Sequence[int], start: int, stop: int = 0, keep: int = -1) -> int:
@@ -265,10 +287,10 @@ def _ahead(g: SemiMarkovianGraph, keep: int, cut: int, members: int) -> list[tup
     reader of ``g.forward``: most chains have one member in a V of dozens,
     and walking the order for it cost ``large_decide`` about a seventh of its
     throughput."""
-    if g.forward:  # g.index holds the ints 0..n-1; range() would make each one past 256 anew
-        return [(i, keep & ((1 << i) - 1)) for i in _pick(g.index.values(), members)]
+    if g.forward:
+        return [(i, keep & ((1 << i) - 1)) for i in _indices(g, members)]
     pa, ch, left, out = g.parent_bits, g.child_bits, keep, []
-    ready = sum(1 << i for i in _pick(g.index.values(), keep) if cut >> i & 1 or not pa[i] & keep)
+    ready = sum(1 << i for i in _indices(g, keep) if cut >> i & 1 or not pa[i] & keep)
     while ready:
         i = (ready & -ready).bit_length() - 1
         if members >> i & 1:

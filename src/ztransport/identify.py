@@ -23,19 +23,23 @@ graph at hand is G[V] with the arrows into ``P.do`` cut: the cut is always
 exactly the experiment the current distribution comes from.  A graph is
 built only for a failure witness.  Its node sets (y, x, z, V, the cut, the
 components) are masks over g's declaration indices (``g.mask``, ``g.names``):
-names enter only to build terms, sums, do-sets, the partition and witnesses.
+names enter only to build terms, sums, do-sets, the partition and witnesses,
+and a mask of few set bits spells at their cost, not at its highest bit's.
 
 ``sid_z`` reads each factor's An(c) off one ancestor table per call (each
 node's ancestors in An(y), arrows into z cut, filled in one topological
 order of An(y)) as one union of table entries, and starts the factor's
 recursion after its ancestral step (``_gid_an``); a nested call takes that
 step with one mask walk.  Every order here, An(y)'s and each chain's, is
-read off one walk, ``graph._ahead``.
+read off one walk, ``graph._ahead``.  Each distribution a ``sid_z`` call
+reads, the target's and a source experiment per do-set, is one
+``DistLabel``, which sorts its do-set once for all its terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable
 
 from . import expr as E
@@ -73,6 +77,13 @@ class DistLabel:
         if self.domain == E.TARGET and self.do:
             raise InputError("target distributions carry no interventions")
 
+    @cached_property
+    def sorted_do(self) -> tuple[str, ...]:
+        """The do-set name-sorted, as a term holds it: sorted once per label, not
+        once per conditional.  Not a field, so it plays no part in equality,
+        hashing or repr."""
+        return tuple(sorted(self.do))
+
     def restrict(self, g: SemiMarkovianGraph, keep: int) -> "DistLabel":
         return self
 
@@ -81,7 +92,7 @@ class DistLabel:
 
     def conditional_expr(self, v: str, given: tuple[str, ...]) -> ProbExpr:
         """P(v | given) as one term; ``given`` arrives name-sorted and holds no node of the do-set."""
-        return E.Term(self.domain, tuple(sorted(self.do)), (v,), given)
+        return E.Term(self.domain, self.sorted_do, (v,), given)
 
 
 @dataclass(frozen=True)
@@ -400,15 +411,20 @@ def _sid(
     # V's order serves both, since cutting arrows keeps it topological
     factors, tables, z_names = [], {}, frozenset(g.names(z))
     order, marked = [i for i, _ in _ahead(g, V, 0, V)], g.mask(d.s_targets)
+    # one label per distribution read, so each sorts its do-set once for all
+    # its terms: the target's, and the source experiment's per meet c & z
+    sources, target = {}, DistLabel(E.TARGET)
     for c in comps:
         # the factor transports directly iff no marked node lies in the
         # component; it then reads the source experiment on z outside it
         direct = not c & marked
         do_set = z & ~c if direct else 0
-        # the do-set's names are z's less c's: c seldom meets z, so a factor
-        # spells few names, where g.names(do_set) would spell all of z's
-        # (that made sid_z about a quarter slower over large_decide)
-        base = DistLabel(E.SOURCE, z_names.difference(g.names(c & z))) if direct else DistLabel(E.TARGET)
+        # the do-set's names are z's less c's: c seldom meets z, so c & z has
+        # few set bits and spells at their cost, where g.names(do_set) would
+        # spell all of z's (that made sid_z about a quarter slower over large_decide)
+        if direct and c & z not in sources:
+            sources[c & z] = DistLabel(E.SOURCE, z_names.difference(g.names(c & z)))
+        base = sources[c & z] if direct else target
         if direct not in tables:
             tables[direct] = _ancestor_table(g, order, z if direct else 0)
         # An(c) with the arrows into z - c cut is c plus the entries of its

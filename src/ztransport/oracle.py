@@ -115,11 +115,11 @@ class DiscreteSCM:
     graph's ``bidirected_order``, private noise of v) yielding v's value.  ``noise[v]`` is the
     private noise distribution.  ``cpts[v]`` is ``cpt(v)``, computed once
     at construction for every node whose table is not passed in.  ``plan``
-    is the diagram's elimination plan; left out, it is made and checked
-    against the model's arities.  One passed in must have been checked at
-    these arities already.  Every input table and vector is checked, except
-    in the models ``generate_pair`` draws (``_unchecked``): it checks one
-    plan per pair and draws its tables in range.
+    is the diagram's elimination plan, made if left out.  Every input table
+    and vector is checked, and the plan against the cell budget at the
+    model's arities (one passed in must also equal the diagram's), except in
+    the models ``generate_pair`` draws (``_unchecked``): it checks one plan
+    per pair and draws its tables in range.
     """
 
     diagram: SemiMarkovianGraph
@@ -134,9 +134,11 @@ class DiscreteSCM:
     def __post_init__(self, _unchecked: bool):
         if not _unchecked:
             self._check_mechanisms()
-        if self.plan is None:
-            hidden_arities = {e: len(u) for e, u in self.latents.items()}
-            object.__setattr__(self, "plan", _plan(self.diagram, self.arities, hidden_arities))
+        if self.plan is None or not _unchecked:  # _plan keeps each graph's plan and its peak per arities
+            plan = _plan(self.diagram, self.arities, {e: len(u) for e, u in self.latents.items()})
+            if self.plan is not None and self.plan != plan:
+                raise InputError("plan is not the diagram's elimination plan")
+            object.__setattr__(self, "plan", plan)
         given = self.cpts
         cpts = {v: given[v] if v in given else self.cpt(v) for v in self.diagram.nodes}
         object.__setattr__(self, "cpts", MappingProxyType(cpts))

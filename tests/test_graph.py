@@ -1,6 +1,7 @@
 import itertools
 import re
 
+import numpy as np
 import pytest
 
 import ztransport as zt
@@ -119,6 +120,23 @@ def test_a_mask_names_its_nodes_in_declaration_order():
     w = [big.nodes[i] for i in (0, 63, 64, len(big.nodes) - 1)]
     assert big.mask([w[2], "Q", *w, "V999"]) == sum(1 << big.index[v] for v in w)
     assert big.names(big.mask(["Q", *reversed(w)])) == tuple(w)
+
+
+def test_pick_and_names_equal_the_index_reference_on_both_sides_of_the_crossover():
+    # _pick walks a mask of at most _SPARSE set bits and compresses a denser one
+    n, k = 300, graph._SPARSE
+    g = G([f"V{i}" for i in range(n)])
+    rng = np.random.default_rng(11)
+    masks = [0, 1, 1 << n - 1, (1 << n) - 1]
+    for bits in (k - 1, k, k + 1):
+        for top in (7, 63, 64, 65, 255, 256, 257, n - 1):  # past bits 64 and 256 too
+            masks.append(1 << top | sum(1 << int(i) for i in rng.choice(top, bits - 1, replace=False)))
+    for m in masks:
+        want = [i for i in range(n) if m >> i & 1]
+        assert list(graph._pick(g.nodes, m)) == [g.nodes[i] for i in want]
+        assert g.names(m) == tuple(g.nodes[i] for i in want)
+        assert list(graph._indices(g, m)) == want
+    assert {m.bit_count() <= k for m in masks} == {True, False}
 
 
 def ancestors_by_fixed_point(g, w, cut=frozenset()):
@@ -331,6 +349,25 @@ def test_topological_order_equals_the_sort_every_pop_reference():
         kinds.add((g.forward, len(g.nodes) > 64))
     # forward and non-forward graphs, each also past one 64-bit word
     assert kinds == {(True, False), (False, False), (True, True), (False, True)}, kinds
+
+
+def test_ahead_pairs_past_bit_256_equal_the_sort_every_pop_reference():
+    # a forward graph of 300 nodes, then the same graph declared in reverse;
+    # members sparse and dense, so each side of _pick's crossover is read
+    rng = np.random.default_rng(5)
+    n = 300
+    names = [f"V{i}" for i in range(n)]
+    directed = [(names[int(j)], names[i]) for i in range(1, n) for j in rng.choice(i, min(i, 2), replace=False)]
+    graphs = [G(names, directed), G(names[::-1], directed)]
+    assert [g.forward for g in graphs] == [True, False]
+    for g in graphs:
+        w = [v for v in g.nodes if rng.random() < 0.8]
+        cut = [v for v in g.nodes if rng.random() < 0.2]
+        order = sort_every_pop_order(zt.induced_subgraph(g, w, cut))
+        assert g.index[w[-1]] > 256
+        for members in ([w[-1]], [w[0], w[-1]], list(rng.choice(w, 5, replace=False)), w):
+            want = [(g.index[v], g.mask(order[:k])) for k, v in enumerate(order) if v in members]
+            assert graph._ahead(g, g.mask(w), g.mask(cut), g.mask(members)) == want
 
 
 def test_topological_order_names_a_cycle():

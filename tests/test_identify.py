@@ -232,6 +232,21 @@ def test_bi_rejects_a_bad_dist(make_dist):
         bi(["Y"], [], make_dist(), g)
 
 
+def test_a_label_sorts_its_do_set_once_and_keeps_its_identity():
+    names = ["W", "a", "Z", "b", "M", "V10", "V9"]
+    fresh = DistLabel(E.SOURCE, frozenset(names))
+    for order in (names, names[::-1], sorted(names), names[3:] + names[:3]):
+        label = DistLabel(E.SOURCE, frozenset(order))
+        before = (repr(label), hash(label))
+        t = label.conditional_expr("Y", ("C",))
+        assert t == E.Term(E.SOURCE, tuple(sorted(names)), ("Y",), ("C",))
+        assert label.conditional_expr("X", ()).do is t.do  # one tuple for all its terms
+        # the cached tuple is no field: equality, hash and repr are the fields'
+        assert (repr(label), hash(label)) == before
+        assert label == fresh and hash(label) == hash(fresh) and "sorted_do" not in repr(label)
+    assert DistLabel(E.TARGET).conditional_expr("Y", ()) == E.Term(E.TARGET, (), ("Y",), ())
+
+
 def test_bi_bow_throws_fail():
     with pytest.raises(FailedFactor) as exc:
         bi(["Y"], ["X"], DistLabel(E.TARGET), bow_graph())

@@ -320,6 +320,25 @@ def test_a_model_given_another_models_plan_still_checks_its_inputs():
         DiscreteSCM(g, {"X": 2, "Y": 2}, {}, noise, functions, plan=checked.plan)
 
 
+def test_a_model_given_another_models_plan_still_checks_the_cell_budget(monkeypatch):
+    # the plan is made from structure alone; its budget verdict is per arity,
+    # so an arity-2 model's plan must not carry an arity-4 model past it
+    g = zt.SemiMarkovianGraph.create(["X", "Y"], [("X", "Y")])
+    small = DiscreteSCM(g, {"X": 2, "Y": 2}, {}, {"X": np.full(2, 0.5), "Y": np.full(2, 0.5)},
+                        {"X": np.array([0, 1]), "Y": np.array([[0, 1], [1, 0]])})
+    noise = {"X": np.full(4, 0.25), "Y": np.full(4, 0.25)}
+    functions = {"X": np.arange(4), "Y": np.zeros((4, 4), dtype=int)}
+    monkeypatch.setattr(oracle, "MAX_TABLE_ENTRIES", 10)
+    for plan in (None, small.plan):
+        with pytest.raises(InputError, match="^enumeration needs 16 cells at once; budget is 10$"):
+            DiscreteSCM(g, {"X": 4, "Y": 4}, {}, noise, functions, plan=plan)
+    # a plan is one diagram's: another structure's plan is refused
+    other = zt.SemiMarkovianGraph.create(["X", "Y"])
+    with pytest.raises(InputError, match="^plan is not the diagram's elimination plan$"):
+        DiscreteSCM(other, {"X": 2, "Y": 2}, {}, small.noise, {"X": np.array([0, 1]), "Y": np.array([0, 1])},
+                    plan=small.plan)
+
+
 def test_a_nan_total_fails_the_sum_to_one_check():
     # a model built unchecked, as generate_pair builds its draws, takes a NaN
     # in its noise to the contraction, whose totals are then all NaN
