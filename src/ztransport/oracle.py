@@ -24,7 +24,7 @@ import itertools
 import math
 import weakref
 from collections.abc import Iterable, Mapping
-from dataclasses import InitVar, dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 from typing import ClassVar
@@ -112,14 +112,13 @@ class DiscreteSCM:
     ``latents`` maps one hidden variable per bidirected edge to its
     distribution.  ``functions[v]`` is a deterministic lookup array indexed
     by (observed parents of v in node order, shared latents at v in the
-    graph's ``bidirected_order``, private noise of v) yielding v's value.  ``noise[v]`` is the
-    private noise distribution.  ``cpts[v]`` is ``cpt(v)``, computed once
-    at construction for every node whose table is not passed in.  ``plan``
-    is the diagram's elimination plan, made if left out.  Every input table
-    and vector is checked, and the plan against the cell budget at the
-    model's arities (one passed in must also equal the diagram's), except in
-    the models ``generate_pair`` draws (``_unchecked``): it checks one plan
-    per pair and draws its tables in range.
+    graph's ``bidirected_order``, private noise of v) yielding v's value.
+    ``noise[v]`` is the private noise distribution.  Only these five are
+    inputs; ``cpts[v]`` (``cpt(v)``) and ``plan`` (the diagram's elimination
+    plan) are derived.  Every input is checked, and the plan against the
+    cell budget at the model's arities and noise lengths, except in the
+    models ``generate_pair`` draws: it checks one plan per pair, draws in
+    range, and passes each model its plan and kept CPTs as ``_drawn``.
     """
 
     diagram: SemiMarkovianGraph
@@ -127,27 +126,26 @@ class DiscreteSCM:
     latents: dict[frozenset[str], np.ndarray]
     noise: dict[str, np.ndarray]
     functions: dict[str, np.ndarray]
-    cpts: Mapping[str, np.ndarray] = field(default_factory=dict, compare=False, repr=False)
-    plan: tuple[tuple, ...] | None = field(default=None, compare=False, repr=False)
-    _unchecked: InitVar[bool] = False
+    cpts: Mapping[str, np.ndarray] = field(init=False, compare=False, repr=False)
+    plan: tuple[tuple, ...] = field(init=False, compare=False, repr=False)
+    _: KW_ONLY
+    _drawn: InitVar[tuple | None] = None
 
-    def __post_init__(self, _unchecked: bool):
-        if not _unchecked:
-            self._check_mechanisms()
-        if self.plan is None or not _unchecked:  # _plan keeps each graph's plan and its peak per arities
-            plan = _plan(self.diagram, self.arities, {e: len(u) for e, u in self.latents.items()})
-            if self.plan is not None and self.plan != plan:
-                raise InputError("plan is not the diagram's elimination plan")
-            object.__setattr__(self, "plan", plan)
-        given = self.cpts
-        cpts = {v: given[v] if v in given else self.cpt(v) for v in self.diagram.nodes}
+    def __post_init__(self, _drawn: tuple | None):
+        if _drawn is None:
+            self._check_mechanisms()  # _plan keeps each graph's plan and its peak per arities
+            _drawn = _plan(self.diagram, self.arities, {e: len(u) for e, u in self.latents.items()},
+                           {v: len(u) for v, u in self.noise.items()}), {}
+        plan, kept = _drawn
+        object.__setattr__(self, "plan", plan)
+        cpts = {v: kept[v] if v in kept else self.cpt(v) for v in self.diagram.nodes}
         object.__setattr__(self, "cpts", MappingProxyType(cpts))
 
     def _check_mechanisms(self) -> None:
-        """Raise InputError unless every mechanism table is an integer array
-        of the shape its inputs give, holding only values of its node (numpy
-        would read a negative value as an index from the end), and every
-        latent and noise vector is a distribution."""
+        """Raise InputError unless every arity is an integer of at least 1, every
+        mechanism table an integer array of the shape its inputs give, holding
+        only values of its node (numpy would read a negative value as an
+        index from the end), and every latent and noise vector a distribution."""
         g = self.diagram
         for v, pa in zip(g.nodes, g.parent_bits):
             fn = self.functions.get(v)
@@ -159,6 +157,8 @@ class DiscreteSCM:
                          *(len(self.latents[e]) for e in g.bidirected_order if v in e), len(self.noise[v]))
             except KeyError as e:
                 raise InputError(f"model has no arity, latent or noise for {e.args[0]}") from None
+            if not (is_int(k) and k >= 1):
+                raise InputError(f"arity of {v} must be an integer of at least 1, not {k!r}")
             if fn.shape != shape:
                 raise InputError(f"mechanism of {v} has shape {fn.shape}, not {shape}")
             if fn.size and not (fn.min() >= 0 and fn.max() < k):
@@ -179,7 +179,7 @@ class DiscreteSCM:
 
 
 def _plan(g: SemiMarkovianGraph, arities: Mapping[str, int], hidden_arities: Mapping[frozenset[str], int],
-          onehot: int = 1) -> tuple[tuple, ...]:
+          noise_arities: Mapping[str, int]) -> tuple[tuple, ...]:
     """Elimination steps of the observational contraction, from structure
     alone (so made once per graph): mechanisms in topological order, a
     hidden prior just before the first mechanism that reads it, its variable
@@ -190,9 +190,9 @@ def _plan(g: SemiMarkovianGraph, arities: Mapping[str, int], hidden_arities: Map
     A contraction under do() runs the same steps with an intervened v's CPT
     replaced by a ones-axis over v's label; the output labels stay the
     same, so one plan and one budget check serve every do-set.  Raises
-    InputError if, at these arities, an intermediate or a CPT times ``onehot``
-    (the one-hot mechanism table that builds it) exceeds the cell budget.
-    The peak is kept with the plan, by arities and ``onehot``."""
+    InputError if, at these arities, an intermediate or the one-hot
+    mechanism table that builds a CPT (the CPT times its node's noise arity)
+    exceeds the cell budget.  The peak is kept with the plan, by arities."""
     entry = _PLANS.get(g)
     if entry is None:
         order, index = topological_order(g), g.index
@@ -211,24 +211,24 @@ def _plan(g: SemiMarkovianGraph, arities: Mapping[str, int], hidden_arities: Map
             steps.append((v, opened, tuple((label[e],) for e in opened), cpt, acc))
         entry = _PLANS[g] = (tuple(steps), {})
     steps, peaks = entry
-    key = (tuple(arities[v] for v in g.nodes), tuple(hidden_arities[e] for e in g.bidirected_order), onehot)
+    key = (*((arities[v], noise_arities[v]) for v in g.nodes), *(hidden_arities[e] for e in g.bidirected_order))
     cells = peaks.get(key)
     if cells is None:
-        cells = peaks[key] = _peak_cells(g, steps, arities, hidden_arities, onehot)
+        cells = peaks[key] = _peak_cells(g, steps, arities, hidden_arities, noise_arities)
     if cells > MAX_TABLE_ENTRIES:
         raise InputError(f"enumeration needs {cells} cells at once; budget is {MAX_TABLE_ENTRIES}")
     return steps
 
 
 def _peak_cells(g: SemiMarkovianGraph, steps: tuple[tuple, ...], arities: Mapping[str, int],
-                hidden_arities: Mapping[frozenset[str], int], onehot: int) -> int:
+                hidden_arities: Mapping[frozenset[str], int], noise_arities: Mapping[str, int]) -> int:
     """The most cells a step of the plan holds at once: its intermediate, or
-    its CPT times ``onehot``."""
+    the one-hot mechanism table of its node, its CPT times its noise arity."""
     size, cells = [arities[v] for v in g.nodes], 1
-    for _, opened, opened_subs, cpt, acc in steps:
+    for v, opened, opened_subs, cpt, acc in steps:
         for e, (i,) in zip(opened, opened_subs):
             size[i:i + 1] = [hidden_arities[e]]
-        cells = max(cells, onehot * math.prod([size[i] for i in cpt]), math.prod([size[i] for i in acc]))
+        cells = max(cells, noise_arities[v] * math.prod([size[i] for i in cpt]), math.prod([size[i] for i in acc]))
     return cells
 
 
@@ -275,7 +275,7 @@ def _draw_scm(d: SelectionDiagram, rng: np.random.Generator, arity: int, plan: t
     for v, shape in zip(g.nodes, shapes):
         stop = start + math.prod(shape)
         functions[v], start = flat[start:stop].reshape(shape), stop
-    return DiscreteSCM(g, dict.fromkeys(g.nodes, arity), latents, noise, functions, plan=plan, _unchecked=True)
+    return DiscreteSCM(g, dict.fromkeys(g.nodes, arity), latents, noise, functions, _drawn=(plan, {}))
 
 
 @dataclass(frozen=True)
@@ -318,7 +318,7 @@ def generate_pair(d: SelectionDiagram, seed: int, arity: int = 2) -> DiscreteMod
         raise InputError(f"diagram exceeds the {MAX_NODES}-node enumeration budget")
     noise_arity = _private_noise_arity(arity)
     hidden_arities = dict.fromkeys(g.bidirected_edges, LATENT_ARITY)
-    plan = _plan(g, dict.fromkeys(g.nodes, arity), hidden_arities, noise_arity)
+    plan = _plan(g, dict.fromkeys(g.nodes, arity), hidden_arities, dict.fromkeys(g.nodes, noise_arity))
     for attempt in range(500):
         rng = np.random.default_rng([seed, attempt])
         source = _draw_scm(d, rng, arity, plan)
@@ -331,7 +331,7 @@ def generate_pair(d: SelectionDiagram, seed: int, arity: int = 2) -> DiscreteMod
                 noise[v] = _positive_simplex(rng_t, 1, noise_arity)[0]
                 functions[v] = rng_t.integers(0, arity, size=source.functions[v].shape)
             shared = {v: c for v, c in source.cpts.items() if v not in d.s_targets}
-            target = DiscreteSCM(g, source.arities, source.latents, noise, functions, shared, plan, _unchecked=True)
+            target = DiscreteSCM(g, source.arities, source.latents, noise, functions, _drawn=(plan, shared))
         pair = DiscreteModelPair(d, source, target)
         if pair.source_joint.min() > 0 and pair.target_joint.min() > 0:
             return pair

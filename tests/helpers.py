@@ -267,8 +267,7 @@ def exogenize(m: zt.DiscreteSCM, nodes) -> zt.DiscreteSCM:
     for v in nodes:
         fn = m.functions[v]
         functions[v] = np.broadcast_to(np.arange(fn.shape[-1]) % m.arities[v], fn.shape).copy()
-    kept = {v: c for v, c in m.cpts.items() if v not in nodes}
-    return zt.DiscreteSCM(m.diagram, m.arities, m.latents, m.noise, functions, kept)
+    return zt.DiscreteSCM(m.diagram, m.arities, m.latents, m.noise, functions)
 
 
 def chain_conditioners(g, w, cut, v) -> tuple[str, ...]:

@@ -38,6 +38,8 @@ def test_term_invariants():
         E.Term(E.SOURCE, ("Y", "Z"), ("Y",), ("X",))
     with pytest.raises(ExprError, match="outcome and conditioners overlap"):  # checked first
         E.Term(E.SOURCE, ("Y",), ("Y",), ("Y",))
+    with pytest.raises(ExprError, match="^bad domain: 'moon'$"):
+        E.Term("moon", (), ("Y",), ())
 
 
 # -- normalize -----------------------------------------------------------------
@@ -78,12 +80,22 @@ def test_validate_rejects_double_binding():
     bad = E.Sum(frozenset(["Y"]), E.Sum(frozenset(["Y"]), t))
     with pytest.raises(ExprError):
         E.validate(bad)
+    # above, the inner sum leaves no Y free for the outer one; here Y is free
+    # in the outer sum's body, and the inner sum binds it again
+    bad = E.Sum(frozenset(["Y"]), E.Product((t, E.Sum(frozenset(["Y"]), t))))
+    with pytest.raises(ExprError, match=r"^double binding of \['Y'\]$"):
+        E.validate(bad)
 
 
 # -- rendering -----------------------------------------------------------------
 
 def test_render_target_marginal():
     assert E.render(t_target_y()) == "P*(y)"
+
+
+def test_render_rejects_an_unknown_format():
+    with pytest.raises(ExprError, match="^unknown render format: 'html'$"):
+        E.render(t_target_y(), "html")
 
 
 def test_render_source_do_conditional():

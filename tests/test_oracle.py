@@ -202,7 +202,11 @@ def test_the_budget_verdict_is_kept_with_the_plan(monkeypatch):
     generate_pair(d, seed=1, arity=3)  # another arity is another verdict
     assert len(walks) == 2
     pair = generate_pair(d, seed=1)
-    exogenize(pair.source, ["X1"])  # onehot 1, not the noise arity: its own verdict
+    m = exogenize(pair.source, ["X1"])  # the pair's arities and noise lengths: its verdict
+    assert len(walks) == 2
+    noise, functions = dict(m.noise), dict(m.functions)  # another noise length is another verdict
+    noise["X1"], functions["X1"] = np.full(4, 0.25), np.zeros(m.functions["X1"].shape[:-1] + (4,), dtype=int)
+    DiscreteSCM(m.diagram, m.arities, m.latents, noise, functions)
     assert len(walks) == 3
 
 
@@ -223,6 +227,38 @@ def test_a_model_built_directly_still_checks_the_cell_budget():
     functions = {v: np.zeros(1, dtype=int) for v in g.nodes}
     with pytest.raises(InputError, match="budget"):
         DiscreteSCM(g, dict.fromkeys(g.nodes, 100), {}, noise, functions)
+
+
+def test_a_models_one_hot_tables_count_against_the_cell_budget(monkeypatch):
+    # cpt(Y) builds a one-hot table of 2 x n x 2 cells from a noise of length n;
+    # the verdict at n = 25 must not carry n = 30 past the budget
+    g = zt.SemiMarkovianGraph.create(["X", "Y"], [("X", "Y")])
+    monkeypatch.setattr(oracle, "MAX_TABLE_ENTRIES", 100)
+
+    def model(n):
+        noise = {"X": np.full(2, 0.5), "Y": np.full(n, 1 / n)}
+        return DiscreteSCM(g, {"X": 2, "Y": 2}, {}, noise, {"X": np.array([0, 1]), "Y": np.zeros((2, n), dtype=int)})
+
+    model(25)  # 100 cells: within the budget
+    with pytest.raises(InputError, match="^enumeration needs 120 cells at once; budget is 100$"):
+        model(30)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [((), {"cpts": {"Y": [[0.9, 0.1], [0.9, 0.1]]}}), ((), {"cpts": {"Y": "junk"}}), ((), {"plan": ()}),
+     (({"Y": [[0.9, 0.1], [0.9, 0.1]]},), {})],
+    ids=["cpts", "junk-cpts", "plan", "positional-cpts"],
+)
+def test_a_model_takes_no_cpts_or_plan(args, kwargs):
+    # both are derived from the five inputs, so a model is the one they describe
+    g = zt.SemiMarkovianGraph.create(["X", "Y"], [("X", "Y")])
+    noise = {"X": np.array([0.5, 0.5]), "Y": np.array([0.5, 0.5])}
+    functions = {"X": np.array([0, 1]), "Y": np.array([[0, 0], [1, 1]])}  # Y copies X
+    with pytest.raises(TypeError):
+        DiscreteSCM(g, {"X": 2, "Y": 2}, {}, noise, functions, *args, **kwargs)
+    m = DiscreteSCM(g, {"X": 2, "Y": 2}, {}, noise, functions)
+    assert np.array_equal(enumerate_joint(m).probs, [[0.5, 0], [0, 0.5]])
 
 
 def bow_model(y_table):
@@ -250,6 +286,17 @@ def bow_model(y_table):
 def test_a_malformed_mechanism_table_is_an_input_error(y_table, message):
     with pytest.raises(InputError, match=message):
         bow_model(y_table)
+
+
+@pytest.mark.parametrize("node, arity", [("Y", 2.5), ("Y", "2"), ("Y", True), ("Y", 0), ("X", 2.0)],
+                         ids=["fraction", "string", "bool", "zero", "float-parent"])
+def test_an_arity_that_is_not_a_count_is_an_input_error(node, arity):
+    g = zt.SemiMarkovianGraph.create(["X", "Y"], [("X", "Y")])
+    arities = {"X": 2, "Y": 2, node: arity}
+    noise = {"X": np.array([0.5, 0.5]), "Y": np.array([0.5, 0.5])}
+    functions = {"X": np.array([0, 1]), "Y": np.array([[0, 1], [0, 1]])}
+    with pytest.raises(InputError, match=f"^arity of {node} must be an integer of at least 1, not {arity!r}$"):
+        DiscreteSCM(g, arities, {}, noise, functions)
 
 
 def test_a_model_missing_an_input_is_an_input_error():
@@ -308,37 +355,6 @@ def test_a_latent_or_noise_vector_that_is_no_distribution_is_an_input_error(vect
     DiscreteSCM(g, {"X": 2, "Y": 2}, {edge: np.full(4, 0.25)}, noise, functions)
 
 
-def test_a_model_given_another_models_plan_still_checks_its_inputs():
-    # the plan spares the plan walk only; left unchecked, this noise of Y
-    # gives the joint [[-0.25, 0.75], [-0.25, 0.75]]
-    g = zt.SemiMarkovianGraph.create(["X", "Y"], [("X", "Y")])
-    noise = {"X": np.array([0.5, 0.5]), "Y": np.array([0.5, 0.5])}
-    functions = {"X": np.array([0, 1]), "Y": np.array([[0, 1], [0, 1]])}  # Y copies its noise
-    checked = DiscreteSCM(g, {"X": 2, "Y": 2}, {}, noise, functions)
-    noise["Y"] = np.array([-0.5, 1.5])
-    with pytest.raises(InputError, match=rf"^noise of Y {NO_DISTRIBUTION}\[-0.5  1.5\]$"):
-        DiscreteSCM(g, {"X": 2, "Y": 2}, {}, noise, functions, plan=checked.plan)
-
-
-def test_a_model_given_another_models_plan_still_checks_the_cell_budget(monkeypatch):
-    # the plan is made from structure alone; its budget verdict is per arity,
-    # so an arity-2 model's plan must not carry an arity-4 model past it
-    g = zt.SemiMarkovianGraph.create(["X", "Y"], [("X", "Y")])
-    small = DiscreteSCM(g, {"X": 2, "Y": 2}, {}, {"X": np.full(2, 0.5), "Y": np.full(2, 0.5)},
-                        {"X": np.array([0, 1]), "Y": np.array([[0, 1], [1, 0]])})
-    noise = {"X": np.full(4, 0.25), "Y": np.full(4, 0.25)}
-    functions = {"X": np.arange(4), "Y": np.zeros((4, 4), dtype=int)}
-    monkeypatch.setattr(oracle, "MAX_TABLE_ENTRIES", 10)
-    for plan in (None, small.plan):
-        with pytest.raises(InputError, match="^enumeration needs 16 cells at once; budget is 10$"):
-            DiscreteSCM(g, {"X": 4, "Y": 4}, {}, noise, functions, plan=plan)
-    # a plan is one diagram's: another structure's plan is refused
-    other = zt.SemiMarkovianGraph.create(["X", "Y"])
-    with pytest.raises(InputError, match="^plan is not the diagram's elimination plan$"):
-        DiscreteSCM(other, {"X": 2, "Y": 2}, {}, small.noise, {"X": np.array([0, 1]), "Y": np.array([0, 1])},
-                    plan=small.plan)
-
-
 def test_a_nan_total_fails_the_sum_to_one_check():
     # a model built unchecked, as generate_pair builds its draws, takes a NaN
     # in its noise to the contraction, whose totals are then all NaN
@@ -348,7 +364,7 @@ def test_a_nan_total_fails_the_sum_to_one_check():
     checked = DiscreteSCM(g, {"X": 2, "Y": 2}, {}, noise, functions)
     assert enumerate_joint(checked).probs.sum() == pytest.approx(1.0)
     noise["X"] = np.array([np.nan, 0.5])
-    m = DiscreteSCM(g, {"X": 2, "Y": 2}, {}, noise, functions, plan=checked.plan, _unchecked=True)
+    m = DiscreteSCM(g, {"X": 2, "Y": 2}, {}, noise, functions, _drawn=(checked.plan, {}))
     with pytest.raises(OracleError, match="enumerated tables sum to nan..nan, not 1"):
         enumerate_joint(m)
 
@@ -659,6 +675,43 @@ def test_validate_formula_flags_corruption():
         worst_bad = max(worst_bad, validate_formula(bad, pair, q))
     assert worst_good <= 1e-9
     assert worst_bad > 1e-3
+
+
+def x_to_y_pair():
+    """A seeded pair on X -> Y and the query of X's effect on Y."""
+    d = D(zt.SemiMarkovianGraph.create(["X", "Y"], [("X", "Y")]), [])
+    return generate_pair(d, seed=1), zt.Query.create(["X"], ["Y"])
+
+
+def test_validate_formula_checks_the_cell_budget(monkeypatch):
+    pair, q = x_to_y_pair()
+    tables = build_distribution_set(pair, q.z)
+    monkeypatch.setattr(oracle, "MAX_TABLE_ENTRIES", 3)  # the comparison spans the 2 x 2 cells of (x, y)
+    with pytest.raises(InputError, match="^validation needs 4 cells at once; budget is 3$"):
+        validate_formula(E.term(E.TARGET, ["Y"], given=["X"]), pair, q, tables)
+
+
+def test_validate_formula_refuses_a_formula_undefined_at_some_assignment():
+    # P*(X = 0) is 0 in these tables, so P*(y | X = 0) is undefined
+    pair, q = x_to_y_pair()
+    joint = np.array([[0.0, 0.0], [0.5, 0.5]])
+    tables = oracle.DistributionSet(Table(("X", "Y"), joint), {frozenset(): joint}, {"X": 2, "Y": 2})
+    with pytest.raises(E.EvalError, match="^zero-probability conditioning event or denominator in the formula$"):
+        validate_formula(E.term(E.TARGET, ["Y"], given=["X"]), pair, q, tables)
+
+
+def test_a_distribution_set_refuses_unknown_variables_and_tables():
+    pair, _ = x_to_y_pair()
+    tables = build_distribution_set(pair, ["X"])
+    assert tables.arity("X'") == 2  # a dummy reads its variable's arity
+    with pytest.raises(E.EvalError, match="^unknown variable: Q$"):
+        tables.arity("Q")
+    with pytest.raises(E.EvalError, match="^target terms carry no interventions$"):
+        tables.joint(E.TARGET, frozenset(["X"]))
+    with pytest.raises(E.EvalError, match="^bad domain: 'moon'$"):
+        tables.joint("moon", frozenset())
+    with pytest.raises(E.EvalError, match=r"^variables not in table: \['Q'\]$"):
+        tables.target_joint.marginal(["Y", "Q"])
 
 
 def test_table_zero_conditioning_event_raises():
