@@ -30,9 +30,9 @@ import sys
 from dataclasses import dataclass
 
 from . import expr as E
-from .graph import NAME_RE, GraphError, InputError, Query, SelectionDiagram, SemiMarkovianGraph
+from .graph import NAME_RE, GraphError, InputError, Query, SelectionDiagram, SemiMarkovianGraph, c_components
 from .identify import IdentResult, sid_z
-from .oracle import OracleError, build_distribution_set, generate_pair, validate_formula
+from .oracle import OracleError, generate_pair, validate_formula
 
 TOLERANCE = 1e-9
 
@@ -178,8 +178,7 @@ def validate(qf: QueryFile, seeds: range, arity: int = 2) -> tuple[int, dict]:
     ok = True
     for seed in seeds:
         pair = generate_pair(qf.diagram, seed, arity=arity)
-        tables = build_distribution_set(pair, qf.query.z)
-        err = validate_formula(formula, pair, qf.query, tables=tables)
+        err = validate_formula(formula, pair, qf.query)
         rows.append({"seed": seed, "max_abs_error": err})
         ok = ok and err <= TOLERANCE
     doc = {
@@ -268,9 +267,6 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError:
             print("error: --seeds expects A..B", file=sys.stderr)
             return 1
-        if not seeds:
-            print(f"error: --seeds {args.seeds} is an empty range", file=sys.stderr)
-            return 1
         try:
             code, doc = validate(qf, seeds, arity=args.arity)
         except (InputError, OracleError) as e:
@@ -280,8 +276,6 @@ def main(argv: list[str] | None = None) -> int:
         return code
 
     if args.command == "components":
-        from .graph import c_components
-
         for comp in c_components(qf.diagram.graph):
             print("{" + ", ".join(qf.diagram.graph.sorted(comp)) + "}")
         return 0

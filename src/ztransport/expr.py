@@ -26,6 +26,9 @@ from .graph import InputError
 
 SOURCE = "source"
 TARGET = "target"
+# the most cells an array of enumeration, evaluation or validation, or a distribution
+# set's contracted experiments together, may hold at once
+MAX_TABLE_ENTRIES = 10_000_000
 
 
 def base_var(slot: str) -> str:
@@ -477,8 +480,8 @@ def compile_expr(e: ProbExpr, tables) -> tuple[tuple[str, ...], np.ndarray]:
 
     ``tables`` must provide ``nodes`` (the variables in axis order),
     ``arity(slot) -> int``, ``joint(domain, do_vars) -> array`` over
-    ``nodes`` with the do() axes free, and ``max_cells``: an array with more
-    cells than that raises InputError before it is allocated.
+    ``nodes`` with the do() axes free.  An array with more cells than
+    ``MAX_TABLE_ENTRIES`` raises InputError before it is allocated.
     """
     return _compile(e, tables, {})
 
@@ -518,11 +521,11 @@ def _compile(e: ProbExpr, tables, terms: dict) -> tuple[tuple[str, ...], np.ndar
     if isinstance(e, One):
         return (), np.ones(())
     if isinstance(e, Product):
-        return _einsum([_compile(f, tables, terms) for f in e.factors], frozenset(), tables)
+        return _einsum([_compile(f, tables, terms) for f in e.factors], frozenset())
     if isinstance(e, Sum):
         parts = e.body.factors if isinstance(e.body, Product) else (e.body,)
         ops = [_compile(f, tables, terms) for f in parts]
-        slots, values = _einsum(ops, e.over, tables)
+        slots, values = _einsum(ops, e.over)
         # a bound slot the body never reads counts each of its values once
         unread = e.over.difference(*(s for s, _ in ops))
         if unread:
@@ -532,7 +535,7 @@ def _compile(e: ProbExpr, tables, terms: dict) -> tuple[tuple[str, ...], np.ndar
         (ns, num), (ds, den) = _compile(e.num, tables, terms), _compile(e.den, tables, terms)
         slots = tuple(dict.fromkeys(ns + ds))
         size = dict(zip(ns, num.shape)) | dict(zip(ds, den.shape))
-        _check_cells(math.prod(size.values()), tables)
+        _check_cells(math.prod(size.values()), "evaluation")
         return slots, _divide(align_axes(ns, num, slots), align_axes(ds, den, slots))
     raise ExprError(f"not a ProbExpr: {e!r}")
 
@@ -563,17 +566,17 @@ def _term_array(t: Term, tables, terms: dict) -> tuple[tuple[str, ...], np.ndarr
     return tuple(slot_of[v] for v in kept), values
 
 
-def _einsum(ops: list, over: frozenset[str], tables) -> tuple[tuple[str, ...], np.ndarray]:
+def _einsum(ops: list, over: frozenset[str]) -> tuple[tuple[str, ...], np.ndarray]:
     """The product of ``ops`` (each (slots, array)) summed over ``over``."""
     while len(ops) > _MAX_OPERANDS:
-        ops = [_einsum(ops[:_MAX_OPERANDS], frozenset(), tables)] + ops[_MAX_OPERANDS:]
+        ops = [_einsum(ops[:_MAX_OPERANDS], frozenset())] + ops[_MAX_OPERANDS:]
     size: dict[str, int] = {}
     for slots, values in ops:
         size.update(zip(slots, values.shape))
     out = tuple(s for s in size if s not in over)
     if len(ops) == 1 and len(out) == len(size):
         return ops[0]
-    _check_cells(math.prod(size[s] for s in out), tables)
+    _check_cells(math.prod(size[s] for s in out), "evaluation")
     label = {s: i for i, s in enumerate(size)}
     args: list = []
     for slots, values in ops:
@@ -587,6 +590,8 @@ def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=out, where=den > 0)
 
 
-def _check_cells(cells: int, tables) -> None:
-    if cells > tables.max_cells:
-        raise InputError(f"evaluation needs {cells} cells at once; budget is {tables.max_cells}")
+def _check_cells(cells: int, what: str) -> None:
+    """Raise InputError if ``what`` needs more cells at once than the budget,
+    read at call time: the one check of ``MAX_TABLE_ENTRIES``."""
+    if cells > MAX_TABLE_ENTRIES:
+        raise InputError(f"{what} needs {cells} cells at once; budget is {MAX_TABLE_ENTRIES}")

@@ -27,16 +27,14 @@ from collections.abc import Iterable, Mapping
 from dataclasses import KW_ONLY, InitVar, dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import ClassVar
 
 import numpy as np
 
-from .expr import EvalError, ProbExpr, SOURCE, TARGET, align_axes, base_var, compile_expr, is_int
+from .expr import EvalError, ProbExpr, SOURCE, TARGET, _check_cells, align_axes, base_var, compile_expr, is_int
 from .expr import evaluate  # noqa: F401  (scalar evaluation, also importable from here)
 from .graph import InputError, Query, SelectionDiagram, SemiMarkovianGraph, _pick, topological_order
 
 MAX_NODES = 12
-MAX_TABLE_ENTRIES = 10_000_000
 LATENT_ARITY = 4
 MIN_ATOM = 0.05
 _PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # each live graph's plan and peaks, dropped with it
@@ -215,8 +213,7 @@ def _plan(g: SemiMarkovianGraph, arities: Mapping[str, int], hidden_arities: Map
     cells = peaks.get(key)
     if cells is None:
         cells = peaks[key] = _peak_cells(g, steps, arities, hidden_arities, noise_arities)
-    if cells > MAX_TABLE_ENTRIES:
-        raise InputError(f"enumeration needs {cells} cells at once; budget is {MAX_TABLE_ENTRIES}")
+    _check_cells(cells, "enumeration")
     return steps
 
 
@@ -251,13 +248,6 @@ def _contract(m: DiscreteSCM, do: Iterable[str] = ()) -> np.ndarray:
         raise OracleError(f"enumerated tables sum to {totals.min()}..{totals.max()}, not 1")
     acc.flags.writeable = False
     return acc
-
-
-def _table(nodes: tuple[str, ...], joint: np.ndarray, do: Mapping[str, int]) -> Table:
-    """The slice of a contraction at one assignment of its do() axes."""
-    keep = tuple(v for v in nodes if v not in do)
-    index = tuple(do[v] if v in do else slice(None) for v in nodes)
-    return Table(keep, joint[index])
 
 
 def _draw_scm(d: SelectionDiagram, rng: np.random.Generator, arity: int, plan: tuple) -> DiscreteSCM:
@@ -346,7 +336,9 @@ def enumerate_joint(m: DiscreteSCM, do_set: Mapping[str, int] | None = None) -> 
     for v, val in do.items():
         if not (is_int(val) and 0 <= val < m.arities[v]):
             raise InputError(f"value {val!r} out of range for {v}")
-    return _table(m.diagram.nodes, _contract(m, do), do)
+    keep = tuple(v for v in m.diagram.nodes if v not in do)
+    index = tuple(do[v] if v in do else slice(None) for v in m.diagram.nodes)
+    return Table(keep, _contract(m, do)[index])
 
 
 @dataclass(frozen=True)
@@ -355,14 +347,13 @@ class DistributionSet:
     observational joint, and for each available do-set of the source one
     contraction over every node, with the do() axes free.
 
-    It is the table supply of ``expr.compile_expr`` and ``expr.evaluate``;
-    ``table_for`` slices one assignment out on demand.
+    It is the table supply of ``expr.compile_expr`` and ``expr.evaluate``,
+    and holds only what they read: ``nodes``, ``arity`` and ``joint``.
     """
 
     target_joint: Table
     source_joints: Mapping[frozenset[str], np.ndarray]
     node_arities: Mapping[str, int]
-    max_cells: ClassVar[int] = MAX_TABLE_ENTRIES
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -374,46 +365,47 @@ class DistributionSet:
         except KeyError:
             raise EvalError(f"unknown variable: {v}")
 
-    def _check(self, domain: str, do: frozenset[str]) -> None:
-        """Raise EvalError unless the domain has a table under do() on the
-        given variables; reads no table."""
+    def joint(self, domain: str, do: frozenset[str]) -> np.ndarray:
+        """The array over ``nodes`` of a domain's distribution under do() on
+        the given variables, their axes free.  Raises EvalError, reading no
+        table, unless the domain has one under that do()."""
         if domain == TARGET:
             if do:
                 raise EvalError("target terms carry no interventions")
-        elif domain != SOURCE:
+            return self.target_joint.probs
+        if domain != SOURCE:
             raise EvalError(f"bad domain: {domain!r}")
-        elif do not in self.source_joints:
+        if do not in self.source_joints:
             raise EvalError(f"no source table for do({sorted(do)})")
-
-    def joint(self, domain: str, do: frozenset[str]) -> np.ndarray:
-        """The array over ``nodes`` of a domain's distribution under do() on
-        the given variables, their axes free."""
-        self._check(domain, do)
-        return self.target_joint.probs if domain == TARGET else self.source_joints[do]
-
-    def table_for(self, domain: str, do_assignment: Mapping[str, int]) -> Table:
-        """The distribution under one do() assignment; its values are checked
-        before the joint is read."""
-        do = frozenset(do_assignment)
-        self._check(domain, do)
-        for v, val in do_assignment.items():
-            if not (is_int(val) and 0 <= val < self.node_arities[v]):
-                raise EvalError(f"value {val!r} out of range for {v}")
-        return _table(self.nodes, self.joint(domain, do), do_assignment)
+        return self.source_joints[do]
 
 
 class _Experiments(Mapping):
     """A source model's contractions by do-set, each made on its first
-    lookup and kept; a do-set never looked up is never contracted."""
+    lookup and kept; a do-set never looked up is never contracted.
+
+    The contractions held count against the cell budget together: each is
+    counted before it is made, and uncounted if it fails.  ``_held`` is a
+    list because its appends and removals are atomic, so two threads that
+    contract at once may over-count but never under-count."""
 
     def __init__(self, p: DiscreteModelPair, do_sets: Iterable[frozenset[str]]):
         self._pair = p
         self._joints: dict[frozenset[str], np.ndarray | None] = dict.fromkeys(do_sets)
+        self._held: list[frozenset[str]] = []
 
     def __getitem__(self, do: frozenset[str]) -> np.ndarray:
         joint = self._joints[do]
-        if joint is None:
-            joint = self._joints[do] = _contract(self._pair.source, do) if do else self._pair.source_joint
+        if joint is None and not do:
+            joint = self._joints[do] = self._pair.source_joint
+        elif joint is None:
+            self._held.append(do)
+            try:
+                _check_cells(len(self._held) * math.prod(self._pair.source.arities.values()), "distribution set")
+                joint = self._joints[do] = _contract(self._pair.source, do)
+            except BaseException:
+                self._held.remove(do)
+                raise
         return joint
 
     def __contains__(self, do: object) -> bool:
@@ -433,15 +425,14 @@ def build_distribution_set(p: DiscreteModelPair, z: Iterable[str]) -> Distributi
     the empty set (the source observational distribution).  The
     observational joints are the pair's own; every other Z' is one
     contraction, whose free Z' axes hold every assignment, made when a
-    formula first reads it.
+    formula first reads it.  Building contracts nothing; a read raises
+    InputError if the contractions the set would then hold exceed the cell
+    budget together.
     """
     g = p.diagram.graph
     zs = g.sorted(g.check_nodes(z))
-    # experiments on all of V are not available; each Z' holds every cell of V
+    # experiments on all of V are not available
     subsets = [c for r in range(len(zs) + 1) for c in itertools.combinations(zs, r) if len(c) < len(g.nodes)]
-    entries = len(subsets) * math.prod(p.source.arities.values())
-    if entries > MAX_TABLE_ENTRIES:
-        raise InputError(f"distribution set needs {entries} table entries; budget is {MAX_TABLE_ENTRIES}")
     source = _Experiments(p, map(frozenset, subsets))
     return DistributionSet(Table(g.nodes, p.target_joint), source, dict(p.source.arities))
 
@@ -487,9 +478,7 @@ def validate_formula(
     aux = [s for s in slots if s not in q.x and s not in q.y]
     got = align_axes(slots, got, xy + aux)
     truth = truth.reshape(truth.shape + (1,) * len(aux))
-    cells = math.prod(np.broadcast_shapes(got.shape, truth.shape))
-    if cells > MAX_TABLE_ENTRIES:
-        raise InputError(f"validation needs {cells} cells at once; budget is {MAX_TABLE_ENTRIES}")
+    _check_cells(math.prod(np.broadcast_shapes(got.shape, truth.shape)), "validation")
     if np.isnan(got).any():
         raise EvalError("zero-probability conditioning event or denominator in the formula")
     return float(np.abs(got - truth).max())

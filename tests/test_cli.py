@@ -169,12 +169,15 @@ def test_run_shedge_document():
 # -- validate ---------------------------------------------------------------
 
 def test_validate_passes_on_golden(tmp_path):
-    qf = parse_diagram(FIG2A_TEXT)
-    code, doc = cli.validate(qf, seeds=range(1, 6))
-    assert code == 0
-    assert doc["status"] == "pass"
-    assert len(doc["results"]) == 5
-    assert all(r["max_abs_error"] <= 1e-9 for r in doc["results"])
+    # and on a 12-node chain at arity 3, whose formula reads 6 of its 32
+    # experiments of 3^12 cells each: the set holds those 6, not all 32
+    chain12 = "\n".join(f"V{i} -> V{i + 1}" for i in range(11)) + "\nX: V0\nY: V11\nZ: V1 V2 V3 V4 V5\n"
+    for text, seeds, arity in ((FIG2A_TEXT, range(1, 6), 2), (chain12, range(1, 4), 3)):
+        code, doc = cli.validate(parse_diagram(text), seeds=seeds, arity=arity)
+        assert code == 0
+        assert doc["status"] == "pass"
+        assert len(doc["results"]) == len(seeds)
+        assert all(r["max_abs_error"] <= 1e-9 for r in doc["results"])
 
 
 def test_validate_corruption_hook_fails(monkeypatch):
@@ -205,9 +208,9 @@ def test_validate_on_an_empty_seed_range_is_an_input_error(tmp_path, capsys, see
     for text in (FIG2A_TEXT, FIG2A_TEXT.replace("Z: Z", "Z: W")):
         with pytest.raises(zt.InputError, match="seed range is empty"):
             cli.validate(parse_diagram(text), seeds)
-    # the CLI refuses an empty --seeds with its own message first
+    # the CLI prints the same refusal as an error line
     assert cli.main(["validate", fig2a_file(tmp_path), "--seeds", "5..1"]) == 1
-    assert capsys.readouterr().err == "error: --seeds 5..1 is an empty range\n"
+    assert capsys.readouterr().err == "error: the seed range is empty: no model pair would be checked\n"
 
 
 def test_validate_not_transportable_exits_2():

@@ -366,7 +366,7 @@ def test_compiled_evaluation_checks_the_cell_budget(monkeypatch):
     ds = tiny_tables()
     e = E.product([E.term(E.TARGET, ["A"]), E.term(E.TARGET, ["B"])])  # 4 cells
     assert E.compile_expr(e, ds)[1].size == 4
-    monkeypatch.setattr(DistributionSet, "max_cells", 3)
+    monkeypatch.setattr(E, "MAX_TABLE_ENTRIES", 3)
     with pytest.raises(zt.InputError, match="budget"):
         E.compile_expr(e, ds)
 

@@ -175,10 +175,18 @@ def test_hidden_tables_positive_and_normalized():
 
 
 def test_distribution_set_entry_budget():
+    # each experiment holds 4^10 cells; the set budgets the experiments it has contracted
     g = zt.SemiMarkovianGraph.create([f"V{i}" for i in range(10)])
     pair = generate_pair(D(g, []), seed=1, arity=4)
-    with pytest.raises(InputError, match="budget"):
-        build_distribution_set(pair, [f"V{i}" for i in range(8)])
+    ds = build_distribution_set(pair, [f"V{i}" for i in range(8)])  # 256 experiments offered
+    do_sets = [frozenset({f"V{i}"}) for i in range(8)] + [frozenset({"V0", "V1"}), frozenset({"V0", "V2"})]
+    for do in do_sets[:9]:
+        assert ds.joint(E.SOURCE, do).size == 4 ** 10
+    assert ds.joint(E.SOURCE, frozenset()) is pair.source_joint  # the pair's own: not counted
+    assert ds.joint(E.SOURCE, do_sets[0]) is ds.joint(E.SOURCE, do_sets[0])  # a held one: not counted again
+    for _ in range(2):  # a refused read is not counted either
+        with pytest.raises(InputError, match="^distribution set needs 10485760 cells at once; budget is 10000000$"):
+            ds.joint(E.SOURCE, do_sets[9])
 
 
 def test_generate_pair_cell_budget_checked_from_structure():
@@ -233,7 +241,7 @@ def test_a_models_one_hot_tables_count_against_the_cell_budget(monkeypatch):
     # cpt(Y) builds a one-hot table of 2 x n x 2 cells from a noise of length n;
     # the verdict at n = 25 must not carry n = 30 past the budget
     g = zt.SemiMarkovianGraph.create(["X", "Y"], [("X", "Y")])
-    monkeypatch.setattr(oracle, "MAX_TABLE_ENTRIES", 100)
+    monkeypatch.setattr(E, "MAX_TABLE_ENTRIES", 100)
 
     def model(n):
         noise = {"X": np.full(2, 0.5), "Y": np.full(n, 1 / n)}
@@ -522,29 +530,36 @@ def test_contraction_bidirected_edge_with_both_endpoints_intervened():
 def test_enumerate_rejects_out_of_range():
     pair = generate_pair(D(chain_graph(), []), seed=1)
     ds = build_distribution_set(pair, ["X"])
+    term = E.term(E.SOURCE, ["Y"], do=["X"])
     for bad in (5, -1, True, 1.0):  # numpy would refuse, wrap, mask or refuse each
         with pytest.raises(InputError, match="out of range"):
             enumerate_joint(pair.source, {"X": bad})
         with pytest.raises(InputError, match="out of range"):
             ground_truth_effect(pair.source, {"X": bad}, ["Y"])
         with pytest.raises(E.EvalError, match="out of range"):
-            ds.table_for(E.SOURCE, {"X": bad})
-    assert enumerate_joint(pair.source, {"X": np.int64(1)}).vars == ("Z", "Y")
+            E.evaluate(term, ds, {"X": bad, "Y": 0})
+    one = enumerate_joint(pair.source, {"X": np.int64(1)})
+    assert one.vars == ("Z", "Y")
+    assert np.array_equal(one.probs, ds.joint(E.SOURCE, frozenset({"X"}))[:, 1])  # nodes Z, X, Y
 
 
 # -- build_distribution_set ------------------------------------------------------
 
 def source_tables(ds) -> dict:
-    """Every source table ``table_for`` serves, keyed by its do() assignment."""
+    """Every source table the set serves, keyed by its do() assignment: each
+    ``ds.joint(SOURCE, do)`` sliced at every assignment of its do() axes."""
     out = {}
     for r in range(len(ds.nodes) + 1):
         for combo in itertools.combinations(ds.nodes, r):
+            try:
+                joint = ds.joint(E.SOURCE, frozenset(combo))
+            except E.EvalError:
+                continue
+            keep = tuple(v for v in ds.nodes if v not in combo)
             for values in itertools.product(*[range(ds.arity(v)) for v in combo]):
                 assignment = dict(zip(combo, values))
-                try:
-                    out[frozenset(assignment.items())] = ds.table_for(E.SOURCE, assignment)
-                except E.EvalError:
-                    pass
+                index = tuple(assignment.get(v, slice(None)) for v in ds.nodes)
+                out[frozenset(assignment.items())] = Table(keep, joint[index])
     return out
 
 
@@ -602,10 +617,8 @@ def test_a_source_experiment_is_contracted_when_first_read(monkeypatch):
     keys = {frozenset(), frozenset({"Z1"}), frozenset({"Z2"}), frozenset({"Z1", "Z2"})}
     assert (set(tables.source_joints), len(tables.source_joints)) == (keys, 4)
     assert frozenset({"Z1", "Z2"}) in tables.source_joints and frozenset({"W"}) not in tables.source_joints
-    with pytest.raises(E.EvalError, match="out of range"):
-        tables.table_for(E.SOURCE, {"Z2": 2})  # a bad value contracts nothing
     with pytest.raises(E.EvalError, match="no source table"):
-        tables.table_for(E.SOURCE, {"W": 2})
+        tables.joint(E.SOURCE, frozenset({"W"}))  # an experiment not offered contracts nothing
     assert [do for m, do in contractions if m is pair.source and do] == []
     for _ in range(2):
         assert validate_formula(formula, pair, q, tables=tables) <= 1e-9
@@ -621,8 +634,8 @@ def test_a_source_experiment_is_contracted_when_first_read(monkeypatch):
 def test_distribution_set_no_marks_target_equals_source():
     pair = generate_pair(D(chain_graph(), []), seed=5)
     ds = build_distribution_set(pair, [])
-    src = ds.table_for(E.SOURCE, {})
-    assert np.array_equal(ds.target_joint.probs, src.probs)
+    src = ds.joint(E.SOURCE, frozenset())
+    assert np.array_equal(ds.target_joint.probs, src)
 
 
 # -- ground_truth_effect ---------------------------------------------------------
@@ -686,9 +699,13 @@ def x_to_y_pair():
 def test_validate_formula_checks_the_cell_budget(monkeypatch):
     pair, q = x_to_y_pair()
     tables = build_distribution_set(pair, q.z)
-    monkeypatch.setattr(oracle, "MAX_TABLE_ENTRIES", 3)  # the comparison spans the 2 x 2 cells of (x, y)
+    monkeypatch.setattr(E, "MAX_TABLE_ENTRIES", 3)  # the comparison spans the 2 x 2 cells of (x, y)
     with pytest.raises(InputError, match="^validation needs 4 cells at once; budget is 3$"):
         validate_formula(E.term(E.TARGET, ["Y"], given=["X"]), pair, q, tables)
+    # the product P*(x) P*(y|x) is 4 cells before any comparison, under the same budget
+    product = E.product([E.term(E.TARGET, ["X"]), E.term(E.TARGET, ["Y"], given=["X"])])
+    with pytest.raises(InputError, match="^evaluation needs 4 cells at once; budget is 3$"):
+        validate_formula(product, pair, q, tables)
 
 
 def test_validate_formula_refuses_a_formula_undefined_at_some_assignment():
