@@ -499,17 +499,21 @@ def align_axes(slots: tuple[str, ...], values: np.ndarray, order: Iterable[str])
 def evaluate(e: ProbExpr, tables, binding: Mapping[str, int]) -> float:
     """Value of ``e`` at one binding: the cell of ``compile_expr`` at it.
 
-    Every free variable of ``e`` must be bound.  Raises EvalError if the
-    binding meets a zero-probability conditioning event or denominator.
+    Every free variable of ``e`` must be bound, in range, and is checked
+    before any table is read.  Raises EvalError if the binding meets a
+    zero-probability conditioning event or denominator.
     """
-    slots, values = compile_expr(e, tables)
-    missing = set(slots) - set(binding)
+    unknown = {base_var(v) for v in all_slots(e)}.difference(tables.nodes)
+    if unknown:
+        raise EvalError(f"variables not in table: {sorted(unknown)}")
+    free = free_variables(e)
+    missing = free.difference(binding)
     if missing:
         raise EvalError(f"unbound variables: {sorted(missing)}")
-    index = tuple(binding[s] for s in slots)
-    if not all(is_int(i) and 0 <= i < n for i, n in zip(index, values.shape)):
+    if not all(is_int(binding[s]) and 0 <= binding[s] < tables.arity(s) for s in free):
         raise EvalError(f"value out of range in {dict(binding)}")
-    out = float(values[index])
+    slots, values = compile_expr(e, tables)
+    out = float(values[tuple(binding[s] for s in slots)])
     if math.isnan(out):
         raise EvalError(f"zero-probability conditioning event or denominator at {dict(binding)}")
     return out

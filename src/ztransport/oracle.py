@@ -13,19 +13,21 @@ Distributions are variable-elimination contractions of the truncated
 factorization (Koller & Friedman 2009, ch. 9), all run from one plan per
 diagram.  An intervened variable has no mechanism, only a free axis, so
 one contraction holds the distribution under every assignment of its
-do-set; a source do-set is contracted only when a formula first reads it.
-A formula is checked as one array over all of its free slots
-(``expr.compile_expr``) against the true effect.
+do-set.  A pair's ``joint`` is the one store of its contractions: each is
+made when first read, kept, and counted with the others against the cell
+budget.  A distribution set is a view of a pair that offers the source
+experiments on subsets of z.  A formula is checked as one array over all
+of its free slots (``expr.compile_expr``) against the true effect.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
 import weakref
 from collections.abc import Iterable, Mapping
 from dataclasses import KW_ONLY, InitVar, dataclass, field
-from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -273,22 +275,43 @@ class DiscreteModelPair:
     """Source and target models sharing diagram, arities and hidden structure;
     mechanism discrepancies are confined to the selection-pointed nodes.
 
-    ``source_joint`` and ``target_joint`` are the models' observational
-    joints (node order), made by ``enumerate_joint`` on first use, so a
+    ``joint`` makes, keeps and counts every array of the pair;
+    ``source_joint`` and ``target_joint`` are its observational joints, so a
     pair rejected on its source never contracts its target.
     """
 
     diagram: SelectionDiagram
     source: DiscreteSCM
     target: DiscreteSCM
+    _joints: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, compare=False, repr=False)
 
-    @cached_property
+    def joint(self, domain: str, do: frozenset[str] = frozenset()) -> np.ndarray:
+        """The array over every node (node order) of the target's (TARGET) or
+        the source's (otherwise) distribution under do() on ``do``, its do()
+        axes free; made on first use and kept, one array when the target is
+        the source.
+
+        The arrays kept count against the cell budget together: a new one
+        is counted with them before it is made, and kept only if it is
+        made.  The lock makes each array once and the count exact when
+        threads share the pair."""
+        m = self.target if domain == TARGET else self.source
+        key = (m is self.target, do)
+        with self._lock:
+            joint = self._joints.get(key)
+            if joint is None:
+                _check_cells((len(self._joints) + 1) * math.prod(m.arities.values()), "model pair")
+                joint = self._joints[key] = _contract(m, do) if do else enumerate_joint(m).probs
+        return joint
+
+    @property
     def source_joint(self) -> np.ndarray:
-        return enumerate_joint(self.source).probs
+        return self.joint(SOURCE)
 
-    @cached_property
+    @property
     def target_joint(self) -> np.ndarray:
-        return self.source_joint if self.target is self.source else enumerate_joint(self.target).probs
+        return self.joint(TARGET)
 
 
 def generate_pair(d: SelectionDiagram, seed: int, arity: int = 2) -> DiscreteModelPair:
@@ -343,98 +366,45 @@ def enumerate_joint(m: DiscreteSCM, do_set: Mapping[str, int] | None = None) -> 
 
 @dataclass(frozen=True)
 class DistributionSet:
-    """Concrete distributions backing formula evaluation: the target
-    observational joint, and for each available do-set of the source one
-    contraction over every node, with the do() axes free.
+    """The distributions a formula may read on a pair given experiments on z:
+    the target's observational joint, and the source's joint under do() on
+    each subset of z but all of V (the empty set included), do() axes free.
 
-    It is the table supply of ``expr.compile_expr`` and ``expr.evaluate``,
-    and holds only what they read: ``nodes``, ``arity`` and ``joint``.
+    A view: the pair makes, keeps and counts every array it serves
+    (``DiscreteModelPair.joint``), so building it contracts nothing.  It is
+    the table supply of ``expr.compile_expr`` and ``expr.evaluate``.
     """
 
-    target_joint: Table
-    source_joints: Mapping[frozenset[str], np.ndarray]
-    node_arities: Mapping[str, int]
+    pair: DiscreteModelPair
+    z: frozenset[str]
 
     @property
     def nodes(self) -> tuple[str, ...]:
-        return self.target_joint.vars
+        return self.pair.diagram.graph.nodes
 
     def arity(self, v: str) -> int:
         try:
-            return self.node_arities[base_var(v)]
+            return self.pair.source.arities[base_var(v)]
         except KeyError:
             raise EvalError(f"unknown variable: {v}")
 
     def joint(self, domain: str, do: frozenset[str]) -> np.ndarray:
-        """The array over ``nodes`` of a domain's distribution under do() on
-        the given variables, their axes free.  Raises EvalError, reading no
-        table, unless the domain has one under that do()."""
+        """The pair's array of a domain's distribution under do() on the given
+        variables, their axes free.  Raises EvalError, reading no table,
+        unless the set offers that domain under that do()."""
         if domain == TARGET:
             if do:
                 raise EvalError("target terms carry no interventions")
-            return self.target_joint.probs
-        if domain != SOURCE:
+        elif domain != SOURCE:
             raise EvalError(f"bad domain: {domain!r}")
-        if do not in self.source_joints:
+        elif not (do <= self.z and len(do) < len(self.nodes)):  # experiments on all of V are not available
             raise EvalError(f"no source table for do({sorted(do)})")
-        return self.source_joints[do]
-
-
-class _Experiments(Mapping):
-    """A source model's contractions by do-set, each made on its first
-    lookup and kept; a do-set never looked up is never contracted.
-
-    The contractions held count against the cell budget together: each is
-    counted before it is made, and uncounted if it fails.  ``_held`` is a
-    list because its appends and removals are atomic, so two threads that
-    contract at once may over-count but never under-count."""
-
-    def __init__(self, p: DiscreteModelPair, do_sets: Iterable[frozenset[str]]):
-        self._pair = p
-        self._joints: dict[frozenset[str], np.ndarray | None] = dict.fromkeys(do_sets)
-        self._held: list[frozenset[str]] = []
-
-    def __getitem__(self, do: frozenset[str]) -> np.ndarray:
-        joint = self._joints[do]
-        if joint is None and not do:
-            joint = self._joints[do] = self._pair.source_joint
-        elif joint is None:
-            self._held.append(do)
-            try:
-                _check_cells(len(self._held) * math.prod(self._pair.source.arities.values()), "distribution set")
-                joint = self._joints[do] = _contract(self._pair.source, do)
-            except BaseException:
-                self._held.remove(do)
-                raise
-        return joint
-
-    def __contains__(self, do: object) -> bool:
-        return do in self._joints
-
-    def __iter__(self):
-        return iter(self._joints)
-
-    def __len__(self) -> int:
-        return len(self._joints)
+        return self.pair.joint(domain, do)
 
 
 def build_distribution_set(p: DiscreteModelPair, z: Iterable[str]) -> DistributionSet:
-    """Target joint plus one source contraction per do() over a subset of z.
-
-    The index set is every Z' with Z' a subset of z and Z' != V, including
-    the empty set (the source observational distribution).  The
-    observational joints are the pair's own; every other Z' is one
-    contraction, whose free Z' axes hold every assignment, made when a
-    formula first reads it.  Building contracts nothing; a read raises
-    InputError if the contractions the set would then hold exceed the cell
-    budget together.
-    """
-    g = p.diagram.graph
-    zs = g.sorted(g.check_nodes(z))
-    # experiments on all of V are not available
-    subsets = [c for r in range(len(zs) + 1) for c in itertools.combinations(zs, r) if len(c) < len(g.nodes)]
-    source = _Experiments(p, map(frozenset, subsets))
-    return DistributionSet(Table(g.nodes, p.target_joint), source, dict(p.source.arities))
+    """The view of ``p``'s distributions given source experiments on z."""
+    return DistributionSet(p, p.diagram.graph.check_nodes(z))
 
 
 def ground_truth_effect(m: DiscreteSCM, x: Mapping[str, int], y: Iterable[str]) -> Table:
@@ -462,18 +432,19 @@ def validate_formula(
     algorithm; a correct formula's value does not depend on them, and
     this checks it at each of their values.  The formula is compiled to
     one array over its free slots (``expr.compile_expr``) and compared
-    with the truth tensor P*_x(y) at once.  Raises EvalError if any
-    assignment meets a zero-probability conditioning event or denominator,
-    and InputError if the comparison exceeds the cell budget.
+    with the truth P*_x(y), read as ``p.joint(TARGET, x)``, at once.
+    Raises EvalError if any assignment meets a zero-probability
+    conditioning event or denominator, and InputError if ``tables`` is not
+    a view of ``p`` or an array exceeds the cell budget.
     """
     g = p.diagram.graph
     q.validate_against(g)
     if tables is None:
         tables = build_distribution_set(p, q.z)
-    xs = g.sorted(q.x)
-    effects = _contract(p.target, xs) if xs else p.target_joint
+    elif tables.pair is not p:
+        raise InputError("the distribution set is another pair's")
     xy = [v for v in g.nodes if v in q.x or v in q.y]
-    truth = effects.sum(axis=tuple(i for i, v in enumerate(g.nodes) if v not in xy))
+    truth = p.joint(TARGET, q.x).sum(axis=tuple(i for i, v in enumerate(g.nodes) if v not in xy))
     slots, got = compile_expr(e, tables)
     aux = [s for s in slots if s not in q.x and s not in q.y]
     got = align_axes(slots, got, xy + aux)

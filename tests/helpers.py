@@ -270,6 +270,31 @@ def exogenize(m: zt.DiscreteSCM, nodes) -> zt.DiscreteSCM:
     return zt.DiscreteSCM(m.diagram, m.arities, m.latents, m.noise, functions)
 
 
+class Tables:
+    """A hand-made table supply for ``expr.compile_expr`` and ``expr.evaluate``,
+    with the three members they read: ``nodes``, ``arity`` and ``joint``.
+    ``target`` is the target's array over ``nodes``; ``source`` maps a do-set
+    to the source's array over ``nodes`` with its do() axes free.  Arities
+    are read off the target's shape."""
+
+    def __init__(self, nodes, target, source=()):
+        self.nodes = tuple(nodes)
+        self.joints = {(E.TARGET, frozenset()): np.asarray(target)}
+        self.joints.update(((E.SOURCE, do), a) for do, a in dict(source).items())
+
+    def arity(self, v):
+        try:
+            return self.joints[E.TARGET, frozenset()].shape[self.nodes.index(E.base_var(v))]
+        except ValueError:
+            raise E.EvalError(f"unknown variable: {v}") from None
+
+    def joint(self, domain, do):
+        try:
+            return self.joints[domain, do]
+        except KeyError:
+            raise E.EvalError(f"no {domain} table for do({sorted(do)})") from None
+
+
 def chain_conditioners(g, w, cut, v) -> tuple[str, ...]:
     """Reference for a chain term's conditioning set: the nodes ahead of v in
     ``topological_order(g, w, cut)``, less the cut, name-sorted."""

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 import ztransport as zt
 from ztransport import cli, expr as E
 from ztransport.expr import EvalError, ExprError
-from ztransport.oracle import DistributionSet, Table, build_distribution_set, generate_pair
+from ztransport.oracle import Table, build_distribution_set, generate_pair
+
+from helpers import Tables
 
 
 def t_target_y():
@@ -297,7 +299,6 @@ def random_expr(rng, depth=3):
 
 def tiny_tables():
     rng = np.random.default_rng(5)
-    arities = {v: 2 for v in VARS}
     source = {}
     for r in range(4):
         for combo in itertools.combinations(VARS, r):
@@ -311,7 +312,7 @@ def tiny_tables():
                 joint[tuple(assignment.get(v, slice(None)) for v in VARS)] = p
             source[frozenset(combo)] = joint
     p = rng.dirichlet(np.ones(8)).reshape((2, 2, 2))
-    return DistributionSet(Table(tuple(VARS), p), source, arities)
+    return Tables(VARS, p, source)
 
 
 def test_evaluate_one():
@@ -319,8 +320,7 @@ def test_evaluate_one():
 
 
 def test_evaluate_marginal_lookup():
-    tab = Table(("Y",), np.array([0.3, 0.7]))
-    ds = DistributionSet(tab, {}, {"Y": 2})
+    ds = Tables(["Y"], [0.3, 0.7])
     assert E.evaluate(E.term(E.TARGET, ["Y"]), ds, {"Y": 1}) == pytest.approx(0.7)
     for bad in (-1, 2, True, 1.0):  # numpy would wrap, mask or refuse each
         with pytest.raises(EvalError, match="out of range"):
@@ -328,8 +328,7 @@ def test_evaluate_marginal_lookup():
 
 
 def test_evaluate_missing_table():
-    tab = Table(("Y",), np.array([0.3, 0.7]))
-    ds = DistributionSet(tab, {}, {"Y": 2})
+    ds = Tables(["Y"], [0.3, 0.7])
     with pytest.raises(EvalError):
         E.evaluate(E.term(E.SOURCE, ["Y"], do=["Z"]), ds, {"Y": 1, "Z": 0})
 
@@ -350,8 +349,7 @@ def test_compile_rejects_a_term_naming_one_variable_twice():
 
 def test_evaluate_zero_denominator_raises_only_at_that_binding():
     # P*(A=1) = 0: conditioning on A=1 is undefined, on A=0 it is not
-    tab = Table(("A", "B"), np.array([[0.3, 0.7], [0.0, 0.0]]))
-    ds = DistributionSet(tab, {}, {"A": 2, "B": 2})
+    ds = Tables(["A", "B"], [[0.3, 0.7], [0.0, 0.0]])
     cond = E.term(E.TARGET, ["B"], given=["A"])
     assert E.evaluate(cond, ds, {"A": 0, "B": 1}) == pytest.approx(0.7)
     with pytest.raises(EvalError):
@@ -386,8 +384,9 @@ def test_evaluate_conditional_is_ratio():
     ds = tiny_tables()
     e = E.term(E.TARGET, ["A"], given=["B"])
     binding = {"A": 1, "B": 0}
-    joint = ds.target_joint.prob({"A": 1, "B": 0})
-    marg = ds.target_joint.prob({"B": 0})
+    target = Table(ds.nodes, ds.joint(E.TARGET, frozenset()))
+    joint = target.prob({"A": 1, "B": 0})
+    marg = target.prob({"B": 0})
     assert E.evaluate(e, ds, binding) == pytest.approx(joint / marg)
 
 

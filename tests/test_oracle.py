@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import math
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -175,18 +177,19 @@ def test_hidden_tables_positive_and_normalized():
 
 
 def test_distribution_set_entry_budget():
-    # each experiment holds 4^10 cells; the set budgets the experiments it has contracted
+    # each array holds 4^10 cells; the pair budgets every array it holds, its joint included
     g = zt.SemiMarkovianGraph.create([f"V{i}" for i in range(10)])
-    pair = generate_pair(D(g, []), seed=1, arity=4)
+    pair = generate_pair(D(g, []), seed=1, arity=4)  # holds its joint, the target's too
     ds = build_distribution_set(pair, [f"V{i}" for i in range(8)])  # 256 experiments offered
-    do_sets = [frozenset({f"V{i}"}) for i in range(8)] + [frozenset({"V0", "V1"}), frozenset({"V0", "V2"})]
-    for do in do_sets[:9]:
+    do_sets = [frozenset({f"V{i}"}) for i in range(8)] + [frozenset({"V0", "V1"})]
+    for do in do_sets[:8]:
         assert ds.joint(E.SOURCE, do).size == 4 ** 10
-    assert ds.joint(E.SOURCE, frozenset()) is pair.source_joint  # the pair's own: not counted
+    assert ds.joint(E.SOURCE, frozenset()) is pair.source_joint is pair.target_joint
     assert ds.joint(E.SOURCE, do_sets[0]) is ds.joint(E.SOURCE, do_sets[0])  # a held one: not counted again
     for _ in range(2):  # a refused read is not counted either
-        with pytest.raises(InputError, match="^distribution set needs 10485760 cells at once; budget is 10000000$"):
-            ds.joint(E.SOURCE, do_sets[9])
+        with pytest.raises(InputError, match="^model pair needs 10485760 cells at once; budget is 10000000$"):
+            ds.joint(E.SOURCE, do_sets[8])
+    assert len(pair._joints) == 9
 
 
 def test_generate_pair_cell_budget_checked_from_structure():
@@ -538,6 +541,7 @@ def test_enumerate_rejects_out_of_range():
             ground_truth_effect(pair.source, {"X": bad}, ["Y"])
         with pytest.raises(E.EvalError, match="out of range"):
             E.evaluate(term, ds, {"X": bad, "Y": 0})
+    assert list(pair._joints) == [(True, frozenset())]  # a bad value is refused before any table is read
     one = enumerate_joint(pair.source, {"X": np.int64(1)})
     assert one.vars == ("Z", "Y")
     assert np.array_equal(one.probs, ds.joint(E.SOURCE, frozenset({"X"}))[:, 1])  # nodes Z, X, Y
@@ -598,7 +602,7 @@ def test_distribution_set_tables_equal_per_assignment_enumeration():
         pair = generate_pair(d, seed)
         z = [v for v in g.nodes if rng.random() < 0.5]
         ds = build_distribution_set(pair, z)
-        assert np.array_equal(ds.target_joint.probs, enumerate_joint(pair.target, {}).probs)
+        assert np.array_equal(ds.joint(E.TARGET, frozenset()), enumerate_joint(pair.target, {}).probs)
         for key, table in source_tables(ds).items():
             want = enumerate_joint(pair.source, dict(key))
             assert table.vars == want.vars
@@ -614,28 +618,56 @@ def test_a_source_experiment_is_contracted_when_first_read(monkeypatch):
     formula = E.term(E.SOURCE, ["Y"], given=["X"], do=["Z1"])  # reads do(Z1) alone
     pair = generate_pair(d, seed=1)
     tables = build_distribution_set(pair, q.z)
-    keys = {frozenset(), frozenset({"Z1"}), frozenset({"Z2"}), frozenset({"Z1", "Z2"})}
-    assert (set(tables.source_joints), len(tables.source_joints)) == (keys, 4)
-    assert frozenset({"Z1", "Z2"}) in tables.source_joints and frozenset({"W"}) not in tables.source_joints
     with pytest.raises(E.EvalError, match="no source table"):
         tables.joint(E.SOURCE, frozenset({"W"}))  # an experiment not offered contracts nothing
     assert [do for m, do in contractions if m is pair.source and do] == []
     for _ in range(2):
         assert validate_formula(formula, pair, q, tables=tables) <= 1e-9
     assert [do for m, do in contractions if m is pair.source and do] == [frozenset({"Z1"})]
-    assert tables.source_joints[frozenset({"Z1"})] is tables.source_joints[frozenset({"Z1"})]
-    assert tables.source_joints[frozenset()] is pair.source_joint
-    assert (set(tables.source_joints), len(tables.source_joints)) == (keys, 4)
-    with pytest.raises(TypeError):
-        tables.source_joints[frozenset({"Z2"})] = pair.source_joint  # read-only
+    z1 = tables.joint(E.SOURCE, frozenset({"Z1"}))
+    assert z1 is pair.joint(E.SOURCE, frozenset({"Z1"})) and not z1.flags.writeable  # kept, read-only
+    assert tables.joint(E.SOURCE, frozenset()) is pair.source_joint
     assert [do for m, do in contractions if m is pair.source and do] == [frozenset({"Z1"})]
+    tables.joint(E.SOURCE, frozenset({"Z1", "Z2"}))  # offered: made when read
+    assert [do for m, do in contractions if m is pair.source and do] == [frozenset({"Z1"}), frozenset({"Z1", "Z2"})]
+
+
+def test_threads_sharing_a_pair_make_each_array_once(monkeypatch):
+    contractions = []
+    contract = oracle._contract
+    monkeypatch.setattr(oracle, "_contract", lambda m, do=(): contractions.append((m, frozenset(do))) or contract(m, do))
+    reads = [(E.SOURCE, frozenset(c)) for r in range(4) for c in itertools.combinations(["Z1", "Z2", "W"], r)]
+    reads.append((E.TARGET, frozenset()))
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(1, 9):
+            pair = generate_pair(fig5a(), seed)  # marks W: two models
+            ds, got, start = build_distribution_set(pair, ["Z1", "Z2", "W"]), [], threading.Barrier(6)
+
+            def read(k):
+                order = np.random.default_rng(k).permutation(len(reads))
+                start.wait(timeout=60)
+                got.append({reads[i]: ds.joint(*reads[i]) for i in order})
+
+            threads = [threading.Thread(target=read, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads) and len(got) == 6
+            assert all(all(a[k] is got[0][k] for k in reads) for a in got)  # one array per read, shared
+            assert len(pair._joints) == len(reads)  # counted once each
+            made = [do for m, do in contractions if m is pair.source and do]
+            assert sorted(made, key=sorted) == sorted((do for _, do in reads if do), key=sorted)  # made once each
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_distribution_set_no_marks_target_equals_source():
     pair = generate_pair(D(chain_graph(), []), seed=5)
     ds = build_distribution_set(pair, [])
-    src = ds.joint(E.SOURCE, frozenset())
-    assert np.array_equal(ds.target_joint.probs, src)
+    assert ds.joint(E.TARGET, frozenset()) is ds.joint(E.SOURCE, frozenset())  # one array
 
 
 # -- ground_truth_effect ---------------------------------------------------------
@@ -699,6 +731,7 @@ def x_to_y_pair():
 def test_validate_formula_checks_the_cell_budget(monkeypatch):
     pair, q = x_to_y_pair()
     tables = build_distribution_set(pair, q.z)
+    assert validate_formula(E.term(E.TARGET, ["Y"], given=["X"]), pair, q, tables) <= 1e-12  # the pair holds the truth
     monkeypatch.setattr(E, "MAX_TABLE_ENTRIES", 3)  # the comparison spans the 2 x 2 cells of (x, y)
     with pytest.raises(InputError, match="^validation needs 4 cells at once; budget is 3$"):
         validate_formula(E.term(E.TARGET, ["Y"], given=["X"]), pair, q, tables)
@@ -708,13 +741,27 @@ def test_validate_formula_checks_the_cell_budget(monkeypatch):
         validate_formula(product, pair, q, tables)
 
 
-def test_validate_formula_refuses_a_formula_undefined_at_some_assignment():
-    # P*(X = 0) is 0 in these tables, so P*(y | X = 0) is undefined
+def test_a_pair_counts_every_array_it_holds(monkeypatch):
+    # the pair holds its 4-cell joint; the truth P*_x(y) is a second array of 4 cells
     pair, q = x_to_y_pair()
-    joint = np.array([[0.0, 0.0], [0.5, 0.5]])
-    tables = oracle.DistributionSet(Table(("X", "Y"), joint), {frozenset(): joint}, {"X": 2, "Y": 2})
+    monkeypatch.setattr(E, "MAX_TABLE_ENTRIES", 7)
+    for _ in range(2):  # a refused array is not counted
+        with pytest.raises(InputError, match="^model pair needs 8 cells at once; budget is 7$"):
+            validate_formula(E.term(E.TARGET, ["Y"], given=["X"]), pair, q)
+    assert len(pair._joints) == 1
+
+
+def test_validate_formula_refuses_a_formula_undefined_at_some_assignment():
+    # X's mechanism is constant 1, so P*(X = 0) is 0 and P*(y | X = 0) is undefined
+    g = zt.SemiMarkovianGraph.create(["X", "Y"], [("X", "Y")])
+    noise = {v: np.full(4, 0.25) for v in g.nodes}
+    m = DiscreteSCM(g, {"X": 2, "Y": 2}, {}, noise, {"X": np.ones(4, dtype=int), "Y": np.array([[0, 1, 0, 1]] * 2)})
+    pair, q = DiscreteModelPair(D(g, []), m, m), zt.Query.create(["X"], ["Y"])
     with pytest.raises(E.EvalError, match="^zero-probability conditioning event or denominator in the formula$"):
-        validate_formula(E.term(E.TARGET, ["Y"], given=["X"]), pair, q, tables)
+        validate_formula(E.term(E.TARGET, ["Y"], given=["X"]), pair, q)
+    # another pair's tables are refused, not read
+    with pytest.raises(InputError, match="^the distribution set is another pair's$"):
+        validate_formula(E.term(E.TARGET, ["Y"], given=["X"]), pair, q, build_distribution_set(x_to_y_pair()[0], []))
 
 
 def test_a_distribution_set_refuses_unknown_variables_and_tables():
@@ -728,7 +775,7 @@ def test_a_distribution_set_refuses_unknown_variables_and_tables():
     with pytest.raises(E.EvalError, match="^bad domain: 'moon'$"):
         tables.joint("moon", frozenset())
     with pytest.raises(E.EvalError, match=r"^variables not in table: \['Q'\]$"):
-        tables.target_joint.marginal(["Y", "Q"])
+        Table(tables.nodes, tables.joint(E.TARGET, frozenset())).marginal(["Y", "Q"])
 
 
 def test_table_zero_conditioning_event_raises():
