@@ -238,24 +238,21 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
 
+    warnings: list[str] = []  # printed on stderr after the output
     if args.command == "run":
         code, doc = run(qf)
+        warnings = [] if args.format == "json" else doc["warnings"]  # the JSON document holds them
         if args.format == "json":
-            print(json.dumps(doc, indent=2, sort_keys=True))
+            lines = [json.dumps(doc, indent=2, sort_keys=True)]
         elif doc["status"] == "transportable":
-            print(doc["formula_latex"] if args.format == "latex" else doc["formula_text"])
+            lines = [doc["formula_latex"] if args.format == "latex" else doc["formula_text"]]
         else:
             w = doc["witness"]
-            print(
+            lines = [
                 f"not transportable: {w['kind']} over {{{', '.join(w['f_nodes'])}}} "
                 f"/ {{{', '.join(w['f_sub_nodes'])}}}"
-            )
-        if args.format != "json":
-            for w in doc["warnings"]:
-                print(f"warning: {w}", file=sys.stderr)
-        return code
-
-    if args.command == "validate":
+            ]
+    elif args.command == "validate":
         env_seed = os.environ.get("ZTRANSPORT_SEED")
         try:
             start = int(env_seed) if env_seed else 1
@@ -272,15 +269,22 @@ def main(argv: list[str] | None = None) -> int:
         except (InputError, OracleError) as e:
             print(f"error: {e}", file=sys.stderr)
             return 1
-        print(json.dumps(doc, indent=2, sort_keys=True))
-        return code
+        lines = [json.dumps(doc, indent=2, sort_keys=True)]
+    else:
+        g = qf.diagram.graph
+        code, lines = 0, ["{" + ", ".join(g.sorted(comp)) + "}" for comp in c_components(g)]
 
-    if args.command == "components":
-        for comp in c_components(qf.diagram.graph):
-            print("{" + ", ".join(qf.diagram.graph.sorted(comp)) + "}")
-        return 0
-
-    return 1
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: what is left cannot be shown, and the command's
+        # status stands; stdout now points at devnull, so the flush at exit succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    for w in warnings:
+        print(f"warning: {w}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -6,8 +6,9 @@ endpoints.  All values are immutable; every operation returns a new graph.
 Node order is declaration order and is used as the canonical tie-break
 everywhere, so results are deterministic.
 A node set may also be a mask, an int whose bit i stands for ``g.nodes[i]``.
-Masks are the one adjacency encoding (``parent_bits``, ``child_bits``, ``sibling_bits``):
-one walk over them, ``_reach``, finds every reachable set, and one, ``_ahead``, every order
+Masks are how a graph is stored: ``parent_bits`` and ``sibling_bits`` are its one
+adjacency, and its edge sets and ``child_bits`` are views made from them when first read.
+One walk over them, ``_reach``, finds every reachable set, and one, ``_ahead``, every order
 with each member's predecessors in it.  Spelling a mask as names (``names``, ``_pick``)
 costs its set bits when it has few, as most components and chains have; a denser
 mask costs one pass over its bits up to the highest.
@@ -38,16 +39,18 @@ class GraphError(ValueError):
 
 @dataclass(frozen=True)
 class SemiMarkovianGraph:
-    """Observed variables plus directed and bidirected edges.
+    """Observed variables plus directed and bidirected edges, stored as masks.
 
-    ``nodes`` is an ordered tuple (declaration order).  ``directed_edges``
-    holds (parent, child) pairs; ``bidirected_edges`` holds unordered pairs
-    as two-element frozensets.
+    ``nodes`` is an ordered tuple (declaration order).  ``parent_bits[i]`` is
+    the mask of node i's parents and ``sibling_bits[i]`` the mask of its
+    bidirected-edge neighbours: the graph's one adjacency.  ``directed_edges``
+    ((parent, child) pairs), ``bidirected_edges`` (two-element frozensets) and
+    ``child_bits`` are views made from the masks when first read.
     """
 
     nodes: tuple[str, ...]
-    directed_edges: frozenset[tuple[str, str]]
-    bidirected_edges: frozenset[frozenset[str]]
+    parent_bits: tuple[int, ...]
+    sibling_bits: tuple[int, ...]
 
     @staticmethod
     def create(
@@ -55,26 +58,33 @@ class SemiMarkovianGraph:
         directed: Iterable[tuple[str, str]] = (),
         bidirected: Iterable[tuple[str, str]] = (),
     ) -> "SemiMarkovianGraph":
-        node_tuple = tuple(nodes)
+        node_tuple = tuple(_node_names(nodes, "nodes"))
         folded: dict[str, str] = {}  # formulas print names lower-cased, so no two may fold alike
         for n in node_tuple:
-            if not NAME_RE.match(n):
+            if not isinstance(n, str) or not NAME_RE.match(n):
                 raise GraphError(f"invalid node name: {n!r}")
             twin = folded.get(n.lower())
             if twin is not None:
                 raise GraphError(f"duplicate node: {n}" if twin == n else f"nodes {twin} and {n} differ only in case")
             folded[n.lower()] = n
-        seen = set(node_tuple)
-        de: set[tuple[str, str]] = set()
-        be: set[frozenset[str]] = set()
-        for arrow, edges, kept, edge in (("->", directed, de, tuple), ("<->", bidirected, be, frozenset)):
-            for a, b in edges:
-                if a not in seen or b not in seen:
+        index = {n: i for i, n in enumerate(node_tuple)}
+        parents, siblings = [0] * len(node_tuple), [0] * len(node_tuple)
+        for arrow, edges, into in (("->", directed, parents), ("<->", bidirected, siblings)):
+            for edge in edges:
+                try:
+                    a, b = () if isinstance(edge, str) else edge  # "AB" would read as A, B
+                    i, j = index.get(a), index.get(b)
+                except (TypeError, ValueError):  # not a pair, or an unhashable endpoint
+                    raise GraphError(f"bad edge: {edge!r}") from None
+                if i is None or j is None:
                     raise GraphError(f"edge endpoint not declared: {a} {arrow} {b}")
-                if a == b:
+                if i == j:
                     raise GraphError(f"self-loop: {a} {arrow} {b}")
-                kept.add(edge((a, b)))
-        g = SemiMarkovianGraph(node_tuple, frozenset(de), frozenset(be))
+                into[j] |= 1 << i
+                if into is siblings:
+                    siblings[i] |= 1 << j
+        g = SemiMarkovianGraph(node_tuple, tuple(parents), tuple(siblings))
+        vars(g)["index"] = index  # the cached property, already built
         topological_order(g)  # raises on a directed cycle
         return g
 
@@ -87,25 +97,22 @@ class SemiMarkovianGraph:
         return frozenset(self.nodes)
 
     @cached_property
-    def parent_bits(self) -> tuple[int, ...]:
-        """The mask of node i's parents, for each i."""
-        return self._bits(self.directed_edges)
+    def directed_edges(self) -> frozenset[tuple[str, str]]:
+        """The (parent, child) pairs."""
+        return frozenset((a, b) for b, pa in zip(self.nodes, self.parent_bits) for a in _pick(self.nodes, pa))
+
+    @cached_property
+    def bidirected_edges(self) -> frozenset[frozenset[str]]:
+        """The bidirected edges, each a two-element frozenset."""
+        return frozenset(self.bidirected_order)
 
     @cached_property
     def child_bits(self) -> tuple[int, ...]:
         """The mask of node i's children, for each i."""
-        return self._bits((b, a) for a, b in self.directed_edges)
-
-    @cached_property
-    def sibling_bits(self) -> tuple[int, ...]:
-        """The mask of node i's bidirected-edge neighbours, for each i."""
-        return self._bits(arrow for a, b in self.bidirected_edges for arrow in ((a, b), (b, a)))
-
-    def _bits(self, arrows: Iterable[tuple[str, str]]) -> tuple[int, ...]:
-        """For each node i, the mask of the tails of the given arrows into it."""
         bits = [0] * len(self.nodes)
-        for a, b in arrows:
-            bits[self.index[b]] |= 1 << self.index[a]
+        for j, pa in enumerate(self.parent_bits):
+            for i in _indices(self, pa):
+                bits[i] |= 1 << j
         return tuple(bits)
 
     @cached_property
@@ -117,7 +124,11 @@ class SemiMarkovianGraph:
     def bidirected_order(self) -> tuple[frozenset[str], ...]:
         """Bidirected edges ordered by their endpoints' node order: the
         order of the hidden variables wherever they are enumerated."""
-        return tuple(sorted(self.bidirected_edges, key=lambda e: sorted(self.index[v] for v in e)))
+        return tuple(
+            frozenset((a, b))
+            for i, (a, sib) in enumerate(zip(self.nodes, self.sibling_bits))
+            for b in _pick(self.nodes, sib >> i + 1 << i + 1)  # the neighbours after a
+        )
 
     def sorted(self, nodes: Iterable[str]) -> tuple[str, ...]:
         """Return the given nodes in declaration order."""
@@ -135,9 +146,11 @@ class SemiMarkovianGraph:
         """The nodes of mask m in declaration order."""
         return tuple(_pick(self.nodes, m))
 
-    def check_nodes(self, nodes: Iterable[str]) -> frozenset[str]:
-        s = frozenset(nodes)
-        unknown = s - self.node_set
+    def check_nodes(self, nodes: Iterable[str], what: str = "nodes") -> frozenset[str]:
+        """The given nodes as a set; InputError names ``what`` for a bare string, and any
+        node outside g."""
+        s = frozenset(_node_names(nodes, what))
+        unknown = s.difference(self.index)
         if unknown:
             raise InputError(f"unknown node(s): {', '.join(sorted(unknown))}")
         return s
@@ -153,7 +166,7 @@ class SelectionDiagram:
 
     @staticmethod
     def create(graph: SemiMarkovianGraph, s_targets: Iterable[str] = ()) -> "SelectionDiagram":
-        s = graph.check_nodes(s_targets)
+        s = graph.check_nodes(s_targets, "s_targets")
         return SelectionDiagram(graph, s)
 
 
@@ -167,7 +180,7 @@ class Query:
 
     @staticmethod
     def create(x: Iterable[str], y: Iterable[str], z: Iterable[str] = ()) -> "Query":
-        xs, ys, zs = frozenset(x), frozenset(y), frozenset(z)
+        xs, ys, zs = (frozenset(_node_names(v, what)) for v, what in ((x, "x"), (y, "y"), (z, "z")))
         if not ys:
             raise InputError("outcome set y must be nonempty")
         if xs & ys:
@@ -178,6 +191,14 @@ class Query:
         g.check_nodes(self.x)
         g.check_nodes(self.y)
         g.check_nodes(self.z)
+
+
+def _node_names(nodes: Iterable[str], what: str) -> Iterable[str]:
+    """``nodes`` as given, unless a bare string: InputError naming ``what``, where its
+    characters would be read as node names."""
+    if isinstance(nodes, str):
+        raise InputError(f"{what} must be a collection of node names, not the string {nodes!r}")
+    return nodes
 
 
 def _pick(items: Sequence, m: int) -> Iterable:
@@ -228,36 +249,40 @@ def ancestors(
     It makes its own ``within`` checks: InputError unless w and within are
     node sets of g and within holds w.
     """
-    start = g.mask(g.check_nodes(w))
-    keep = -1 if within is None else g.mask(g.check_nodes(within))
+    start = g.mask(g.check_nodes(w, "w"))
+    keep = -1 if within is None else g.mask(g.check_nodes(within, "within"))
     if start & ~keep:
         raise InputError(f"node(s) outside within: {', '.join(g.names(start & ~keep))}")
-    return frozenset(g.names(_reach(g.parent_bits, start, g.mask(cut), keep)))
+    return frozenset(g.names(_reach(g.parent_bits, start, g.mask(_node_names(cut, "cut")), keep)))
 
 
 def induced_subgraph(g: SemiMarkovianGraph, w: Iterable[str], cut: Iterable[str] = ()) -> SemiMarkovianGraph:
     """Subgraph on node set w keeping every edge with both endpoints in w,
     less the arrows into ``cut``; a bidirected edge is an arrow from a
-    hidden parent, so it goes when either endpoint is cut."""
-    keep = g.check_nodes(w)
-    heads = keep - g.check_nodes(cut)  # the nodes that keep their incoming arrows
-    return SemiMarkovianGraph(
-        nodes=tuple(n for n in g.nodes if n in keep),
-        directed_edges=frozenset((a, b) for a, b in g.directed_edges if a in keep and b in heads),
-        bidirected_edges=frozenset(e for e in g.bidirected_edges if e <= heads),
-    )
+    hidden parent, so it goes when either endpoint is cut.  The masks are
+    g's, each kept bit moved to its node's index in w."""
+    keep = g.mask(g.check_nodes(w, "w"))
+    heads = keep & ~g.mask(g.check_nodes(cut, "cut"))  # the nodes that keep their incoming arrows
+    kept, moved = list(_indices(g, keep)), [0] * len(g.nodes)
+    for k, i in enumerate(kept):
+        moved[i] = 1 << k  # the bit of g's node i in the subgraph
+
+    def masks(adj: tuple[int, ...], tails: int) -> tuple[int, ...]:
+        return tuple(sum(_pick(moved, adj[i] & tails)) if heads >> i & 1 else 0 for i in kept)
+
+    return SemiMarkovianGraph(g.names(keep), masks(g.parent_bits, keep), masks(g.sibling_bits, heads))
 
 
 def mutilate(g: SemiMarkovianGraph, cut_incoming: Iterable[str] = ()) -> SemiMarkovianGraph:
     """Delete arrows into ``cut_incoming``: the cut subgraph on all of g."""
-    return induced_subgraph(g, g.nodes, cut_incoming)
+    return induced_subgraph(g, g.nodes, _node_names(cut_incoming, "cut_incoming"))
 
 
 def c_components(g: SemiMarkovianGraph, w: Iterable[str] | None = None) -> list[frozenset[str]]:
     """Partition of w (default: all of g) into the maximal bidirected-connected
     components of G[w], without building G[w]; ordered by the declaration
     index of each component's earliest member."""
-    keep = g.mask(g.nodes if w is None else g.check_nodes(w))
+    keep = g.mask(g.nodes if w is None else g.check_nodes(w, "w"))
     return [frozenset(g.names(c)) for c in _partition(g, keep)]
 
 
@@ -273,8 +298,8 @@ def _partition(g: SemiMarkovianGraph, keep: int) -> list[int]:
 def topological_order(g: SemiMarkovianGraph, w: Iterable[str] | None = None, cut: Iterable[str] = ()) -> list[str]:
     """``_ahead``'s order on names, for G[w] (default: all of g) less the arrows into ``cut`` (names
     outside g allowed).  Unless g is forward, G[w]'s order need not be g's order filtered to w."""
-    keep = g.mask(g.nodes if w is None else g.check_nodes(w))
-    return [g.nodes[i] for i, _ in _ahead(g, keep, g.mask(cut), keep)]
+    keep = g.mask(g.nodes if w is None else g.check_nodes(w, "w"))
+    return [g.nodes[i] for i, _ in _ahead(g, keep, g.mask(_node_names(cut, "cut")), keep)]
 
 
 def _ahead(g: SemiMarkovianGraph, keep: int, cut: int, members: int) -> list[tuple[int, int]]:

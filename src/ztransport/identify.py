@@ -353,7 +353,7 @@ def bi(y: Iterable[str], x: Iterable[str], dist: DistLabel, g: SemiMarkovianGrap
 def direct_transportable(c: frozenset[str], d: SelectionDiagram) -> bool:
     """True iff no selection-pointed node lies in the component, in which
     case the component's factor is invariant across the two domains."""
-    return not (d.s_targets & d.graph.check_nodes(c))
+    return not (d.s_targets & d.graph.check_nodes(c, "c"))
 
 
 def _union(masks: list[int], m: int) -> int:
@@ -456,5 +456,5 @@ def sid_z(
 
 def transportable(y: Iterable[str], x: Iterable[str], d: SelectionDiagram) -> IdentResult:
     """Plain transportability: z-transportability with every node outside y controllable."""
-    y = list(y)
+    y = d.graph.check_nodes(y, "y")
     return sid_z(y, x, d, d.graph.node_set.difference(y))

@@ -404,12 +404,12 @@ class DistributionSet:
 
 def build_distribution_set(p: DiscreteModelPair, z: Iterable[str]) -> DistributionSet:
     """The view of ``p``'s distributions given source experiments on z."""
-    return DistributionSet(p, p.diagram.graph.check_nodes(z))
+    return DistributionSet(p, p.diagram.graph.check_nodes(z, "z"))
 
 
 def ground_truth_effect(m: DiscreteSCM, x: Mapping[str, int], y: Iterable[str]) -> Table:
     """Marginal of the interventional distribution do(x) onto y."""
-    ys = m.diagram.check_nodes(y)
+    ys = m.diagram.check_nodes(y, "y")
     if ys & set(x):
         raise InputError("outcome overlaps the intervention assignment")
     joint = enumerate_joint(m, x)

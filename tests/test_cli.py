@@ -213,6 +213,26 @@ def test_validate_on_an_empty_seed_range_is_an_input_error(tmp_path, capsys, see
     assert capsys.readouterr().err == "error: the seed range is empty: no model pair would be checked\n"
 
 
+def layered_text(query: list[str]) -> str:
+    """A 200-node diagram in 20 layers of 10: each node's parents are two nodes of the
+    layer before, every other layer holds three bidirected edges, one bow joins layers
+    10 and 11, and every fourth layer has a selected node."""
+    lines = [f"V{l - 1}_{p} -> V{l}_{k}" for l in range(1, 20) for k in range(10) for p in (k, (k + 3) % 10)]
+    lines += [f"V{l}_{k} <-> V{l}_{k + 1}" for l in range(0, 20, 2) for k in (0, 3, 6)]
+    lines += ["V10_0 <-> V11_0"] + [f"select V{l}_4" for l in range(0, 20, 4)]
+    return "\n".join(lines + query) + "\n"
+
+
+def test_a_decision_reads_the_graph_through_its_masks():
+    # deciding builds none of the graph's edge sets, nor its node set
+    for query, status in ((["X: V2_0", "Y: V19_0"], 0), (["X: V10_0", "Y: V11_0"], 2)):
+        qf = parse_diagram(layered_text(query))
+        g = qf.diagram.graph
+        assert len(g.nodes) == 200
+        assert cli.run(qf)[0] == status
+        assert not {"directed_edges", "bidirected_edges", "node_set"} & vars(g).keys()
+
+
 def test_validate_not_transportable_exits_2():
     text = FIG2A_TEXT.replace("Z: Z", "Z: W")
     code, doc = cli.validate(parse_diagram(text), seeds=range(1, 3))
@@ -382,3 +402,31 @@ def test_exit_codes_through_a_real_process(tmp_path):
         assert "Traceback" not in p.stderr, (case, p.stderr)
     assert ztransport("run", good).returncode == 0
     assert ztransport("run", hedge).returncode == 2
+
+
+def test_a_closed_stdout_ends_quietly_with_the_commands_status(tmp_path):
+    # a reader that stops early (``| head -c 10``) closes the pipe: each command still
+    # exits with the status it decided, and prints nothing on stderr
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    chain12 = "\n".join(f"V{i} -> V{i + 1}" for i in range(11)) + "\nX: V0\nY: V11\nZ: V1 V2 V3 V4 V5\n"
+    chain = fig2a_file(tmp_path, chain12, "chain12.graph")
+    hedge = fig2a_file(tmp_path, FIG2A_TEXT.replace("Z: Z", "Z: W"), "w.graph")
+    cases = [
+        (("run", chain, "--format", "json"), 0),
+        (("run", chain), 0),
+        (("validate", chain, "--seeds", "1..20"), 0),
+        (("run", hedge), 2),
+        (("validate", hedge, "--seeds", "1"), 2),
+        (("components", chain), 0),
+    ]
+    for args, status in cases:
+        read, write = os.pipe()
+        os.close(read)  # stdout is a pipe no one reads: the first write fails
+        try:
+            p = subprocess.run(
+                [sys.executable, "-m", "ztransport.cli", *args],
+                env={**os.environ, "PYTHONPATH": src}, stdout=write, stderr=subprocess.PIPE, timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert (p.returncode, p.stderr.decode()) == (status, ""), args

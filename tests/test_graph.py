@@ -47,6 +47,73 @@ def test_create_rejects_names_that_differ_only_in_case():
         G(["A", "B", "A"])
 
 
+def test_create_names_a_node_or_edge_it_cannot_read():
+    with pytest.raises(GraphError, match=r"^invalid node name: 1$"):
+        G([1, 2])
+    with pytest.raises(GraphError, match=r"^bad edge: \('A', 'B', 'C'\)$"):
+        G(["A", "B", "C"], [("A", "B", "C")])
+    with pytest.raises(GraphError, match=r"^bad edge: \('A',\)$"):
+        G(["A", "B"], [], [("A",)])
+    with pytest.raises(GraphError, match=r"^bad edge: \(\['A'\], 'B'\)$"):
+        G(["A", "B"], [(["A"], "B")])
+    with pytest.raises(GraphError, match=r"^edge endpoint not declared: 1 -> B$"):
+        G(["A", "B"], [(1, "B")])
+    with pytest.raises(GraphError, match=r"^bad edge: 'AB'$"):
+        G(["A", "B"], ["AB"])
+
+
+def test_the_stored_masks_rebuild_an_equal_graph():
+    graphs = [g for g, _ in redeclared_graphs(master=47, n=20)] + [sparse_graph(seed, 53)[0] for seed in range(2)]
+    assert sum(len(g.nodes) > 64 for g in graphs) >= 6
+    rng = np.random.default_rng(5)
+    for g in graphs:
+        again = G(g.nodes, g.directed_edges, g.bidirected_edges)
+        assert again == g and hash(again) == hash(g)
+        assert (again.parent_bits, again.sibling_bits) == (g.parent_bits, g.sibling_bits)
+        # edges in another order, repeated, bidirected ones either way round
+        directed = [*g.directed_edges, *g.directed_edges]
+        bidirected = [tuple(e)[::k] for e in g.bidirected_edges for k in (1, -1)]
+        rng.shuffle(directed)
+        rng.shuffle(bidirected)
+        assert G(g.nodes, directed, bidirected) == g
+        # the views read the masks bit by bit, the hidden variables in endpoint order
+        n, pa, sib = len(g.nodes), g.parent_bits, g.sibling_bits
+        bits = [(i, j) for i in range(n) for j in range(n)]
+        assert g.directed_edges == {(g.nodes[i], g.nodes[j]) for i, j in bits if pa[j] >> i & 1}
+        assert g.child_bits == tuple(sum(1 << j for j in range(n) if pa[j] >> i & 1) for i in range(n))
+        assert list(g.bidirected_order) == [frozenset(g.names(1 << i | 1 << j)) for i, j in bits if i < j and sib[j] >> i & 1]
+        assert g.bidirected_edges == set(g.bidirected_order)
+    # another declaration order is another graph
+    g = chain()
+    assert G(g.nodes[::-1], g.directed_edges) != g
+
+
+def test_a_bare_string_is_not_read_as_a_node_set():
+    # on V0 -> V1 -> V2 the cut "V1" would be read as V and 1, both outside g, and cut nothing
+    g = G(["V0", "V1", "V2"], [("V0", "V1"), ("V1", "V2")])
+    calls = [
+        ("nodes", lambda: G("XY")),  # would be the nodes X and Y
+        ("nodes", lambda: g.check_nodes("V1")),
+        ("w", lambda: zt.ancestors(g, "V2")),
+        ("cut", lambda: zt.ancestors(g, ["V2"], cut="V1")),
+        ("within", lambda: zt.ancestors(g, ["V2"], within="V2")),
+        ("w", lambda: zt.topological_order(g, "V2")),
+        ("cut", lambda: zt.topological_order(g, cut="V1")),
+        ("w", lambda: zt.induced_subgraph(g, "V1")),
+        ("cut", lambda: zt.induced_subgraph(g, g.nodes, "V1")),
+        ("cut_incoming", lambda: zt.mutilate(g, "V1")),
+        ("w", lambda: zt.c_components(g, "V1")),
+        ("s_targets", lambda: zt.SelectionDiagram.create(g, "V1")),
+        ("x", lambda: zt.Query.create("V0", ["V2"])),
+        ("y", lambda: zt.Query.create(["V0"], "V2")),
+        ("z", lambda: zt.Query.create(["V0"], ["V2"], "V1")),
+    ]
+    for what, call in calls:
+        with pytest.raises(InputError, match=f"^{what} must be a collection of node names, not the string '"):
+            call()
+    assert zt.ancestors(g, ["V2"], cut=["V1"]) == {"V1", "V2"}
+
+
 def test_empty_graph_is_legal():
     g = G([])
     assert zt.topological_order(g) == []
@@ -373,8 +440,9 @@ def test_ahead_pairs_past_bit_256_equal_the_sort_every_pop_reference():
 def test_topological_order_names_a_cycle():
     with pytest.raises(GraphError, match=r"^directed part contains a cycle: A -> B -> C -> A$"):
         G(["A", "B", "C", "D"], [("D", "A"), ("A", "B"), ("B", "C"), ("C", "A")])
-    # a graph built without create may hold a self-loop, a cycle of one node
-    loop = zt.SemiMarkovianGraph(("A", "B"), frozenset({("A", "B"), ("B", "B")}), frozenset())
+    # a graph built from masks without create may hold a self-loop, a cycle of one node:
+    # B's parents are A and B
+    loop = zt.SemiMarkovianGraph(("A", "B"), (0, 0b11), (0, 0))
     with pytest.raises(GraphError, match=r"^directed part contains a cycle: B -> B$"):
         zt.topological_order(loop)
     # on a node set, the cycle is one inside it

@@ -154,6 +154,23 @@ def test_an_empty_outcome_set_is_an_input_error():
             decide()
 
 
+def test_a_bare_string_is_not_read_as_a_node_set():
+    # "Y1" would iterate as the names Y and 1: each entry point names its argument
+    g = zt.SemiMarkovianGraph.create(["X", "Y1"], [("X", "Y1")])
+    d = D(g, [])
+    calls = [
+        ("y", lambda: sid_z("Y1", ["X"], d, [])),
+        ("x", lambda: sid_z(["Y1"], "X", d, [])),
+        ("z", lambda: gid_z(["Y1"], ["X"], "X", g)),
+        ("y", lambda: transportable("Y1", ["X"], d)),
+        ("c", lambda: direct_transportable("X", d)),
+    ]
+    for what, call in calls:
+        with pytest.raises(InputError, match=f"^{what} must be a collection of node names, not the string '"):
+            call()
+    assert transportable(["Y1"], ["X"], d).ok
+
+
 def test_gid_drops_z_inside_y_with_warning():
     r = gid_z(["Y"], ["X"], ["Y"], chain_graph())
     assert r.ok

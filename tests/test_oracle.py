@@ -687,6 +687,11 @@ def test_ground_truth_full_outcome_is_joint():
     # an outcome the intervention fixes is no outcome
     with pytest.raises(InputError, match="^outcome overlaps the intervention assignment$"):
         ground_truth_effect(pair.source, {"X": 1}, ["X", "Y"])
+    # "ZY" would be read as the names Z and Y
+    with pytest.raises(InputError, match="^y must be a collection of node names, not the string 'ZY'$"):
+        ground_truth_effect(pair.source, {"X": 1}, "ZY")
+    with pytest.raises(InputError, match="^z must be a collection of node names, not the string 'X'$"):
+        build_distribution_set(pair, "X")
 
 
 def test_ground_truth_bow_differs_from_conditional():
