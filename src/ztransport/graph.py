@@ -12,12 +12,13 @@ One walk over them, ``_reach``, finds every reachable set, and one, ``_ahead``, 
 with each member's predecessors in it.  Spelling a mask as names (``names``, ``_pick``)
 costs its set bits when it has few, as most components and chains have; a denser
 mask costs one pass over its bits up to the highest.
+Each value type has one checked way in, its ``create``; ``induced_subgraph`` builds through it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 from typing import Iterable, Sequence
@@ -37,20 +38,37 @@ class GraphError(ValueError):
     """Structurally invalid graph (cycle, bad edge, bad node name)."""
 
 
-@dataclass(frozen=True)
+def _made(cls: type, **fields):
+    """A ``cls`` holding ``fields``, made without an ``__init__`` by its one maker, which checked them."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
+
+
+def _no_init(maker: str):
+    """An ``__init__`` that refuses every call, the empty one too, naming the one way in."""
+    def __init__(self, *args, **kwargs) -> None:
+        raise TypeError(f"{type(self).__name__} is not called: {maker} makes it")
+    return __init__
+
+
+@dataclass(frozen=True, init=False)
 class SemiMarkovianGraph:
     """Observed variables plus directed and bidirected edges, stored as masks.
 
-    ``nodes`` is an ordered tuple (declaration order).  ``parent_bits[i]`` is
-    the mask of node i's parents and ``sibling_bits[i]`` the mask of its
-    bidirected-edge neighbours: the graph's one adjacency.  ``directed_edges``
-    ((parent, child) pairs), ``bidirected_edges`` (two-element frozensets) and
-    ``child_bits`` are views made from the masks when first read.
+    ``nodes`` is an ordered tuple (declaration order), ``index`` its inverse.
+    ``parent_bits[i]`` is the mask of node i's parents and ``sibling_bits[i]``
+    the mask of its bidirected-edge neighbours: the graph's one adjacency.
+    ``directed_edges`` ((parent, child) pairs), ``bidirected_edges``
+    (two-element frozensets) and ``child_bits`` are views made from the masks
+    when first read.  ``create`` alone makes a graph.
     """
 
     nodes: tuple[str, ...]
     parent_bits: tuple[int, ...]
     sibling_bits: tuple[int, ...]
+    index: dict[str, int] = field(compare=False, repr=False)
+    __init__ = _no_init("SemiMarkovianGraph.create")
 
     @staticmethod
     def create(
@@ -83,14 +101,10 @@ class SemiMarkovianGraph:
                 into[j] |= 1 << i
                 if into is siblings:
                     siblings[i] |= 1 << j
-        g = SemiMarkovianGraph(node_tuple, tuple(parents), tuple(siblings))
-        vars(g)["index"] = index  # the cached property, already built
+        g = _made(SemiMarkovianGraph, nodes=node_tuple, parent_bits=tuple(parents), sibling_bits=tuple(siblings),
+                  index=index)
         topological_order(g)  # raises on a directed cycle
         return g
-
-    @cached_property
-    def index(self) -> dict[str, int]:
-        return {n: i for i, n in enumerate(self.nodes)}
 
     @cached_property
     def node_set(self) -> frozenset[str]:
@@ -152,31 +166,32 @@ class SemiMarkovianGraph:
         s = frozenset(_node_names(nodes, what))
         unknown = s.difference(self.index)
         if unknown:
-            raise InputError(f"unknown node(s): {', '.join(sorted(unknown))}")
+            raise InputError(f"unknown node(s): {', '.join(sorted(map(repr, unknown)))}")
         return s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SelectionDiagram:
     """A shared causal graph plus the nodes whose mechanisms may differ
     between the source and target domains (the selection-pointed nodes)."""
 
     graph: SemiMarkovianGraph
-    s_targets: frozenset[str] = frozenset()
+    s_targets: frozenset[str]
+    __init__ = _no_init("SelectionDiagram.create")
 
     @staticmethod
     def create(graph: SemiMarkovianGraph, s_targets: Iterable[str] = ()) -> "SelectionDiagram":
-        s = graph.check_nodes(s_targets, "s_targets")
-        return SelectionDiagram(graph, s)
+        return _made(SelectionDiagram, graph=graph, s_targets=graph.check_nodes(s_targets, "s_targets"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Query:
-    """A causal query: effect of x on y, with controllable set z."""
+    """A causal query: effect of x on y (nonempty, disjoint), with controllable set z."""
 
     x: frozenset[str]
     y: frozenset[str]
-    z: frozenset[str] = frozenset()
+    z: frozenset[str]
+    __init__ = _no_init("Query.create")
 
     @staticmethod
     def create(x: Iterable[str], y: Iterable[str], z: Iterable[str] = ()) -> "Query":
@@ -184,8 +199,8 @@ class Query:
         if not ys:
             raise InputError("outcome set y must be nonempty")
         if xs & ys:
-            raise InputError(f"x and y overlap: {sorted(xs & ys)}")
-        return Query(xs, ys, zs)
+            raise InputError(f"x and y overlap: {sorted(xs & ys, key=repr)}")  # unchecked names may be non-strings
+        return _made(Query, x=xs, y=ys, z=zs)
 
     def validate_against(self, g: SemiMarkovianGraph) -> None:
         g.check_nodes(self.x)
@@ -259,18 +274,14 @@ def ancestors(
 def induced_subgraph(g: SemiMarkovianGraph, w: Iterable[str], cut: Iterable[str] = ()) -> SemiMarkovianGraph:
     """Subgraph on node set w keeping every edge with both endpoints in w,
     less the arrows into ``cut``; a bidirected edge is an arrow from a
-    hidden parent, so it goes when either endpoint is cut.  The masks are
-    g's, each kept bit moved to its node's index in w."""
+    hidden parent, so it goes when either endpoint is cut.  Built by
+    ``create`` from w's names and the edges read off g's masks."""
     keep = g.mask(g.check_nodes(w, "w"))
     heads = keep & ~g.mask(g.check_nodes(cut, "cut"))  # the nodes that keep their incoming arrows
-    kept, moved = list(_indices(g, keep)), [0] * len(g.nodes)
-    for k, i in enumerate(kept):
-        moved[i] = 1 << k  # the bit of g's node i in the subgraph
-
-    def masks(adj: tuple[int, ...], tails: int) -> tuple[int, ...]:
-        return tuple(sum(_pick(moved, adj[i] & tails)) if heads >> i & 1 else 0 for i in kept)
-
-    return SemiMarkovianGraph(g.names(keep), masks(g.parent_bits, keep), masks(g.sibling_bits, heads))
+    names, kept = g.nodes, list(_indices(g, heads))
+    directed = [(a, names[i]) for i in kept for a in _pick(names, g.parent_bits[i] & keep)]
+    bidirected = [(names[i], b) for i in kept for b in _pick(names, g.sibling_bits[i] & heads >> i + 1 << i + 1)]
+    return SemiMarkovianGraph.create(g.names(keep), directed, bidirected)
 
 
 def mutilate(g: SemiMarkovianGraph, cut_incoming: Iterable[str] = ()) -> SemiMarkovianGraph:

@@ -301,7 +301,7 @@ def _identify(
             "dropped controllable variables inside y (experiments on them "
             f"have no bearing): {sorted(q.z & q.y)}",
         )
-        q = Query(q.x, q.y, q.z - q.y)
+        q = Query.create(q.x, q.y, q.z - q.y)
     trace = IdentTrace()
     try:
         f = run(g.mask(q.y), g.mask(q.x), g.mask(q.z), trace, 4 * len(g.nodes) + 8)

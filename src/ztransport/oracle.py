@@ -34,11 +34,12 @@ import numpy as np
 
 from .expr import EvalError, ProbExpr, SOURCE, TARGET, _check_cells, align_axes, base_var, compile_expr, is_int
 from .expr import evaluate  # noqa: F401  (scalar evaluation, also importable from here)
-from .graph import InputError, Query, SelectionDiagram, SemiMarkovianGraph, _pick, topological_order
+from .graph import InputError, Query, SelectionDiagram, SemiMarkovianGraph, _made, _no_init, _pick, topological_order
 
 MAX_NODES = 12
 LATENT_ARITY = 4
 MIN_ATOM = 0.05
+_MAX_LABELS = 52  # np.einsum's subscript labels are the ints below 52
 _PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # each live graph's plan and peaks, dropped with it
 
 
@@ -190,9 +191,10 @@ def _plan(g: SemiMarkovianGraph, arities: Mapping[str, int], hidden_arities: Map
     A contraction under do() runs the same steps with an intervened v's CPT
     replaced by a ones-axis over v's label; the output labels stay the
     same, so one plan and one budget check serve every do-set.  Raises
-    InputError if, at these arities, an intermediate or the one-hot
-    mechanism table that builds a CPT (the CPT times its node's noise arity)
-    exceeds the cell budget.  The peak is kept with the plan, by arities."""
+    InputError if the steps need more labels than ``np.einsum`` takes, or
+    if, at these arities, an intermediate or the one-hot mechanism table
+    that builds a CPT (the CPT times its node's noise arity) exceeds the
+    cell budget.  The peak is kept with the plan, by arities."""
     entry = _PLANS.get(g)
     if entry is None:
         order, index = topological_order(g), g.index
@@ -209,6 +211,9 @@ def _plan(g: SemiMarkovianGraph, arities: Mapping[str, int], hidden_arities: Map
             acc = tuple(sorted(set(acc).union(cpt).difference(closed)))
             free += sorted(closed, reverse=True)
             steps.append((v, opened, tuple((label[e],) for e in opened), cpt, acc))
+        labels = max((max(cpt) + 1 for _, _, _, cpt, _ in steps), default=0)  # every label is in some CPT
+        if labels > _MAX_LABELS:
+            raise InputError(f"enumeration needs {labels} einsum labels; numpy takes {_MAX_LABELS}")
         entry = _PLANS[g] = (tuple(steps), {})
     steps, peaks = entry
     key = (*((arities[v], noise_arities[v]) for v in g.nodes), *(hidden_arities[e] for e in g.bidirected_order))
@@ -295,12 +300,18 @@ class DiscreteModelPair:
         The arrays kept count against the cell budget together: a new one
         is counted with them before it is made, and kept only if it is
         made.  The lock makes each array once and the count exact when
-        threads share the pair."""
-        m = self.target if domain == TARGET else self.source
+        threads share the pair.  InputError for a domain other than SOURCE
+        and TARGET, and, when the array is not held yet, for a do-set that
+        is not a frozenset of the diagram's nodes."""
+        m = self.target if domain == TARGET else self.source if domain == SOURCE else None
+        if m is None:
+            raise InputError(f"domain must be {SOURCE!r} or {TARGET!r}, not {domain!r}")
         key = (m is self.target, do)
         with self._lock:
             joint = self._joints.get(key)
             if joint is None:
+                if self.diagram.graph.check_nodes(do, "do") != do:
+                    raise InputError(f"do must be a frozenset of node names, not {do!r}")
                 _check_cells((len(self._joints) + 1) * math.prod(m.arities.values()), "model pair")
                 joint = self._joints[key] = _contract(m, do) if do else enumerate_joint(m).probs
         return joint
@@ -364,7 +375,7 @@ def enumerate_joint(m: DiscreteSCM, do_set: Mapping[str, int] | None = None) -> 
     return Table(keep, _contract(m, do)[index])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DistributionSet:
     """The distributions a formula may read on a pair given experiments on z:
     the target's observational joint, and the source's joint under do() on
@@ -377,6 +388,7 @@ class DistributionSet:
 
     pair: DiscreteModelPair
     z: frozenset[str]
+    __init__ = _no_init("build_distribution_set")
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -404,7 +416,7 @@ class DistributionSet:
 
 def build_distribution_set(p: DiscreteModelPair, z: Iterable[str]) -> DistributionSet:
     """The view of ``p``'s distributions given source experiments on z."""
-    return DistributionSet(p, p.diagram.graph.check_nodes(z, "z"))
+    return _made(DistributionSet, pair=p, z=p.diagram.graph.check_nodes(z, "z"))
 
 
 def ground_truth_effect(m: DiscreteSCM, x: Mapping[str, int], y: Iterable[str]) -> Table:

@@ -169,8 +169,8 @@ def test_ancestors_with_a_cut_equal_ancestors_of_the_mutilated_graph():
     for w, within, message in (
         (["Y"], {"X"}, "node(s) outside within: Y"),
         (["X", "Y"], {"Z", "Y"}, "node(s) outside within: X"),
-        (["Y"], {"Y", "Q"}, "unknown node(s): Q"),
-        (["Q"], {"Y"}, "unknown node(s): Q"),
+        (["Y"], {"Y", "Q"}, "unknown node(s): 'Q'"),
+        (["Q"], {"Y"}, "unknown node(s): 'Q'"),
     ):
         with pytest.raises(InputError, match=rf"^{re.escape(message)}$"):
             zt.ancestors(chain(), w, within=within)
@@ -440,19 +440,10 @@ def test_ahead_pairs_past_bit_256_equal_the_sort_every_pop_reference():
 def test_topological_order_names_a_cycle():
     with pytest.raises(GraphError, match=r"^directed part contains a cycle: A -> B -> C -> A$"):
         G(["A", "B", "C", "D"], [("D", "A"), ("A", "B"), ("B", "C"), ("C", "A")])
-    # a graph built from masks without create may hold a self-loop, a cycle of one node:
-    # B's parents are A and B
-    loop = zt.SemiMarkovianGraph(("A", "B"), (0, 0b11), (0, 0))
-    with pytest.raises(GraphError, match=r"^directed part contains a cycle: B -> B$"):
-        zt.topological_order(loop)
-    # on a node set, the cycle is one inside it
-    with pytest.raises(GraphError, match=r"^directed part contains a cycle: B -> B$"):
-        zt.topological_order(loop, ["B"])
     # past bit 64: a 70-node chain closed at its end
     nodes = [f"V{i}" for i in range(70)]
     with pytest.raises(GraphError, match=r"^directed part contains a cycle: V66 -> V67 -> V68 -> V69 -> V66$"):
         G(nodes, [*zip(nodes, nodes[1:]), ("V69", "V66")])
-    assert zt.topological_order(loop, ["A", "B"], frozenset({"B"})) == ["A", "B"]
 
 
 def test_a_cycle_message_names_a_cycle_of_the_graph():

@@ -240,6 +240,19 @@ def test_a_model_built_directly_still_checks_the_cell_budget():
         DiscreteSCM(g, dict.fromkeys(g.nodes, 100), {}, noise, functions)
 
 
+def test_a_model_past_einsums_labels_is_refused_before_any_array_is_made():
+    # a chain at arity 1 fits the cell budget at any length, but its plan labels each
+    # node's axis, and np.einsum takes only the labels below 52
+    def chain_model(n):
+        g = zt.SemiMarkovianGraph.create([f"V{i}" for i in range(n)], [(f"V{i}", f"V{i + 1}") for i in range(n - 1)])
+        functions = {v: np.zeros((1,) * (v != "V0") + (1,), dtype=int) for v in g.nodes}
+        return DiscreteSCM(g, dict.fromkeys(g.nodes, 1), {}, {v: np.ones(1) for v in g.nodes}, functions)
+
+    with pytest.raises(InputError, match="^enumeration needs 60 einsum labels; numpy takes 52$"):
+        chain_model(60)
+    assert len(chain_model(52).plan) == 52  # at 52 labels the model is made
+
+
 def test_a_models_one_hot_tables_count_against_the_cell_budget(monkeypatch):
     # cpt(Y) builds a one-hot table of 2 x n x 2 cells from a noise of length n;
     # the verdict at n = 25 must not carry n = 30 past the budget
