@@ -8,7 +8,6 @@ oracle validates every emitted formula numerically.
 """
 
 from .expr import (
-    ONE,
     EvalError,
     ExprError,
     ProbExpr,

@@ -191,14 +191,13 @@ def validate(qf: QueryFile, seeds: range, arity: int = 2) -> tuple[int, dict]:
     return (0 if ok else 2), doc
 
 
-def _parse_seed_range(spec: str, default_start: int) -> range:
-    if not spec:
-        return range(default_start, default_start + 20)
-    if ".." in spec:
-        a, b = spec.split("..", 1)
-        return range(int(a), int(b) + 1)
-    n = int(spec)
-    return range(n, n + 1)
+def _parse_seed_range(spec: str) -> range:
+    """``A..B`` (both included) or one seed ``N``."""
+    a, dots, b = spec.partition("..")
+    try:
+        return range(int(a), int(b if dots else a) + 1)
+    except ValueError:
+        raise InputError("--seeds expects A..B") from None
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -223,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_val = sub.add_parser("validate", help="validate the formula on seeded model pairs")
     p_val.add_argument("file")
-    p_val.add_argument("--seeds", default="", help="seed range A..B (default: SEED..SEED+19)")
+    p_val.add_argument("--seeds", default="1..20", help="seed range A..B, or one seed (default: 1..20)")
     p_val.add_argument("--arity", type=int, default=2)
 
     p_comp = sub.add_parser("components", help="print the c-component decomposition")
@@ -231,48 +230,32 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
 
+    warnings: list[str] = []  # printed on stderr after the output
     try:
         with open(args.file, encoding="utf-8") as fh:
             qf = parse_diagram(fh.read())
-    except (OSError, UnicodeDecodeError, ParseError) as e:
+        if args.command == "run":
+            code, doc = run(qf)
+            warnings = [] if args.format == "json" else doc["warnings"]  # the JSON document holds them
+            if args.format == "json":
+                lines = [json.dumps(doc, indent=2, sort_keys=True)]
+            elif doc["status"] == "transportable":
+                lines = [doc["formula_latex"] if args.format == "latex" else doc["formula_text"]]
+            else:
+                w = doc["witness"]
+                lines = [
+                    f"not transportable: {w['kind']} over {{{', '.join(w['f_nodes'])}}} "
+                    f"/ {{{', '.join(w['f_sub_nodes'])}}}"
+                ]
+        elif args.command == "validate":
+            code, doc = validate(qf, _parse_seed_range(args.seeds), arity=args.arity)
+            lines = [json.dumps(doc, indent=2, sort_keys=True)]
+        else:
+            g = qf.diagram.graph
+            code, lines = 0, ["{" + ", ".join(g.sorted(comp)) + "}" for comp in c_components(g)]
+    except (OSError, UnicodeDecodeError, ParseError, InputError, OracleError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-
-    warnings: list[str] = []  # printed on stderr after the output
-    if args.command == "run":
-        code, doc = run(qf)
-        warnings = [] if args.format == "json" else doc["warnings"]  # the JSON document holds them
-        if args.format == "json":
-            lines = [json.dumps(doc, indent=2, sort_keys=True)]
-        elif doc["status"] == "transportable":
-            lines = [doc["formula_latex"] if args.format == "latex" else doc["formula_text"]]
-        else:
-            w = doc["witness"]
-            lines = [
-                f"not transportable: {w['kind']} over {{{', '.join(w['f_nodes'])}}} "
-                f"/ {{{', '.join(w['f_sub_nodes'])}}}"
-            ]
-    elif args.command == "validate":
-        env_seed = os.environ.get("ZTRANSPORT_SEED")
-        try:
-            start = int(env_seed) if env_seed else 1
-        except ValueError:
-            print(f"error: ZTRANSPORT_SEED must be an integer, got {env_seed!r}", file=sys.stderr)
-            return 1
-        try:
-            seeds = _parse_seed_range(args.seeds, start)
-        except ValueError:
-            print("error: --seeds expects A..B", file=sys.stderr)
-            return 1
-        try:
-            code, doc = validate(qf, seeds, arity=args.arity)
-        except (InputError, OracleError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 1
-        lines = [json.dumps(doc, indent=2, sort_keys=True)]
-    else:
-        g = qf.diagram.graph
-        code, lines = 0, ["{" + ", ".join(g.sorted(comp)) + "}" for comp in c_components(g)]
 
     try:
         for line in lines:

@@ -1,28 +1,30 @@
 """Symbolic probability expressions for transport formulas.
 
-The vocabulary is sums of products of atomic probability terms.  A term
-(``Term``: domain, do, outcome, given) is a conditional probability of one
-of the base distributions handed to the engine: the target observational
-distribution, or a source distribution under a do() on controllable
-variables.  Value slots are symbolic; the engine manipulates variable names
-and evaluation binds them to values.  ``render`` prints text and LaTeX with
-one walk; what differs between the formats is a ``_Style`` record each.
+The vocabulary is the one the engine emits, four node kinds: sums
+(``Sum``) of products (``Product``) of atomic probability terms, and a
+quotient (``Quotient``).  A term (``Term``: domain, do, outcome, given) is
+a conditional probability of one of the base distributions handed to the
+engine: the target observational distribution, or a source distribution
+under a do() on controllable variables.  Value slots are symbolic; the
+engine manipulates variable names and evaluation binds them to values.
+``render`` prints text and LaTeX with one walk; what differs between the
+formats is a ``_Style`` record each.  ``to_json`` is the one JSON form.
 
-A quotient node is included for the cases where the identification
-recursion derives a distribution whose conditionals are not expressible as
-a single base-distribution term; it never appears in the golden formulas.
+The quotient is for the cases where the identification recursion derives
+a distribution whose conditionals are not expressible as a single
+base-distribution term (ID's line 7 conditions a derived distribution);
+it never appears in the golden formulas.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .graph import InputError
+from .graph import InputError, _node_names
 
 SOURCE = "source"
 TARGET = "target"
@@ -55,7 +57,11 @@ def is_int(v) -> bool:
 
 
 class ProbExpr:
-    """Base class; concrete nodes are Term, Product, Sum, One, Quotient."""
+    """Base class; concrete nodes are Term, Product, Sum and Quotient.  A
+    product's factors must be a nonempty tuple and a sum's ``over`` a
+    frozenset of names.  ``Term`` takes its names as given, since the engine
+    makes thousands; ``term`` and ``from_json`` check them.  A child that is
+    not a ProbExpr is an ExprError in the walks."""
 
     __slots__ = ()
 
@@ -88,6 +94,8 @@ class Product(ProbExpr):
     factors: tuple[ProbExpr, ...]
 
     def __post_init__(self):
+        if not isinstance(self.factors, tuple):
+            raise ExprError(f"a product's factors must be a tuple, not {self.factors!r}")
         if not self.factors:
             raise ExprError("product needs at least one factor")
 
@@ -97,10 +105,9 @@ class Sum(ProbExpr):
     over: frozenset[str]
     body: ProbExpr
 
-
-@dataclass(frozen=True)
-class One(ProbExpr):
-    pass
+    def __post_init__(self):
+        if not (isinstance(self.over, frozenset) and _all_names(self.over)):
+            raise ExprError(f"a sum's over must be a frozenset of names, not {self.over!r}")
 
 
 @dataclass(frozen=True)
@@ -109,7 +116,22 @@ class Quotient(ProbExpr):
     den: ProbExpr
 
 
-ONE = One()
+def _all_names(vs: Iterable) -> bool:
+    """Whether every item of ``vs`` is a str: the join refuses any other, in one pass in C."""
+    try:
+        "".join(vs)
+    except TypeError:
+        return False
+    return True
+
+
+def _names(vs: Iterable[str], what: str) -> list[str]:
+    """A builder's name collection as a list: InputError for a bare string, whose
+    characters would be read as names, and ExprError for an item that is not a str."""
+    vs = list(_node_names(vs, what))
+    if not _all_names(vs):
+        raise ExprError(f"{what} must hold names, not {vs!r}")
+    return vs
 
 
 def term(
@@ -119,20 +141,17 @@ def term(
     do: Iterable[str] = (),
 ) -> Term:
     """Build a term; variable lists are stored sorted for canonical equality."""
-    return Term(domain, *(tuple(sorted(set(vs))) for vs in (do, outcome, given)))
+    lists = ((do, "do"), (outcome, "outcome"), (given, "given"))
+    return Term(domain, *(tuple(sorted(set(_names(vs, what)))) for vs, what in lists))
 
 
 def product(factors: Iterable[ProbExpr]) -> ProbExpr:
     fs = tuple(factors)
-    if not fs:
-        return ONE
-    if len(fs) == 1:
-        return fs[0]
-    return Product(fs)
+    return fs[0] if len(fs) == 1 else Product(fs)
 
 
 def sum_over(over: Iterable[str], body: ProbExpr) -> ProbExpr:
-    ov = frozenset(over)
+    ov = frozenset(_names(over, "over"))
     if not ov:
         return body
     return Sum(ov, body)
@@ -163,7 +182,7 @@ def _add_slots(e: ProbExpr, bind: bool, out: set[str]) -> None:
     elif isinstance(e, Quotient):
         _add_slots(e.num, bind, out)
         _add_slots(e.den, bind, out)
-    elif not isinstance(e, One):
+    else:
         raise ExprError(f"not a ProbExpr: {e!r}")
 
 
@@ -197,7 +216,7 @@ def substitute(e: ProbExpr, mapping: Mapping[str, str]) -> ProbExpr:
 def marginal_sum(removed: Iterable[str], body: ProbExpr) -> ProbExpr:
     """Sum ``body`` over ``removed``, renaming the bound slots to fresh
     primed dummies so no enclosing binding or free use is shadowed."""
-    removed = list(removed)
+    removed = _names(removed, "removed")
     if not removed:
         return body
     taken = set(all_slots(body))
@@ -263,39 +282,35 @@ def validate(e: ProbExpr, bound: frozenset[str] = frozenset()) -> None:
     elif isinstance(e, Quotient):
         validate(e.num, bound)
         validate(e.den, bound)
-    elif not isinstance(e, (Term, One)):
+    elif not isinstance(e, Term):
         raise ExprError(f"not a ProbExpr: {e!r}")
 
 
 def _sort_key(e: ProbExpr):
     if isinstance(e, Term):
         return (0, e.domain, e.do, e.outcome, e.given)
-    if isinstance(e, One):
-        return (1,)
     if isinstance(e, Product):
-        return (2, tuple(_sort_key(f) for f in e.factors))
+        return (1, tuple(_sort_key(f) for f in e.factors))
     if isinstance(e, Sum):
-        return (3, tuple(sorted(e.over)), _sort_key(e.body))
-    return (4, _sort_key(e.num), _sort_key(e.den))
+        return (2, tuple(sorted(e.over)), _sort_key(e.body))
+    return (3, _sort_key(e.num), _sort_key(e.den))
 
 
 def normalize(e: ProbExpr) -> ProbExpr:
     """Canonical form for structural comparison.
 
-    Products are flattened and sorted, identity factors absorbed, nested
-    sums merged, and sum variables that do not occur free in the body are
-    dropped.  Two expressions differing only in factor order, sum-variable
-    order or trivial nesting normalize identically.  No algebraic rewriting
+    Products are flattened and sorted, nested sums merged, and sum
+    variables that do not occur free in the body are dropped.  Two
+    expressions differing only in factor order, sum-variable order or
+    trivial nesting normalize identically.  No algebraic rewriting
     (no cancellation) is performed.
     """
-    if isinstance(e, (Term, One)):
+    if isinstance(e, Term):
         return e
     if isinstance(e, Product):
         factors: list[ProbExpr] = []
         for f in e.factors:
             nf = normalize(f)
-            if isinstance(nf, One):
-                continue
             if isinstance(nf, Product):
                 factors.extend(nf.factors)
             else:
@@ -309,14 +324,9 @@ def normalize(e: ProbExpr) -> ProbExpr:
             over |= body.over
             body = body.body
         over &= free_variables(body)
-        if isinstance(body, One) or not over:
-            return body
-        return Sum(frozenset(over), body)
+        return Sum(frozenset(over), body) if over else body
     if isinstance(e, Quotient):
-        num, den = normalize(e.num), normalize(e.den)
-        if isinstance(den, One):
-            return num
-        return Quotient(num, den)
+        return Quotient(normalize(e.num), normalize(e.den))
     raise ExprError(f"not a ProbExpr: {e!r}")
 
 
@@ -385,9 +395,7 @@ _STYLES = {
 
 
 def render(e: ProbExpr, format: str = "text") -> str:
-    """Render as plain text, LaTeX, or a lossless JSON string."""
-    if format == "json":
-        return json.dumps(to_json(e), sort_keys=True)
+    """Render as plain text or LaTeX; ``to_json`` is the JSON form."""
     if format not in _STYLES:
         raise ExprError(f"unknown render format: {format!r}")
     style = _STYLES[format]
@@ -403,8 +411,6 @@ def _render(e: ProbExpr, style: _Style) -> str:
         if e.given:
             body += style.given + style.names(e.given)
         return head + style.brackets.format(body)
-    if isinstance(e, One):
-        return "1"
     if isinstance(e, Product):
         parts = []
         for f in e.factors:
@@ -427,8 +433,6 @@ def to_json(e: ProbExpr) -> dict:
             "outcome": list(e.outcome),
             "given": list(e.given),
         }
-    if isinstance(e, One):
-        return {"kind": "one"}
     if isinstance(e, Product):
         return {"kind": "product", "factors": [to_json(f) for f in e.factors]}
     if isinstance(e, Sum):
@@ -449,8 +453,6 @@ def from_json(obj: dict) -> ProbExpr:
         kind = obj.get("kind")
         if kind == "term":
             return Term(obj["domain"], names("do"), names("outcome"), names("given"))
-        if kind == "one":
-            return ONE
         if kind == "product":
             return Product(tuple(from_json(f) for f in obj["factors"]))
         if kind == "sum":
@@ -522,8 +524,6 @@ def evaluate(e: ProbExpr, tables, binding: Mapping[str, int]) -> float:
 def _compile(e: ProbExpr, tables, terms: dict) -> tuple[tuple[str, ...], np.ndarray]:
     if isinstance(e, Term):
         return _term_array(e, tables, terms)
-    if isinstance(e, One):
-        return (), np.ones(())
     if isinstance(e, Product):
         return _einsum([_compile(f, tables, terms) for f in e.factors], frozenset())
     if isinstance(e, Sum):

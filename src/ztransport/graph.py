@@ -149,11 +149,10 @@ class SemiMarkovianGraph:
         return tuple(sorted(nodes, key=self.index.__getitem__))
 
     def mask(self, nodes: Iterable[str]) -> int:
-        """The mask of the given nodes, less any name outside g."""
+        """The mask of the given nodes, each a node of g (``check_nodes`` checks that)."""
         index, m = self.index, 0
         for n in nodes:
-            if n in index:
-                m |= 1 << index[n]
+            m |= 1 << index[n]
         return m
 
     def names(self, m: int) -> tuple[str, ...]:
@@ -181,7 +180,8 @@ class SelectionDiagram:
 
     @staticmethod
     def create(graph: SemiMarkovianGraph, s_targets: Iterable[str] = ()) -> "SelectionDiagram":
-        return _made(SelectionDiagram, graph=graph, s_targets=graph.check_nodes(s_targets, "s_targets"))
+        s_targets = _expect(graph, SemiMarkovianGraph, "graph").check_nodes(s_targets, "s_targets")
+        return _made(SelectionDiagram, graph=graph, s_targets=s_targets)
 
 
 @dataclass(frozen=True, init=False)
@@ -203,7 +203,7 @@ class Query:
         return _made(Query, x=xs, y=ys, z=zs)
 
     def validate_against(self, g: SemiMarkovianGraph) -> None:
-        g.check_nodes(self.x)
+        _expect(g, SemiMarkovianGraph, "g").check_nodes(self.x)
         g.check_nodes(self.y)
         g.check_nodes(self.z)
 
@@ -214,6 +214,14 @@ def _node_names(nodes: Iterable[str], what: str) -> Iterable[str]:
     if isinstance(nodes, str):
         raise InputError(f"{what} must be a collection of node names, not the string {nodes!r}")
     return nodes
+
+
+def _expect(value, cls: type, what: str):
+    """``value``, unless it is not a ``cls``: a TypeError naming ``what``, raised at the
+    entry point where the value would otherwise fail deep inside."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{what} must be a {cls.__name__}, not {type(value).__name__}")
+    return value
 
 
 def _pick(items: Sequence, m: int) -> Iterable:
@@ -260,15 +268,15 @@ def ancestors(
 
     Bidirected edges contribute no ancestry.  The arrows into ``cut`` are
     not followed, so the result is ``ancestors(induced_subgraph(g, within,
-    cut), w)`` without building that graph; ``cut`` may name nodes outside g.
-    It makes its own ``within`` checks: InputError unless w and within are
-    node sets of g and within holds w.
+    cut), w)`` without building that graph.  It makes its own ``within``
+    checks: InputError unless w, cut and within are node sets of g and
+    within holds w.
     """
-    start = g.mask(g.check_nodes(w, "w"))
+    start = _expect(g, SemiMarkovianGraph, "g").mask(g.check_nodes(w, "w"))
     keep = -1 if within is None else g.mask(g.check_nodes(within, "within"))
     if start & ~keep:
         raise InputError(f"node(s) outside within: {', '.join(g.names(start & ~keep))}")
-    return frozenset(g.names(_reach(g.parent_bits, start, g.mask(_node_names(cut, "cut")), keep)))
+    return frozenset(g.names(_reach(g.parent_bits, start, g.mask(g.check_nodes(cut, "cut")), keep)))
 
 
 def induced_subgraph(g: SemiMarkovianGraph, w: Iterable[str], cut: Iterable[str] = ()) -> SemiMarkovianGraph:
@@ -276,7 +284,7 @@ def induced_subgraph(g: SemiMarkovianGraph, w: Iterable[str], cut: Iterable[str]
     less the arrows into ``cut``; a bidirected edge is an arrow from a
     hidden parent, so it goes when either endpoint is cut.  Built by
     ``create`` from w's names and the edges read off g's masks."""
-    keep = g.mask(g.check_nodes(w, "w"))
+    keep = _expect(g, SemiMarkovianGraph, "g").mask(g.check_nodes(w, "w"))
     heads = keep & ~g.mask(g.check_nodes(cut, "cut"))  # the nodes that keep their incoming arrows
     names, kept = g.nodes, list(_indices(g, heads))
     directed = [(a, names[i]) for i in kept for a in _pick(names, g.parent_bits[i] & keep)]
@@ -286,14 +294,14 @@ def induced_subgraph(g: SemiMarkovianGraph, w: Iterable[str], cut: Iterable[str]
 
 def mutilate(g: SemiMarkovianGraph, cut_incoming: Iterable[str] = ()) -> SemiMarkovianGraph:
     """Delete arrows into ``cut_incoming``: the cut subgraph on all of g."""
-    return induced_subgraph(g, g.nodes, _node_names(cut_incoming, "cut_incoming"))
+    return induced_subgraph(g, _expect(g, SemiMarkovianGraph, "g").nodes, _node_names(cut_incoming, "cut_incoming"))
 
 
 def c_components(g: SemiMarkovianGraph, w: Iterable[str] | None = None) -> list[frozenset[str]]:
     """Partition of w (default: all of g) into the maximal bidirected-connected
     components of G[w], without building G[w]; ordered by the declaration
     index of each component's earliest member."""
-    keep = g.mask(g.nodes if w is None else g.check_nodes(w, "w"))
+    keep = _expect(g, SemiMarkovianGraph, "g").mask(g.nodes if w is None else g.check_nodes(w, "w"))
     return [frozenset(g.names(c)) for c in _partition(g, keep)]
 
 
@@ -307,10 +315,10 @@ def _partition(g: SemiMarkovianGraph, keep: int) -> list[int]:
 
 
 def topological_order(g: SemiMarkovianGraph, w: Iterable[str] | None = None, cut: Iterable[str] = ()) -> list[str]:
-    """``_ahead``'s order on names, for G[w] (default: all of g) less the arrows into ``cut`` (names
-    outside g allowed).  Unless g is forward, G[w]'s order need not be g's order filtered to w."""
-    keep = g.mask(g.nodes if w is None else g.check_nodes(w, "w"))
-    return [g.nodes[i] for i, _ in _ahead(g, keep, g.mask(_node_names(cut, "cut")), keep)]
+    """``_ahead``'s order on names, for G[w] (default: all of g) less the arrows into ``cut``, both
+    node sets of g.  Unless g is forward, G[w]'s order need not be g's order filtered to w."""
+    keep = _expect(g, SemiMarkovianGraph, "g").mask(g.nodes if w is None else g.check_nodes(w, "w"))
+    return [g.nodes[i] for i, _ in _ahead(g, keep, g.mask(g.check_nodes(cut, "cut")), keep)]
 
 
 def _ahead(g: SemiMarkovianGraph, keep: int, cut: int, members: int) -> list[tuple[int, int]]:

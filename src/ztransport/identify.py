@@ -43,13 +43,14 @@ from functools import cached_property
 from typing import Callable, Iterable
 
 from . import expr as E
-from .expr import ONE, ProbExpr, marginal_sum, product, sum_over, term
+from .expr import ProbExpr, marginal_sum, product, sum_over, term
 from .graph import (
     InputError,
     Query,
     SelectionDiagram,
     SemiMarkovianGraph,
     _ahead,
+    _expect,
     _partition,
     _pick,
     _reach,
@@ -88,7 +89,7 @@ class DistLabel:
         return self
 
     def marginal_expr(self, y: tuple[str, ...]) -> ProbExpr:
-        return term(self.domain, outcome=y, do=self.do) if y else ONE
+        return term(self.domain, outcome=y, do=self.do)
 
     def conditional_expr(self, v: str, given: tuple[str, ...]) -> ProbExpr:
         """P(v | given) as one term; ``given`` arrives name-sorted and holds no node of the do-set."""
@@ -336,7 +337,7 @@ def bi(y: Iterable[str], x: Iterable[str], dist: DistLabel, g: SemiMarkovianGrap
     ``g``, an empty y, a y that overlaps x or dist's do-set, or (with x
     nonempty) a y outside one confounded component of g minus x.
     """
-    q = Query.create(x, y, dist.do)
+    q = Query.create(x, y, _expect(dist, DistLabel, "dist").do)
     q.validate_against(g)
     if q.y & q.z:
         raise InputError("y overlaps the do-set of dist")
@@ -353,7 +354,7 @@ def bi(y: Iterable[str], x: Iterable[str], dist: DistLabel, g: SemiMarkovianGrap
 def direct_transportable(c: frozenset[str], d: SelectionDiagram) -> bool:
     """True iff no selection-pointed node lies in the component, in which
     case the component's factor is invariant across the two domains."""
-    return not (d.s_targets & d.graph.check_nodes(c, "c"))
+    return not (_expect(d, SelectionDiagram, "d").s_targets & d.graph.check_nodes(c, "c"))
 
 
 def _union(masks: list[int], m: int) -> int:
@@ -451,10 +452,11 @@ def sid_z(
     """Decide z-transportability of P_x(y) and emit a transport formula
     over the target observational distribution and source experiments on
     subsets of z, or fail with a hedge / s-hedge witness."""
-    return _identify(y, x, z, d.graph, lambda y, x, z, trace, depth: _sid(y, x, d, z, trace, depth))
+    g = _expect(d, SelectionDiagram, "d").graph
+    return _identify(y, x, z, g, lambda y, x, z, trace, depth: _sid(y, x, d, z, trace, depth))
 
 
 def transportable(y: Iterable[str], x: Iterable[str], d: SelectionDiagram) -> IdentResult:
     """Plain transportability: z-transportability with every node outside y controllable."""
-    y = d.graph.check_nodes(y, "y")
+    y = _expect(d, SelectionDiagram, "d").graph.check_nodes(y, "y")
     return sid_z(y, x, d, d.graph.node_set.difference(y))

@@ -34,7 +34,10 @@ import numpy as np
 
 from .expr import EvalError, ProbExpr, SOURCE, TARGET, _check_cells, align_axes, base_var, compile_expr, is_int
 from .expr import evaluate  # noqa: F401  (scalar evaluation, also importable from here)
-from .graph import InputError, Query, SelectionDiagram, SemiMarkovianGraph, _made, _no_init, _pick, topological_order
+from .graph import (
+    InputError, Query, SelectionDiagram, SemiMarkovianGraph, _expect, _made, _no_init, _node_names, _pick,
+    topological_order,
+)
 
 MAX_NODES = 12
 LATENT_ARITY = 4
@@ -65,7 +68,7 @@ class Table:
 
     def marginal(self, keep: Iterable[str]) -> np.ndarray:
         """Array over ``keep`` in this table's variable order."""
-        keep_set = frozenset(keep)
+        keep_set = frozenset(_node_names(keep, "keep"))
         unknown = keep_set - set(self.vars)
         if unknown:
             raise EvalError(f"variables not in table: {sorted(unknown)}")
@@ -74,7 +77,7 @@ class Table:
 
     def prob(self, assignment: Mapping[str, int]) -> float:
         """Marginal probability of a (possibly partial) assignment."""
-        arr = self.marginal(assignment.keys())
+        arr = self.marginal(_expect(assignment, Mapping, "assignment").keys())
         idx = tuple(assignment[v] for v in self.vars if v in assignment)
         if not all(is_int(i) and 0 <= i < n for i, n in zip(idx, arr.shape)):
             raise EvalError(f"value out of range in {dict(assignment)}")
@@ -146,8 +149,11 @@ class DiscreteSCM:
         """Raise InputError unless every arity is an integer of at least 1, every
         mechanism table an integer array of the shape its inputs give, holding
         only values of its node (numpy would read a negative value as an
-        index from the end), and every latent and noise vector a distribution."""
-        g = self.diagram
+        index from the end), and every latent and noise vector a distribution.
+        A diagram that is not a graph, or an input that is not a mapping, is a TypeError."""
+        g = _expect(self.diagram, SemiMarkovianGraph, "diagram")
+        for what in ("arities", "latents", "noise", "functions"):
+            _expect(getattr(self, what), Mapping, what)
         for v, pa in zip(g.nodes, g.parent_bits):
             fn = self.functions.get(v)
             if not (isinstance(fn, np.ndarray) and np.issubdtype(fn.dtype, np.integer)):
@@ -291,6 +297,16 @@ class DiscreteModelPair:
     _joints: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, init=False, compare=False, repr=False)
 
+    def __post_init__(self):
+        """TypeError for an argument of the wrong type; InputError for a
+        model over a graph other than the diagram's, or at other arities."""
+        g = _expect(self.diagram, SelectionDiagram, "diagram").graph
+        for what in ("source", "target"):
+            if _expect(getattr(self, what), DiscreteSCM, what).diagram != g:
+                raise InputError(f"the {what} model is over another graph than the diagram's")
+        if self.source.arities != self.target.arities:
+            raise InputError("the source and target models have different arities")
+
     def joint(self, domain: str, do: frozenset[str] = frozenset()) -> np.ndarray:
         """The array over every node (node order) of the target's (TARGET) or
         the source's (otherwise) distribution under do() on ``do``, its do()
@@ -337,7 +353,7 @@ def generate_pair(d: SelectionDiagram, seed: int, arity: int = 2) -> DiscreteMod
         raise InputError(f"arity must be an integer of at least 2, got {arity!r}")
     if not is_int(seed) or seed < 0:
         raise InputError(f"seed must be an integer of at least 0, got {seed!r}")
-    g = d.graph
+    g = _expect(d, SelectionDiagram, "d").graph
     if len(g.nodes) > MAX_NODES:
         raise InputError(f"diagram exceeds the {MAX_NODES}-node enumeration budget")
     noise_arity = _private_noise_arity(arity)
@@ -365,8 +381,8 @@ def generate_pair(d: SelectionDiagram, seed: int, arity: int = 2) -> DiscreteMod
 def enumerate_joint(m: DiscreteSCM, do_set: Mapping[str, int] | None = None) -> Table:
     """Exact distribution over the non-intervened observables under do(do_set):
     the contraction with free do() axes, sliced at the assignment."""
-    do = dict(do_set or {})
-    m.diagram.check_nodes(do.keys())
+    do = dict(_expect({} if do_set is None else do_set, Mapping, "do_set"))
+    _expect(m, DiscreteSCM, "m").diagram.check_nodes(do.keys())
     for v, val in do.items():
         if not (is_int(val) and 0 <= val < m.arities[v]):
             raise InputError(f"value {val!r} out of range for {v}")
@@ -416,13 +432,13 @@ class DistributionSet:
 
 def build_distribution_set(p: DiscreteModelPair, z: Iterable[str]) -> DistributionSet:
     """The view of ``p``'s distributions given source experiments on z."""
-    return _made(DistributionSet, pair=p, z=p.diagram.graph.check_nodes(z, "z"))
+    return _made(DistributionSet, pair=p, z=_expect(p, DiscreteModelPair, "p").diagram.graph.check_nodes(z, "z"))
 
 
 def ground_truth_effect(m: DiscreteSCM, x: Mapping[str, int], y: Iterable[str]) -> Table:
     """Marginal of the interventional distribution do(x) onto y."""
-    ys = m.diagram.check_nodes(y, "y")
-    if ys & set(x):
+    ys = _expect(m, DiscreteSCM, "m").diagram.check_nodes(y, "y")
+    if ys & set(_expect(x, Mapping, "x")):
         raise InputError("outcome overlaps the intervention assignment")
     joint = enumerate_joint(m, x)
     keep = tuple(v for v in joint.vars if v in ys)
@@ -449,11 +465,11 @@ def validate_formula(
     conditioning event or denominator, and InputError if ``tables`` is not
     a view of ``p`` or an array exceeds the cell budget.
     """
-    g = p.diagram.graph
-    q.validate_against(g)
+    g = _expect(p, DiscreteModelPair, "p").diagram.graph
+    _expect(q, Query, "q").validate_against(g)
     if tables is None:
         tables = build_distribution_set(p, q.z)
-    elif tables.pair is not p:
+    elif _expect(tables, DistributionSet, "tables").pair is not p:
         raise InputError("the distribution set is another pair's")
     xy = [v for v in g.nodes if v in q.x or v in q.y]
     truth = p.joint(TARGET, q.x).sum(axis=tuple(i for i, v in enumerate(g.nodes) if v not in xy))

@@ -317,13 +317,12 @@ def test_main_validate_seed_range(tmp_path, capsys):
     assert [r["seed"] for r in doc["results"]] == [1, 2, 3]
 
 
-def test_main_validate_env_seed(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ZTRANSPORT_SEED", "7")
-    code = cli.main(["validate", fig2a_file(tmp_path)])
-    doc = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert doc["results"][0]["seed"] == 7
-    assert len(doc["results"]) == 20
+def test_main_validate_default_and_single_seed(tmp_path, capsys):
+    for extra, seeds in (([], list(range(1, 21))), (["--seeds", "5"], [5])):
+        code = cli.main(["validate", fig2a_file(tmp_path), *extra])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert [r["seed"] for r in doc["results"]] == seeds
 
 
 def test_main_validate_empty_seed_range_is_a_usage_error(tmp_path, capsys):
@@ -340,13 +339,6 @@ def test_main_validate_non_integer_seed_range(tmp_path, capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err == "error: --seeds expects A..B\n"
-
-
-def test_main_validate_non_integer_env_seed(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ZTRANSPORT_SEED", "abc")
-    code = cli.main(["validate", fig2a_file(tmp_path)])
-    assert code == 1
-    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_main_validate_arity_below_two(tmp_path, capsys):
@@ -382,17 +374,16 @@ def test_exit_codes_through_a_real_process(tmp_path):
     latin1 = tmp_path / "latin1.graph"
     latin1.write_bytes(FIG2A_TEXT.replace("W", "\xc9").encode("latin-1"))
 
-    def ztransport(*args, env=()):
+    def ztransport(*args):
         return subprocess.run(
             [sys.executable, "-m", "ztransport.cli", *args],
-            env={**os.environ, "PYTHONPATH": src, **dict(env)},
+            env={**os.environ, "PYTHONPATH": src},
             capture_output=True, text=True, timeout=120,
         )
 
     usage_errors = {
         "diagram not UTF-8": ztransport("run", str(latin1)),
         "negative seed range": ztransport("validate", good, "--seeds=-3..-1"),
-        "negative env seed": ztransport("validate", good, env={"ZTRANSPORT_SEED": "-2"}),
         "run with no file": ztransport("run"),
         "unknown format": ztransport("run", good, "--format", "xml"),
     }

@@ -847,7 +847,7 @@ def _random_formula(rng, nodes, z, depth=3):
     if depth == 0 or r < 0.25:
         return _random_term(rng, nodes, z)
     if r < 0.35:
-        return E.Product((E.ONE, _random_formula(rng, nodes, z, depth - 1)))
+        return E.Product((_random_formula(rng, nodes, z, depth - 1),))
     if r < 0.55:
         return E.Product(tuple(_random_formula(rng, nodes, z, depth - 1) for _ in range(2)))
     if r < 0.7:
@@ -884,8 +884,6 @@ def _kinds(e) -> set:
 def reference_value(e, pair, binding, tables) -> float:
     """Scalar recursion over one binding, on per-assignment enumerations;
     raises ZeroDivisionError on a zero conditioning event or denominator."""
-    if isinstance(e, E.One):
-        return 1.0
     if isinstance(e, E.Term):
         do = {E.base_var(v): binding[v] for v in e.do}
         key = (e.domain, frozenset(do.items()))
@@ -936,7 +934,7 @@ def test_compiled_evaluation_matches_scalar_reference():
             kinds |= _kinds(e)
             checked += 1
     assert checked >= 40
-    assert {"Quotient", "NestedSum", "Primed", "One", "Sum", "Product"} <= kinds
+    assert {"Quotient", "NestedSum", "Primed", "Sum", "Product"} <= kinds
 
 
 def test_one_plan_and_no_repeat_contraction_per_row(monkeypatch):
