@@ -167,7 +167,9 @@ def _corrupt_formula(e: E.ProbExpr) -> E.ProbExpr:
 
 def validate(qf: QueryFile, seeds: range, arity: int = 2) -> tuple[int, dict]:
     """Check the emitted formula against exact model pairs for each seed;
-    an empty seed range is an InputError, since it would check nothing."""
+    an empty seed range is an InputError, since it would check nothing.
+    A row holds the seed, the worst error, the draw ``generate_pair``
+    accepted (``attempt``) and the arrays the pair holds after the check."""
     if not seeds:
         raise InputError("the seed range is empty: no model pair would be checked")
     res = sid_z(qf.query.y, qf.query.x, qf.diagram, qf.query.z)
@@ -179,7 +181,7 @@ def validate(qf: QueryFile, seeds: range, arity: int = 2) -> tuple[int, dict]:
     for seed in seeds:
         pair = generate_pair(qf.diagram, seed, arity=arity)
         err = validate_formula(formula, pair, qf.query)
-        rows.append({"seed": seed, "max_abs_error": err})
+        rows.append({"seed": seed, "max_abs_error": err, "attempt": pair.attempt, "arrays": pair.arrays})
         ok = ok and err <= TOLERANCE
     doc = {
         "status": "pass" if ok else "fail",

@@ -19,12 +19,14 @@ it never appears in the golden formulas.
 from __future__ import annotations
 
 import math
+import sys
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .graph import InputError, _node_names
+from .graph import InputError, _expect, _node_names
 
 SOURCE = "source"
 TARGET = "target"
@@ -469,6 +471,167 @@ def from_json(obj: dict) -> ProbExpr:
 
 # einsum takes at most 31 operands in one call under numpy 1.x (63 under 2.x)
 _MAX_OPERANDS = 31
+# np.einsum's labels: it spells the sublist label i as the i-th of these letters
+_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+# each live formula's programs, by node order; a program dies with its formula
+_PROGRAMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _subscripts(operands: Iterable[Iterable[int]], out: Iterable[int]) -> str:
+    """The ``np.einsum`` subscript string of these label lists: the call it
+    makes is the one the interleaved sublist form makes."""
+    spell = lambda labels: "".join(_LETTERS[i] for i in labels)
+    return ",".join(map(spell, operands)) + "->" + spell(out)
+
+
+class _Program(NamedTuple):
+    """A formula compiled against one node order; ``_run`` runs it on a
+    table supply.  Sizes are read at run time, as the arities of ``bases``,
+    and the steps name a size by its index there."""
+
+    slots: tuple[str, ...]  # the free slots, in the value's axis order
+    bases: tuple[str, ...]  # the variables whose arities size the arrays
+    terms: tuple[tuple, ...]  # per distinct term: (domain, do variables, dropped axes, outcome axes if conditional)
+    steps: tuple[int | tuple, ...]  # postfix over a stack of arrays; an int pushes that term's array
+
+
+class _Compiler:
+    """One symbolic pass over a formula: the static EvalErrors, each term's
+    table, and the steps that sum, divide and contract."""
+
+    def __init__(self, nodes: tuple[str, ...]):
+        self.nodes = nodes
+        self.bases: dict[str, int] = {}
+        self.terms: dict[tuple, tuple[int, list[str]]] = {}
+        self.specs: list[tuple] = []
+        self.steps: list[tuple] = []
+
+    def size(self, slot: str) -> int:
+        return self.bases.setdefault(base_var(slot), len(self.bases))
+
+    def walk(self, e: ProbExpr) -> tuple[str, ...]:
+        """Add the steps that leave ``e``'s array on the stack; returns its slots."""
+        if isinstance(e, Term):
+            return self.term(e)
+        if isinstance(e, Product):
+            return self.einsum(e.factors, frozenset())
+        if isinstance(e, Sum):
+            return self.einsum(e.body.factors if isinstance(e.body, Product) else (e.body,), e.over)
+        if isinstance(e, Quotient):
+            ns, ds = self.walk(e.num), self.walk(e.den)
+            slots = tuple(dict.fromkeys(ns + ds))
+            self.steps.append(("divide", tuple(None if s not in ns else slice(None) for s in slots),
+                               tuple(ds.index(s) for s in slots if s in ds),
+                               tuple(None if s not in ds else slice(None) for s in slots),
+                               tuple(map(self.size, slots))))
+            return slots
+        raise ExprError(f"not a ProbExpr: {e!r}")
+
+    def term(self, t: Term) -> tuple[str, ...]:
+        named = t.outcome + t.given + t.do
+        bases = tuple(base_var(v) for v in named)
+        key = (t.domain, bases, len(t.outcome), len(t.given))
+        if key not in self.terms:
+            if len(set(bases)) < len(bases):
+                raise EvalError(f"term names one variable twice: {list(named)}")
+            kept = [v for v in self.nodes if v in bases]
+            outcome = bases[:len(t.outcome)]
+            self.specs.append((t.domain, bases[len(t.outcome) + len(t.given):],
+                               tuple(i for i, v in enumerate(self.nodes) if v not in bases),
+                               tuple(i for i, v in enumerate(kept) if v in outcome) if t.given else ()))
+            self.terms[key] = (len(self.specs) - 1, kept)
+        k, kept = self.terms[key]
+        self.steps.append(k)
+        slot_of = dict(zip(bases, named))
+        return tuple(slot_of[v] for v in kept)
+
+    def einsum(self, factors: Iterable[ProbExpr], over: frozenset[str]) -> tuple[str, ...]:
+        """The product of ``factors`` summed over ``over``: one einsum per
+        ``_MAX_OPERANDS`` operands, or none for one operand summed over nothing."""
+        ops: list[tuple[str, ...]] = []
+        for f in factors:
+            if len(ops) == _MAX_OPERANDS:
+                ops = [self.einsum_of(ops, frozenset())]
+            ops.append(self.walk(f))
+        slots = self.einsum_of(ops, over)
+        # a bound slot the body never reads counts each of its values once
+        unread = over.difference(*ops)
+        if unread:
+            self.steps.append(("scale", tuple(map(self.size, unread))))
+        return slots
+
+    def einsum_of(self, ops: list[tuple[str, ...]], over: frozenset[str]) -> tuple[str, ...]:
+        label = {s: i for i, s in enumerate(dict.fromkeys(s for slots in ops for s in slots))}
+        out = tuple(s for s in label if s not in over)
+        if len(ops) == 1 and len(out) == len(label):
+            return ops[0]
+        if len(label) > len(_LETTERS):
+            raise InputError(f"evaluation needs {len(label)} einsum labels; numpy takes {len(_LETTERS)}")
+        spec = sys.intern(_subscripts([[label[s] for s in slots] for slots in ops], [label[s] for s in out]))
+        self.steps.append(("einsum", len(ops), spec, tuple(map(self.size, out))))
+        return out
+
+
+def _table_supply(tables):
+    """``tables``, or a TypeError naming it unless it has the three members a formula reads."""
+    if not all(hasattr(tables, m) for m in ("nodes", "arity", "joint")):
+        raise TypeError(f"tables must be a table supply (nodes, arity, joint), not {type(tables).__name__}")
+    return tables
+
+
+def _program(e: ProbExpr, tables) -> _Program:
+    """``e``'s program for the node order of ``tables``, compiled on first
+    use and kept with the formula; a compile that raises keeps nothing."""
+    nodes = tuple(_table_supply(tables).nodes)
+    if not isinstance(e, ProbExpr):
+        raise ExprError(f"not a ProbExpr: {e!r}")
+    programs = _PROGRAMS.get(e)
+    prog = None if programs is None else programs.get(nodes)
+    if prog is None:
+        unknown = {base_var(v) for v in all_slots(e)}.difference(nodes)
+        if unknown:
+            raise EvalError(f"variables not in table: {sorted(unknown)}")
+        c = _Compiler(nodes)
+        slots = c.walk(e)
+        prog = _Program(slots, tuple(c.bases), tuple(c.specs), tuple(c.steps))
+        _PROGRAMS.setdefault(e, {})[nodes] = prog
+    return prog
+
+
+def _run(prog: _Program, tables) -> np.ndarray:
+    """The program's value over its slots: each term's array from
+    ``tables.joint``, then the steps, each array checked against the cell
+    budget at its real size before it is made."""
+    sizes = [tables.arity(v) for v in prog.bases]
+    arrays = []
+    for domain, do, dropped, outcome in prog.terms:
+        values = tables.joint(domain, frozenset(do))
+        if dropped:
+            values = values.sum(axis=dropped)
+        if outcome:
+            values = _divide(values, values.sum(axis=outcome, keepdims=True), values.shape)
+        arrays.append(values)
+    stack: list[np.ndarray] = []
+    for step in prog.steps:
+        if step.__class__ is int:
+            stack.append(arrays[step])
+            continue
+        kind = step[0]
+        if kind == "einsum":
+            _, n, spec, out = step
+            _check_cells(math.prod([sizes[i] for i in out]), "evaluation")
+            ops = stack[-n:]
+            del stack[-n:]
+            stack.append(np.einsum(spec, *ops))
+        elif kind == "scale":
+            stack[-1] = stack[-1] * math.prod([sizes[i] for i in step[1]])
+        else:
+            _, num_axes, den_perm, den_axes, slots = step
+            shape = tuple(sizes[i] for i in slots)
+            _check_cells(math.prod(shape), "evaluation")
+            den = stack.pop()
+            stack[-1] = _divide(stack[-1][num_axes], den.transpose(den_perm)[den_axes], shape)
+    return stack[0]
 
 
 def compile_expr(e: ProbExpr, tables) -> tuple[tuple[str, ...], np.ndarray]:
@@ -480,12 +643,15 @@ def compile_expr(e: ProbExpr, tables) -> tuple[tuple[str, ...], np.ndarray]:
     a quotient a guarded divide.  NaN marks an assignment at which a
     conditioning event or a denominator has zero probability.
 
-    ``tables`` must provide ``nodes`` (the variables in axis order),
-    ``arity(slot) -> int``, ``joint(domain, do_vars) -> array`` over
-    ``nodes`` with the do() axes free.  An array with more cells than
+    The formula is compiled once per node order and kept with it; each call
+    runs that program, reading only the tables.  ``tables`` must provide
+    ``nodes`` (the variables in axis order), ``arity(slot) -> int``,
+    ``joint(domain, do_vars) -> array`` over ``nodes`` with the do() axes
+    free, or the call is a TypeError.  An array with more cells than
     ``MAX_TABLE_ENTRIES`` raises InputError before it is allocated.
     """
-    return _compile(e, tables, {})
+    prog = _program(e, tables)
+    return prog.slots, _run(prog, tables)
 
 
 def align_axes(slots: tuple[str, ...], values: np.ndarray, order: Iterable[str]) -> np.ndarray:
@@ -505,92 +671,21 @@ def evaluate(e: ProbExpr, tables, binding: Mapping[str, int]) -> float:
     before any table is read.  Raises EvalError if the binding meets a
     zero-probability conditioning event or denominator.
     """
-    unknown = {base_var(v) for v in all_slots(e)}.difference(tables.nodes)
-    if unknown:
-        raise EvalError(f"variables not in table: {sorted(unknown)}")
-    free = free_variables(e)
-    missing = free.difference(binding)
+    prog = _program(e, tables)
+    missing = set(prog.slots).difference(_expect(binding, Mapping, "binding"))
     if missing:
         raise EvalError(f"unbound variables: {sorted(missing)}")
-    if not all(is_int(binding[s]) and 0 <= binding[s] < tables.arity(s) for s in free):
+    if not all(is_int(binding[s]) and 0 <= binding[s] < tables.arity(s) for s in prog.slots):
         raise EvalError(f"value out of range in {dict(binding)}")
-    slots, values = compile_expr(e, tables)
-    out = float(values[tuple(binding[s] for s in slots)])
+    out = float(_run(prog, tables)[tuple(binding[s] for s in prog.slots)])
     if math.isnan(out):
         raise EvalError(f"zero-probability conditioning event or denominator at {dict(binding)}")
     return out
 
 
-def _compile(e: ProbExpr, tables, terms: dict) -> tuple[tuple[str, ...], np.ndarray]:
-    if isinstance(e, Term):
-        return _term_array(e, tables, terms)
-    if isinstance(e, Product):
-        return _einsum([_compile(f, tables, terms) for f in e.factors], frozenset())
-    if isinstance(e, Sum):
-        parts = e.body.factors if isinstance(e.body, Product) else (e.body,)
-        ops = [_compile(f, tables, terms) for f in parts]
-        slots, values = _einsum(ops, e.over)
-        # a bound slot the body never reads counts each of its values once
-        unread = e.over.difference(*(s for s, _ in ops))
-        if unread:
-            values = values * math.prod(tables.arity(v) for v in unread)
-        return slots, values
-    if isinstance(e, Quotient):
-        (ns, num), (ds, den) = _compile(e.num, tables, terms), _compile(e.den, tables, terms)
-        slots = tuple(dict.fromkeys(ns + ds))
-        size = dict(zip(ns, num.shape)) | dict(zip(ds, den.shape))
-        _check_cells(math.prod(size.values()), "evaluation")
-        return slots, _divide(align_axes(ns, num, slots), align_axes(ds, den, slots))
-    raise ExprError(f"not a ProbExpr: {e!r}")
-
-
-def _term_array(t: Term, tables, terms: dict) -> tuple[tuple[str, ...], np.ndarray]:
-    """P_do(outcome | given) over its slots; ``terms`` holds the arrays of
-    terms already compiled in this expression, by base variables."""
-    named = t.outcome + t.given + t.do
-    bases = tuple(base_var(v) for v in named)
-    key = (t.domain, bases, len(t.outcome), len(t.given))
-    if key not in terms:
-        if len(set(bases)) < len(bases):
-            raise EvalError(f"term names one variable twice: {list(named)}")
-        unknown = set(bases).difference(tables.nodes)
-        if unknown:
-            raise EvalError(f"variables not in table: {sorted(unknown)}")
-        joint = tables.joint(t.domain, frozenset(bases[len(t.outcome) + len(t.given):]))
-        kept = [v for v in tables.nodes if v in bases]
-        drop = tuple(i for i, v in enumerate(tables.nodes) if v not in bases)
-        values = joint.sum(axis=drop) if drop else joint
-        if t.given:
-            outcome = bases[:len(t.outcome)]
-            axes = tuple(i for i, v in enumerate(kept) if v in outcome)
-            values = _divide(values, values.sum(axis=axes, keepdims=True))
-        terms[key] = (kept, values)
-    kept, values = terms[key]
-    slot_of = dict(zip(bases, named))
-    return tuple(slot_of[v] for v in kept), values
-
-
-def _einsum(ops: list, over: frozenset[str]) -> tuple[tuple[str, ...], np.ndarray]:
-    """The product of ``ops`` (each (slots, array)) summed over ``over``."""
-    while len(ops) > _MAX_OPERANDS:
-        ops = [_einsum(ops[:_MAX_OPERANDS], frozenset())] + ops[_MAX_OPERANDS:]
-    size: dict[str, int] = {}
-    for slots, values in ops:
-        size.update(zip(slots, values.shape))
-    out = tuple(s for s in size if s not in over)
-    if len(ops) == 1 and len(out) == len(size):
-        return ops[0]
-    _check_cells(math.prod(size[s] for s in out), "evaluation")
-    label = {s: i for i, s in enumerate(size)}
-    args: list = []
-    for slots, values in ops:
-        args += (values, [label[s] for s in slots])
-    return out, np.einsum(*args, [label[s] for s in out])
-
-
-def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num / den where den > 0, NaN elsewhere."""
-    out = np.full(np.broadcast_shapes(num.shape, den.shape), np.nan)
+def _divide(num: np.ndarray, den: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """num / den where den > 0, NaN elsewhere; ``shape`` is the shape they broadcast to."""
+    out = np.full(shape, np.nan)
     return np.divide(num, den, out=out, where=den > 0)
 
 

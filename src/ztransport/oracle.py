@@ -13,17 +13,21 @@ Distributions are variable-elimination contractions of the truncated
 factorization (Koller & Friedman 2009, ch. 9), all run from one plan per
 diagram.  An intervened variable has no mechanism, only a free axis, so
 one contraction holds the distribution under every assignment of its
-do-set.  A pair's ``joint`` is the one store of its contractions: each is
-made when first read, kept, and counted with the others against the cell
-budget.  A distribution set is a view of a pair that offers the source
+do-set.  The plan compiles each do-set it contracts into a program once
+(the ``einsum`` subscripts of every step), so a contraction runs only its
+``einsum`` calls.  A pair's ``joint`` is the one store of its
+contractions: each is made when first read, kept, and counted with the
+others against the cell budget.  A distribution set is a view of a pair that offers the source
 experiments on subsets of z.  A formula is checked as one array over all
 of its free slots (``expr.compile_expr``) against the true effect.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import sys
 import threading
 import weakref
 from collections.abc import Iterable, Mapping
@@ -32,7 +36,9 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .expr import EvalError, ProbExpr, SOURCE, TARGET, _check_cells, align_axes, base_var, compile_expr, is_int
+from .expr import (
+    EvalError, ProbExpr, SOURCE, TARGET, _check_cells, _subscripts, align_axes, base_var, compile_expr, is_int,
+)
 from .expr import evaluate  # noqa: F401  (scalar evaluation, also importable from here)
 from .graph import (
     InputError, Query, SelectionDiagram, SemiMarkovianGraph, _expect, _made, _no_init, _node_names, _pick,
@@ -104,9 +110,31 @@ def _positive_simplex(rng: np.random.Generator, m: int, k: int) -> np.ndarray:
     so the rows equal m consecutive Dirichlet draws bit for bit.
     """
     floor = min(MIN_ATOM, 0.5 / k)
-    gam = rng.standard_gamma(1.0, size=(m, k))
-    d = gam * (1.0 / np.cumsum(gam, axis=1)[:, -1:])
-    return floor + (1.0 - floor * k) * d
+    d = rng.standard_gamma(1.0, size=(m, k))
+    d *= 1.0 / np.cumsum(d, axis=1)[:, -1:]
+    d *= 1.0 - floor * k
+    d += floor
+    return d
+
+
+@functools.lru_cache(maxsize=8)
+def _identity(k: int) -> np.ndarray:
+    """The read-only k x k identity, one per arity: its rows are the one-hot codes of a CPT."""
+    eye = np.eye(k)
+    eye.flags.writeable = False
+    return eye
+
+
+@functools.lru_cache(maxsize=8)
+def _ones(k: int) -> np.ndarray:
+    """The read-only ones-vector of length k: the free axis of an intervened node."""
+    ones = np.ones(k)
+    ones.flags.writeable = False
+    return ones
+
+
+_ONE = _ones(1).reshape(())  # the empty product a contraction starts from
+_OBSERVED = frozenset()  # the do-set of every observational contraction
 
 
 @dataclass(frozen=True)
@@ -131,7 +159,7 @@ class DiscreteSCM:
     noise: dict[str, np.ndarray]
     functions: dict[str, np.ndarray]
     cpts: Mapping[str, np.ndarray] = field(init=False, compare=False, repr=False)
-    plan: tuple[tuple, ...] = field(init=False, compare=False, repr=False)
+    plan: _Plan = field(init=False, compare=False, repr=False)
     _: KW_ONLY
     _drawn: InitVar[tuple | None] = None
 
@@ -182,11 +210,36 @@ class DiscreteSCM:
 
         Axes: parents (node order), shared latents at v (edge order), v.
         """
-        return np.eye(self.arities[v])[self.functions[v]].swapaxes(-1, -2) @ self.noise[v]
+        return _identity(self.arities[v])[self.functions[v]].swapaxes(-1, -2) @ self.noise[v]
+
+
+class _Plan(tuple):
+    """A diagram's elimination steps (see ``_plan``), with the program of
+    each do-set contracted on it, made when first asked for and dropped with
+    the plan.  A program is the ``einsum`` subscripts of each step (an
+    intervened node's step reads a ones-axis in place of its CPT) and the
+    node axes the totals check sums.  It names nodes by the plan's own
+    indices, so models over equal graphs share it."""
+
+    def __new__(cls, steps: Iterable[tuple]):
+        plan = super().__new__(cls, steps)
+        plan.programs = {}
+        return plan
+
+    def program(self, do: frozenset[str]) -> tuple[tuple[str, ...], tuple[int, ...]]:
+        prog = self.programs.get(do)
+        if prog is None:
+            specs, acc = [], ()
+            for v, _, opened_subs, cpt, out in self:
+                specs.append(sys.intern(_subscripts((acc, *opened_subs, cpt[-1:] if v in do else cpt), out)))
+                acc = out
+            totals = tuple(sorted(cpt[-1] for v, _, _, cpt, _ in self if v not in do))
+            prog = self.programs[do] = (tuple(specs), totals)
+        return prog
 
 
 def _plan(g: SemiMarkovianGraph, arities: Mapping[str, int], hidden_arities: Mapping[frozenset[str], int],
-          noise_arities: Mapping[str, int]) -> tuple[tuple, ...]:
+          noise_arities: Mapping[str, int]) -> _Plan:
     """Elimination steps of the observational contraction, from structure
     alone (so made once per graph): mechanisms in topological order, a
     hidden prior just before the first mechanism that reads it, its variable
@@ -220,7 +273,7 @@ def _plan(g: SemiMarkovianGraph, arities: Mapping[str, int], hidden_arities: Map
         labels = max((max(cpt) + 1 for _, _, _, cpt, _ in steps), default=0)  # every label is in some CPT
         if labels > _MAX_LABELS:
             raise InputError(f"enumeration needs {labels} einsum labels; numpy takes {_MAX_LABELS}")
-        entry = _PLANS[g] = (tuple(steps), {})
+        entry = _PLANS[g] = (_Plan(steps), {})
     steps, peaks = entry
     key = (*((arities[v], noise_arities[v]) for v in g.nodes), *(hidden_arities[e] for e in g.bidirected_order))
     cells = peaks.get(key)
@@ -244,19 +297,15 @@ def _peak_cells(g: SemiMarkovianGraph, steps: tuple[tuple, ...], arities: Mappin
 
 def _contract(m: DiscreteSCM, do: Iterable[str] = ()) -> np.ndarray:
     """Read-only array over every node (node order) whose do() axes are free:
-    fixing them to an assignment gives the distribution of the rest under it."""
-    do = frozenset(do)
-    acc, acc_sub = np.ones(()), ()
-    for v, opened, opened_subs, cpt_sub, out in m.plan:
-        args = [acc, acc_sub]
-        for e, sub in zip(opened, opened_subs):
-            args += (m.latents[e], sub)
-        if v in do:
-            args += (np.ones(m.arities[v]), cpt_sub[-1:])
-        else:
-            args += (m.cpts[v], cpt_sub)
-        acc, acc_sub = np.einsum(*args, out), out
-    totals = acc.sum(axis=tuple(i for i, v in enumerate(m.diagram.nodes) if v not in do))
+    fixing them to an assignment gives the distribution of the rest under it.
+    Runs the plan's program for the do-set: only the ``einsum`` calls."""
+    do = frozenset(do) if do else _OBSERVED
+    specs, totals = m.plan.program(do)
+    latents, cpts, arities, acc = m.latents, m.cpts, m.arities, _ONE
+    for spec, (v, opened, *_) in zip(specs, m.plan):
+        last = _ones(arities[v]) if v in do else cpts[v]
+        acc = np.einsum(spec, acc, *[latents[e] for e in opened], last) if opened else np.einsum(spec, acc, last)
+    totals = acc.sum(axis=totals)
     if not np.abs(totals - 1.0).max(initial=0.0) <= 1e-9:  # a NaN total fails too
         raise OracleError(f"enumerated tables sum to {totals.min()}..{totals.max()}, not 1")
     acc.flags.writeable = False
@@ -288,7 +337,9 @@ class DiscreteModelPair:
 
     ``joint`` makes, keeps and counts every array of the pair;
     ``source_joint`` and ``target_joint`` are its observational joints, so a
-    pair rejected on its source never contracts its target.
+    pair rejected on its source never contracts its target.  Two counters,
+    outside equality: ``attempt``, the draw ``generate_pair`` accepted (None
+    for a pair built directly), and ``arrays``, the arrays held now.
     """
 
     diagram: SelectionDiagram
@@ -296,6 +347,7 @@ class DiscreteModelPair:
     target: DiscreteSCM
     _joints: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, init=False, compare=False, repr=False)
+    _attempt: int | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         """TypeError for an argument of the wrong type; InputError for a
@@ -333,6 +385,14 @@ class DiscreteModelPair:
         return joint
 
     @property
+    def attempt(self) -> int | None:
+        return self._attempt
+
+    @property
+    def arrays(self) -> int:
+        return len(self._joints)
+
+    @property
     def source_joint(self) -> np.ndarray:
         return self.joint(SOURCE)
 
@@ -345,7 +405,8 @@ def generate_pair(d: SelectionDiagram, seed: int, arity: int = 2) -> DiscreteMod
     """Deterministic-in-seed model pair compatible with the selection diagram.
 
     Rejects and regenerates (incrementing a sub-seed) until both joints of
-    the pair are strictly positive.  Before drawing anything, checks that
+    the pair are strictly positive; the pair's ``attempt`` is the sub-seed
+    it was drawn at.  Before drawing anything, checks that
     the diagram's plan fits the cell budget at this arity, one-hot mechanism
     tables included; that one check serves every model the call draws.
     """
@@ -374,6 +435,7 @@ def generate_pair(d: SelectionDiagram, seed: int, arity: int = 2) -> DiscreteMod
             target = DiscreteSCM(g, source.arities, source.latents, noise, functions, _drawn=(plan, shared))
         pair = DiscreteModelPair(d, source, target)
         if pair.source_joint.min() > 0 and pair.target_joint.min() > 0:
+            object.__setattr__(pair, "_attempt", attempt)
             return pair
     raise OracleError(f"could not draw a strictly positive pair for seed {seed}")
 
@@ -477,7 +539,7 @@ def validate_formula(
     aux = [s for s in slots if s not in q.x and s not in q.y]
     got = align_axes(slots, got, xy + aux)
     truth = truth.reshape(truth.shape + (1,) * len(aux))
-    _check_cells(math.prod(np.broadcast_shapes(got.shape, truth.shape)), "validation")
+    _check_cells(math.prod(map(max, got.shape, truth.shape)), "validation")
     if np.isnan(got).any():
         raise EvalError("zero-probability conditioning event or denominator in the formula")
     return float(np.abs(got - truth).max())

@@ -11,7 +11,7 @@ from ztransport import cli
 from ztransport import expr as E
 from ztransport.cli import ParseError, parse_diagram
 
-from helpers import fig2b
+from helpers import FIG5_QUERIES, fig2b, fig5c
 
 FIG2A_TEXT = """\
 # four observables, selection on Z, experiments available on Z
@@ -178,6 +178,17 @@ def test_validate_passes_on_golden(tmp_path):
         assert doc["status"] == "pass"
         assert len(doc["results"]) == len(seeds)
         assert all(r["max_abs_error"] <= 1e-9 for r in doc["results"])
+
+
+def test_validate_rows_count_the_accepted_draw_and_the_arrays_held():
+    # fig2a's pair holds four arrays after the check: the source, the target,
+    # the source under do(Z) its formula reads, and the truth under do(X)
+    _, doc = cli.validate(parse_diagram(FIG2A_TEXT), seeds=range(1, 4))
+    assert [list(r) for r in doc["results"]] == [["seed", "max_abs_error", "attempt", "arrays"]] * 3
+    assert [(r["attempt"], r["arrays"]) for r in doc["results"]] == [(0, 4)] * 3
+    # fig5c at seed 3: draw 0 has a zero cell in its source, draw 1 is accepted
+    _, doc = cli.validate(cli.QueryFile(fig5c(), zt.Query.create(*FIG5_QUERIES["fig5c"])), seeds=range(3, 4))
+    assert doc["results"][0]["attempt"] == 1
 
 
 def test_validate_corruption_hook_fails(monkeypatch):

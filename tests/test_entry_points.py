@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import ztransport as zt
 from ztransport import expr as E
 
-from helpers import fig2a
+from helpers import Tables, fig2a
 
 ERRORS = (zt.InputError, zt.GraphError, zt.ExprError, zt.EvalError, zt.OracleError)
 
@@ -365,6 +365,18 @@ def test_an_argument_of_another_type_raises_a_type_error_naming_it(name, data):
         assert any(k not in t.split() for k, t in zip(kinds, takes))
     except (*ERRORS, zt.FailedFactor):  # bi's verdict on a factor it cannot identify
         pass
+
+
+def test_a_table_supply_is_checked_at_entry():
+    # compile_expr and evaluate read nodes, arity and joint off their tables
+    for tables in ("tables", PAIR, None, {}):
+        message = rf"^tables must be a table supply \(nodes, arity, joint\), not {type(tables).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            zt.compile_expr(FORMULA, tables)
+        with pytest.raises(TypeError, match=message):
+            zt.evaluate(FORMULA, tables, {})
+    # any value with the three members is one, such as the tests' stand-in
+    assert zt.evaluate(E.term(E.TARGET, ["Y"]), Tables(["Y"], [0.25, 0.75]), {"Y": 1}) == 0.75
 
 
 def test_a_pair_is_over_its_diagram_at_one_set_of_arities():

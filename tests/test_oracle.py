@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import math
@@ -141,6 +142,27 @@ def test_drawn_models_are_pinned():
             h.update(f"{a.dtype.str}{a.shape}".encode())
             h.update(a.tobytes())
     assert h.hexdigest() == PAIRS_SHA256
+
+
+# sha256 of float.hex of the error of every transportable row of the same 280
+# pairs (265 rows), each line one row: the study diagrams with their README
+# queries, then criterion 4's diagrams with z less y; each formula normalized.
+# Computed while each contraction and each formula assembled its einsum
+# arguments anew; a compiled program must compute the same numbers.
+ERRORS_SHA256 = "29dfb73ffefda20917ee7b2c89a006b090190275b0048e9085a20a4cd8747291"
+
+
+def test_validation_errors_are_pinned():
+    cases = [(make(), *query, range(1, 21)) for make, query in GOLDEN.values()]
+    cases += [(*random_diagram(i, master=8101), range(1, 4)) for i in range(40)]
+    lines = []
+    for d, x, y, z, seeds in cases:
+        res = zt.sid_z(y, x, d, z)
+        if res.ok:
+            f, q = E.normalize(res.formula), zt.Query.create(x, y, set(z) - set(y))
+            lines += [float.hex(validate_formula(f, generate_pair(d, seed), q)) for seed in seeds]
+    assert len(lines) == 265
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ERRORS_SHA256
 
 
 @pytest.mark.parametrize("k", [oracle.LATENT_ARITY, 8, 12, 20, 160])  # 8-160: noise at arity 2, 3, 5, 40
@@ -400,6 +422,19 @@ def test_a_well_formed_model_built_directly_enumerates():
     assert t.prob({"X": 0, "Y": 0}) == pytest.approx(1.0)
 
 
+def test_a_pair_counts_its_accepted_draw_and_the_arrays_it_holds():
+    pair = generate_pair(fig5c(), seed=3)  # draw 0 is rejected on its source
+    assert (pair.attempt, pair.arrays) == (1, 2)  # the two observational joints
+    pair.joint(E.SOURCE, frozenset({"X2"}))
+    assert pair.arrays == 3
+    for counter in ("attempt", "arrays"):
+        with pytest.raises(AttributeError):
+            setattr(pair, counter, 0)
+    built = DiscreteModelPair(pair.diagram, pair.source, pair.target)
+    assert (built.attempt, built.arrays) == (None, 0)
+    assert built == pair  # the counters take no part in equality
+
+
 def test_generate_pair_checks_the_budget_once_however_many_attempts(monkeypatch):
     plans, draws = [], []
     plan, draw = oracle._plan, oracle._draw_scm
@@ -541,6 +576,46 @@ def test_contraction_bidirected_edge_with_both_endpoints_intervened():
     pair = generate_pair(D(g, []), seed=5)
     for do in ({"X": 0, "Z": 1}, {"X": 1, "Z": 0}):
         _assert_matches_brute_force(pair.source, do)
+
+
+def _contract_by_steps(m, do):
+    """The contraction as the plan's step loop made it before it had programs:
+    each step's einsum arguments assembled anew, a ones-axis for a do() node."""
+    acc, acc_sub = np.ones(()), ()
+    for v, opened, opened_subs, cpt_sub, out in m.plan:
+        args = [acc, acc_sub]
+        for e, sub in zip(opened, opened_subs):
+            args += (m.latents[e], sub)
+        args += (np.ones(m.arities[v]), cpt_sub[-1:]) if v in do else (m.cpts[v], cpt_sub)
+        acc, acc_sub = np.einsum(*args, out), out
+    return acc
+
+
+def test_programs_live_and_die_with_their_plans_and_formulas():
+    # Graphs are built and dropped in turn, so a freed plan's id comes round
+    # again (a program cached by id() would then be another graph's), and a
+    # chain model outlives the equal graph its plan was first made for (a
+    # program cached by graph would be gone with that graph).
+    held = None
+    for i in range(24):
+        g = chain_graph() if i % 3 == 0 else random_graph(i, master=59, max_nodes=5, max_bi=3)[0]
+        pair = generate_pair(D(g, ["X"] if i % 3 == 0 else []), seed=i + 1, arity=2 + i % 2)
+        for m in {id(m): m for m in (pair.source, pair.target, held) if m is not None}.values():
+            nodes = m.diagram.nodes
+            for do in itertools.chain.from_iterable(itertools.combinations(nodes, k) for k in range(len(nodes) + 1)):
+                assert np.array_equal(oracle._contract(m, do), _contract_by_steps(m, do))
+        if i % 3 == 0:
+            held = pair.target  # the model over the last chain but one is dropped here
+        del g, pair, m
+        gc.collect()
+    # a formula's programs go with it
+    count = len(E._PROGRAMS)
+    formula = E.term(E.TARGET, ["X"], given=["Z", "Y"])
+    E.compile_expr(formula, build_distribution_set(generate_pair(D(chain_graph(), []), seed=1), []))
+    assert len(E._PROGRAMS) == count + 1
+    del formula
+    gc.collect()
+    assert len(E._PROGRAMS) == count
 
 
 def test_enumerate_rejects_out_of_range():
