@@ -18,6 +18,7 @@ Each value type has one checked way in, its ``create``; ``induced_subgraph`` bui
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping, Set as AbstractSet
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
@@ -28,6 +29,9 @@ _BITS = bytes.maketrans(b"01", b"\0\1")  # bin()'s digits as compress() selector
 # the most set bits a mask may have for _pick to walk them: walking 4 of them beat one
 # compress over bin() at every highest bit from 8 to 399
 _SPARSE = 4
+# what create does not read as a directed edge: a string would read as its characters
+# ("AB" as A, B), a set or mapping in hash order; a bidirected edge may be a set
+_UNORDERED = (str, AbstractSet, Mapping)
 
 
 class InputError(ValueError):
@@ -87,10 +91,10 @@ class SemiMarkovianGraph:
             folded[n.lower()] = n
         index = {n: i for i, n in enumerate(node_tuple)}
         parents, siblings = [0] * len(node_tuple), [0] * len(node_tuple)
-        for arrow, edges, into in (("->", directed, parents), ("<->", bidirected, siblings)):
+        for arrow, edges, into, unread in (("->", directed, parents, _UNORDERED), ("<->", bidirected, siblings, str)):
             for edge in edges:
                 try:
-                    a, b = () if isinstance(edge, str) else edge  # "AB" would read as A, B
+                    a, b = () if isinstance(edge, unread) else edge
                     i, j = index.get(a), index.get(b)
                 except (TypeError, ValueError):  # not a pair, or an unhashable endpoint
                     raise GraphError(f"bad edge: {edge!r}") from None

@@ -13,8 +13,9 @@ Distributions are variable-elimination contractions of the truncated
 factorization (Koller & Friedman 2009, ch. 9), all run from one plan per
 diagram.  An intervened variable has no mechanism, only a free axis, so
 one contraction holds the distribution under every assignment of its
-do-set.  The plan compiles each do-set it contracts into a program once
-(the ``einsum`` subscripts of every step), so a contraction runs only its
+do-set.  Each step of the plan carries its two ``einsum`` subscript
+strings, one with its node's CPT and one with the node intervened, made
+once with the plan, so a contraction picks one per step and runs only its
 ``einsum`` calls.  A pair's ``joint`` is the one store of its
 contractions: each is made when first read, kept, and counted with the
 others against the cell budget.  A distribution set is a view of a pair that offers the source
@@ -77,7 +78,7 @@ class Table:
         keep_set = frozenset(_node_names(keep, "keep"))
         unknown = keep_set - set(self.vars)
         if unknown:
-            raise EvalError(f"variables not in table: {sorted(unknown)}")
+            raise EvalError(f"variables not in table: {sorted(unknown, key=repr)}")
         drop_axes = tuple(i for i, v in enumerate(self.vars) if v not in keep_set)
         return self.probs.sum(axis=drop_axes) if drop_axes else self.probs
 
@@ -90,6 +91,10 @@ class Table:
         return float(arr[idx])
 
     def conditional(self, outcome: Mapping[str, int], given: Mapping[str, int]) -> float:
+        """P(outcome | given); EvalError if they share a variable, as a ``Term`` would."""
+        shared = set(_expect(outcome, Mapping, "assignment")).intersection(_expect(given, Mapping, "assignment"))
+        if shared:
+            raise EvalError(f"outcome and conditioners overlap: {sorted(shared, key=repr)}")
         if not given:
             return self.prob(outcome)
         p_given = self.prob(given)
@@ -134,7 +139,6 @@ def _ones(k: int) -> np.ndarray:
 
 
 _ONE = _ones(1).reshape(())  # the empty product a contraction starts from
-_OBSERVED = frozenset()  # the do-set of every observational contraction
 
 
 @dataclass(frozen=True)
@@ -159,7 +163,7 @@ class DiscreteSCM:
     noise: dict[str, np.ndarray]
     functions: dict[str, np.ndarray]
     cpts: Mapping[str, np.ndarray] = field(init=False, compare=False, repr=False)
-    plan: _Plan = field(init=False, compare=False, repr=False)
+    plan: tuple = field(init=False, compare=False, repr=False)
     _: KW_ONLY
     _drawn: InitVar[tuple | None] = None
 
@@ -213,43 +217,20 @@ class DiscreteSCM:
         return _identity(self.arities[v])[self.functions[v]].swapaxes(-1, -2) @ self.noise[v]
 
 
-class _Plan(tuple):
-    """A diagram's elimination steps (see ``_plan``), with the program of
-    each do-set contracted on it, made when first asked for and dropped with
-    the plan.  A program is the ``einsum`` subscripts of each step (an
-    intervened node's step reads a ones-axis in place of its CPT) and the
-    node axes the totals check sums.  It names nodes by the plan's own
-    indices, so models over equal graphs share it."""
-
-    def __new__(cls, steps: Iterable[tuple]):
-        plan = super().__new__(cls, steps)
-        plan.programs = {}
-        return plan
-
-    def program(self, do: frozenset[str]) -> tuple[tuple[str, ...], tuple[int, ...]]:
-        prog = self.programs.get(do)
-        if prog is None:
-            specs, acc = [], ()
-            for v, _, opened_subs, cpt, out in self:
-                specs.append(sys.intern(_subscripts((acc, *opened_subs, cpt[-1:] if v in do else cpt), out)))
-                acc = out
-            totals = tuple(sorted(cpt[-1] for v, _, _, cpt, _ in self if v not in do))
-            prog = self.programs[do] = (tuple(specs), totals)
-        return prog
-
-
 def _plan(g: SemiMarkovianGraph, arities: Mapping[str, int], hidden_arities: Mapping[frozenset[str], int],
-          noise_arities: Mapping[str, int]) -> _Plan:
+          noise_arities: Mapping[str, int]) -> tuple[tuple, ...]:
     """Elimination steps of the observational contraction, from structure
     alone (so made once per graph): mechanisms in topological order, a
     hidden prior just before the first mechanism that reads it, its variable
     summed out right after the last.  A step is (v, priors opened, their
-    labels, labels of v's CPT, output labels).  Labels are node indices,
-    then ids recycled among the open hidden variables.
+    labels, labels of v's CPT, output labels, spellings).  Labels are node
+    indices, then ids recycled among the open hidden variables.
 
     A contraction under do() runs the same steps with an intervened v's CPT
     replaced by a ones-axis over v's label; the output labels stay the
-    same, so one plan and one budget check serve every do-set.  Raises
+    same, so one plan and one budget check serve every do-set.  A step's
+    spellings are its two ``einsum`` subscript strings, v's CPT first and
+    the ones-axis second, so a do-set only picks one per step.  Raises
     InputError if the steps need more labels than ``np.einsum`` takes, or
     if, at these arities, an intermediate or the one-hot mechanism table
     that builds a CPT (the CPT times its node's noise arity) exceeds the
@@ -273,7 +254,12 @@ def _plan(g: SemiMarkovianGraph, arities: Mapping[str, int], hidden_arities: Map
         labels = max((max(cpt) + 1 for _, _, _, cpt, _ in steps), default=0)  # every label is in some CPT
         if labels > _MAX_LABELS:
             raise InputError(f"enumeration needs {labels} einsum labels; numpy takes {_MAX_LABELS}")
-        entry = _PLANS[g] = (_Plan(steps), {})
+        spelled, acc = [], ()  # spelled only now: _subscripts has a letter for each label below 52
+        for v, opened, opened_subs, cpt, out in steps:
+            spellings = tuple(sys.intern(_subscripts((acc, *opened_subs, last), out)) for last in (cpt, cpt[-1:]))
+            spelled.append((v, opened, opened_subs, cpt, out, spellings))
+            acc = out
+        entry = _PLANS[g] = (tuple(spelled), {})
     steps, peaks = entry
     key = (*((arities[v], noise_arities[v]) for v in g.nodes), *(hidden_arities[e] for e in g.bidirected_order))
     cells = peaks.get(key)
@@ -288,7 +274,7 @@ def _peak_cells(g: SemiMarkovianGraph, steps: tuple[tuple, ...], arities: Mappin
     """The most cells a step of the plan holds at once: its intermediate, or
     the one-hot mechanism table of its node, its CPT times its noise arity."""
     size, cells = [arities[v] for v in g.nodes], 1
-    for v, opened, opened_subs, cpt, acc in steps:
+    for v, opened, opened_subs, cpt, acc, _ in steps:
         for e, (i,) in zip(opened, opened_subs):
             size[i:i + 1] = [hidden_arities[e]]
         cells = max(cells, noise_arities[v] * math.prod([size[i] for i in cpt]), math.prod([size[i] for i in acc]))
@@ -298,14 +284,14 @@ def _peak_cells(g: SemiMarkovianGraph, steps: tuple[tuple, ...], arities: Mappin
 def _contract(m: DiscreteSCM, do: Iterable[str] = ()) -> np.ndarray:
     """Read-only array over every node (node order) whose do() axes are free:
     fixing them to an assignment gives the distribution of the rest under it.
-    Runs the plan's program for the do-set: only the ``einsum`` calls."""
-    do = frozenset(do) if do else _OBSERVED
-    specs, totals = m.plan.program(do)
+    Each step runs one of its two spellings, as its node is intervened or
+    not, so a contraction makes only its ``einsum`` calls."""
+    do = frozenset(do)
     latents, cpts, arities, acc = m.latents, m.cpts, m.arities, _ONE
-    for spec, (v, opened, *_) in zip(specs, m.plan):
-        last = _ones(arities[v]) if v in do else cpts[v]
+    for v, opened, _, _, _, spellings in m.plan:
+        spec, last = (spellings[1], _ones(arities[v])) if v in do else (spellings[0], cpts[v])
         acc = np.einsum(spec, acc, *[latents[e] for e in opened], last) if opened else np.einsum(spec, acc, last)
-    totals = acc.sum(axis=totals)
+    totals = acc.sum(axis=tuple(i for i, v in enumerate(m.diagram.nodes) if v not in do))
     if not np.abs(totals - 1.0).max(initial=0.0) <= 1e-9:  # a NaN total fails too
         raise OracleError(f"enumerated tables sum to {totals.min()}..{totals.max()}, not 1")
     acc.flags.writeable = False
@@ -369,17 +355,19 @@ class DiscreteModelPair:
         is counted with them before it is made, and kept only if it is
         made.  The lock makes each array once and the count exact when
         threads share the pair.  InputError for a domain other than SOURCE
-        and TARGET, and, when the array is not held yet, for a do-set that
-        is not a frozenset of the diagram's nodes."""
+        and TARGET or a ``do`` that is a string, TypeError for one that is
+        not a frozenset, and, when the array is not held yet, InputError for
+        a do-set that names a node outside the diagram."""
         m = self.target if domain == TARGET else self.source if domain == SOURCE else None
         if m is None:
             raise InputError(f"domain must be {SOURCE!r} or {TARGET!r}, not {domain!r}")
+        if not isinstance(do, frozenset):
+            _expect(_node_names(do, "do"), frozenset, "do")
         key = (m is self.target, do)
         with self._lock:
             joint = self._joints.get(key)
             if joint is None:
-                if self.diagram.graph.check_nodes(do, "do") != do:
-                    raise InputError(f"do must be a frozenset of node names, not {do!r}")
+                self.diagram.graph.check_nodes(do, "do")
                 _check_cells((len(self._joints) + 1) * math.prod(m.arities.values()), "model pair")
                 joint = self._joints[key] = _contract(m, do) if do else enumerate_joint(m).probs
         return joint
@@ -474,21 +462,24 @@ class DistributionSet:
 
     def arity(self, v: str) -> int:
         try:
-            return self.pair.source.arities[base_var(v)]
+            return self.pair.source.arities[base_var(_expect(v, str, "v"))]
         except KeyError:
             raise EvalError(f"unknown variable: {v}")
 
     def joint(self, domain: str, do: frozenset[str]) -> np.ndarray:
         """The pair's array of a domain's distribution under do() on the given
         variables, their axes free.  Raises EvalError, reading no table,
-        unless the set offers that domain under that do()."""
+        unless the set offers that domain under that do(), and InputError
+        or TypeError for a ``do`` that is a string or not a frozenset."""
+        if not isinstance(do, frozenset):
+            _expect(_node_names(do, "do"), frozenset, "do")
         if domain == TARGET:
             if do:
                 raise EvalError("target terms carry no interventions")
         elif domain != SOURCE:
             raise EvalError(f"bad domain: {domain!r}")
         elif not (do <= self.z and len(do) < len(self.nodes)):  # experiments on all of V are not available
-            raise EvalError(f"no source table for do({sorted(do)})")
+            raise EvalError(f"no source table for do({sorted(do, key=repr)})")
         return self.pair.joint(domain, do)
 
 

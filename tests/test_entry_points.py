@@ -3,14 +3,19 @@ malformed node-set argument raises a TypeError (wrong Python type) or one of the
 package's errors, never a raw error from deep inside and never a silent misread."""
 
 import inspect
+import math
 import re
+from types import MappingProxyType
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ztransport as zt
 from ztransport import expr as E
+from ztransport import oracle
+from ztransport.expr import is_int
 
 from helpers import Tables, fig2a
 
@@ -164,10 +169,12 @@ def test_a_pair_refuses_a_domain_or_do_set_it_does_not_have(monkeypatch):
         (("tgt",), "domain must be 'source' or 'target', not 'tgt'"),
         ((E.SOURCE, frozenset({"Q"})), "unknown node(s): 'Q'"),
         ((E.SOURCE, "XY"), "do must be a collection of node names, not the string 'XY'"),
-        ((E.SOURCE, ("X",)), "do must be a frozenset of node names, not ('X',)"),
     ):
         with pytest.raises(zt.InputError, match=rf"^{re.escape(message)}$"):
             pair.joint(*args)
+    for do in (("X",), {"X"}, ["X"], None):  # a set would be unhashable as a key
+        with pytest.raises(TypeError, match=rf"^do must be a frozenset, not {type(do).__name__}$"):
+            pair.joint(E.SOURCE, do)
     assert pair._joints == held  # nothing made, kept or counted
     # a held array is served without a check
     x = pair.joint(E.SOURCE, frozenset({"X"}))
@@ -396,3 +403,182 @@ def test_a_table_reads_names_and_assignments_as_given():
     for call in (lambda: table.prob(["X"]), lambda: table.conditional({"Y": 0}, ["X"])):
         with pytest.raises(TypeError, match="^assignment must be a Mapping, not list$"):
             call()
+
+
+# -- the table methods, the do-sets a pair and a distribution set read, and edge lists --
+# An assignment is drawn as (kind, items): a mapping (a dict, or a read-only view of one)
+# of drawn keys to drawn values, or a value that is no mapping.  Keys include unknown names
+# and names that are not strings; values include out-of-range ints, bools, floats and None.
+TABLE = zt.enumerate_joint(M)  # over W, Z, X, Y at arity 2
+KEYS = st.one_of(st.sampled_from(NAMES), st.sampled_from(("Q", "w", "Y'")), st.integers(0, 1), st.none(),
+                 st.tuples(st.sampled_from(NAMES)))
+CELLS = st.one_of(st.integers(-1, 2), st.integers(0, 1).map(np.int64), st.booleans(), st.none(), st.just(1.0))
+MAPPINGS = st.sampled_from(("dict", "proxy"))
+ASSIGNMENTS = st.one_of(
+    st.tuples(MAPPINGS, st.dictionaries(st.sampled_from(NAMES), st.integers(0, 1), max_size=3)),
+    st.tuples(MAPPINGS, st.dictionaries(KEYS, CELLS, max_size=3)),
+    st.tuples(st.just("pairs"), st.lists(st.tuples(st.sampled_from(NAMES), st.integers(0, 1)), max_size=2)),
+    st.tuples(st.just("str"), st.text("WZXY", max_size=2)),
+    st.tuples(st.just("scalar"), st.one_of(st.integers(0, 1), st.none())),
+)
+
+
+def assignment(arg):
+    kind, items = arg
+    return MappingProxyType(items) if kind == "proxy" else items
+
+
+def readable(arg) -> bool:
+    """A mapping of known names to values in range: an assignment a table reads."""
+    kind, items = arg
+    return kind in ("dict", "proxy") and all(k in NAMES and is_int(v) and 0 <= v < 2 for k, v in items.items())
+
+
+def brute_prob(a) -> float:
+    """P(a) summed cell by cell over TABLE."""
+    axes = {k: TABLE.vars.index(k) for k in a}
+    return sum(p for cell, p in np.ndenumerate(TABLE.probs) if all(cell[axes[k]] == v for k, v in a.items()))
+
+
+TABLE_CALLS = {
+    "marginal": (TABLE.marginal, (NODE_SETS,)),
+    "prob": (TABLE.prob, (ASSIGNMENTS,)),
+    "conditional": (TABLE.conditional, (ASSIGNMENTS, ASSIGNMENTS)),
+}
+
+
+@pytest.mark.parametrize("name", TABLE_CALLS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_table_method_refuses_a_malformed_argument_and_reads_the_rest_as_cleaned(name, data):
+    fn, draws = TABLE_CALLS[name]
+    args = [data.draw(d) for d in draws]
+    build_arg = build if name == "marginal" else assignment
+    try:
+        got = fn(*map(build_arg, args))
+    except TypeError as e:
+        if name == "marginal":
+            assert unreadable(args[0])
+        else:
+            assert re.match(r"^assignment must be a Mapping, not \w+$", str(e)), e
+            assert any(kind not in ("dict", "proxy") for kind, _ in args)
+        return
+    except (zt.InputError, zt.EvalError) as e:
+        assert isinstance(e, zt.EvalError) or args[0][0] == "str"  # a bare string of names is an InputError
+        return
+    if name == "marginal":
+        kind, items = args[0]
+        assert kind != "str" and all(i in NAMES for i in items)  # nothing misread or dropped
+        assert np.array_equal(got, fn(sorted(set(items))))
+        return
+    assert all(map(readable, args))
+    cleaned = [{k: int(v) for k, v in sorted(items.items())} for _, items in args]
+    assert got == fn(*cleaned)
+    if name == "prob":
+        assert math.isclose(got, brute_prob(cleaned[0]), rel_tol=1e-12)
+    else:
+        outcome, given = cleaned
+        assert not outcome.keys() & given.keys()  # P(X=0 | X=1) is no number a table reads
+        assert math.isclose(got, brute_prob({**outcome, **given}) / brute_prob(given), rel_tol=1e-12)
+
+
+# A do-set is drawn as (kind, names); a frozenset of known names is the one a joint reads.
+DO_SETS = st.one_of(
+    st.tuples(st.sampled_from(("frozenset", "frozenset", "set", "list", "tuple")),
+              st.lists(st.sampled_from(NAMES + ("Q", 1)), max_size=3)),
+    st.tuples(st.just("str"), st.text("WZXY", max_size=2)),
+    st.tuples(st.just("scalar"), st.one_of(st.integers(0, 1), st.none())),
+)
+DOMAINS = st.sampled_from((E.SOURCE, E.TARGET, "tgt", None))
+
+
+def do_set(arg):
+    kind, items = arg
+    return {"frozenset": frozenset, "set": set, "list": list, "tuple": tuple}.get(kind, lambda x: x)(items)
+
+
+@pytest.mark.parametrize("name", ["DiscreteModelPair.joint", "DistributionSet.joint"])
+@settings(max_examples=150, deadline=None)
+@given(domain=DOMAINS, arg=DO_SETS)
+def test_a_joint_refuses_a_malformed_do_set_and_keeps_nothing_for_it(name, domain, arg):
+    fn = PAIR.joint if name == "DiscreteModelPair.joint" else TABLES.joint
+    held = dict(PAIR._joints)
+    kind, items = arg
+    try:
+        got = fn(domain, do_set(arg))
+    except (TypeError, zt.InputError, zt.EvalError) as e:
+        assert PAIR._joints == held
+        if isinstance(e, TypeError):
+            assert re.match(r"^do must be a frozenset, not \w+$", str(e)), e
+            assert kind not in ("frozenset", "str")
+        else:
+            assert kind != "str" or isinstance(e, zt.InputError)  # a bare string is an InputError
+    else:
+        assert kind == "frozenset" and domain in (E.SOURCE, E.TARGET) and all(i in NAMES for i in items)
+        m = PAIR.target if domain == E.TARGET else PAIR.source
+        assert np.array_equal(got, oracle._contract(m, frozenset(items)))
+        if name == "DistributionSet.joint":
+            assert set(items) <= (TABLES.z if domain == E.SOURCE else set())
+
+
+@settings(max_examples=100, deadline=None)
+@given(v=st.one_of(st.sampled_from(NAMES + ("Y'", "X''", "Q", "", "Q'")), st.integers(0, 1), st.none(),
+                   st.tuples(st.sampled_from(NAMES)), st.lists(st.sampled_from(NAMES), max_size=1)))
+def test_an_arity_is_read_off_a_slot_name_or_refused(v):
+    try:
+        got = TABLES.arity(v)
+    except TypeError as e:
+        assert str(e) == f"v must be a str, not {type(v).__name__}"
+        assert not isinstance(v, str)
+    except zt.EvalError:
+        assert v.rstrip("'") not in NAMES
+    else:
+        assert got == M.arities[v.rstrip("'")]
+
+
+# An edge is drawn as (kind, items): a tuple or list of endpoints (pairs, self-loops, too
+# few or too many, unknown, not names, unhashable), a set, frozenset or mapping of names,
+# a string, or a scalar.  Only a tuple or list of two distinct known names is an arrow;
+# a bidirected edge may also be a set or mapping, having no direction.
+ENDPOINTS = st.one_of(st.sampled_from(NAMES), st.sampled_from(("Q", "w", "")), st.integers(0, 1), st.none(),
+                      st.lists(st.sampled_from(NAMES), max_size=1))
+EDGES = st.one_of(
+    st.tuples(st.sampled_from(("tuple", "list")), st.lists(st.sampled_from(NAMES), min_size=2, max_size=2)),
+    st.tuples(st.sampled_from(("tuple", "list")), st.lists(ENDPOINTS, min_size=1, max_size=3)),
+    st.tuples(st.sampled_from(("set", "frozenset", "dict")), st.lists(st.sampled_from(NAMES), min_size=1, max_size=3)),
+    st.tuples(st.just("str"), st.text("WZXY", min_size=2, max_size=2)),
+    st.tuples(st.just("scalar"), st.one_of(st.integers(0, 1), st.none())),
+)
+EDGE_LISTS = st.tuples(st.sampled_from(CONTAINERS), st.lists(EDGES, max_size=4))
+
+
+def edge(arg):
+    kind, items = arg
+    return {"tuple": tuple, "list": list, "set": set, "frozenset": frozenset, "dict": dict.fromkeys}.get(
+        kind, lambda x: x)(items)
+
+
+def a_pair(arg, ordered: bool) -> bool:
+    """Whether create reads this edge: two distinct known names, in order for an arrow."""
+    kind, items = arg
+    if kind in ("set", "frozenset", "dict") and not ordered:
+        items = list(dict.fromkeys(items))
+    elif kind not in ("tuple", "list"):
+        return False
+    return len(items) == 2 and items[0] != items[1] and all(i in NAMES for i in items)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nodes=st.permutations(NAMES), directed=EDGE_LISTS, bidirected=EDGE_LISTS)
+def test_create_refuses_a_malformed_edge_and_reads_the_rest_as_cleaned(nodes, directed, bidirected):
+    lists = [build((kind, [edge(e) for e in edges])) for kind, edges in (directed, bidirected)]
+    try:
+        g = zt.SemiMarkovianGraph.create(nodes, *lists)
+    except zt.GraphError:
+        return
+    assert all(a_pair(e, ordered=True) for e in directed[1]) and all(a_pair(e, ordered=False) for e in bidirected[1])
+    arrows = {tuple(items) for _, items in directed[1]}
+    assert g.directed_edges == arrows  # each arrow as given, whatever the hash seed
+    links = {frozenset(items) for _, items in bidirected[1]}
+    assert g.bidirected_edges == links
+    assert g == zt.SemiMarkovianGraph.create(nodes, sorted(arrows), sorted(tuple(sorted(e)) for e in links))

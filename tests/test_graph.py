@@ -60,6 +60,12 @@ def test_create_names_a_node_or_edge_it_cannot_read():
         G(["A", "B"], [(1, "B")])
     with pytest.raises(GraphError, match=r"^bad edge: 'AB'$"):
         G(["A", "B"], ["AB"])
+    # a set or mapping would give its arrow in hash order (B -> A under some seeds);
+    # a bidirected edge has no direction, so it may be a set
+    for edge in ({"A", "B"}, frozenset({"A", "B"}), {"A": "B"}, {"A": 0, "B": 1}, {"A": "B"}.keys()):
+        with pytest.raises(GraphError, match=rf"^bad edge: {re.escape(repr(edge))}$"):
+            G(["A", "B"], [edge])
+    assert G(["A", "B"], [], [{"A", "B"}]) == G(["A", "B"], [], [("B", "A")])
 
 
 def test_the_stored_masks_rebuild_an_equal_graph():

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import itertools
 import math
+import re
 import sys
 import threading
 import weakref
@@ -579,10 +580,10 @@ def test_contraction_bidirected_edge_with_both_endpoints_intervened():
 
 
 def _contract_by_steps(m, do):
-    """The contraction as the plan's step loop made it before it had programs:
-    each step's einsum arguments assembled anew, a ones-axis for a do() node."""
+    """The contraction as the plan's step loop made it before its steps were
+    spelled: each step's einsum arguments assembled anew, a ones-axis for a do() node."""
     acc, acc_sub = np.ones(()), ()
-    for v, opened, opened_subs, cpt_sub, out in m.plan:
+    for v, opened, opened_subs, cpt_sub, out, _ in m.plan:
         args = [acc, acc_sub]
         for e, sub in zip(opened, opened_subs):
             args += (m.latents[e], sub)
@@ -875,6 +876,15 @@ def test_table_zero_conditioning_event_raises():
     t = Table(("X", "Y"), np.array([[0.5, 0.5], [0.0, 0.0]]))
     with pytest.raises(E.EvalError):
         t.conditional({"Y": 1}, {"X": 1})
+
+
+def test_table_conditional_refuses_an_outcome_that_overlaps_its_condition():
+    # P(X=0 | X=1) is 0, where reading the condition over the outcome would give 1
+    t = Table(("X", "Y"), np.array([[0.1, 0.2], [0.3, 0.4]]))
+    for outcome, given, shared in (({"X": 0}, {"X": 1}, "['X']"), ({"Y": 0, "X": 1}, {"X": 1, "Y": 0}, "['X', 'Y']")):
+        with pytest.raises(E.EvalError, match=rf"^outcome and conditioners overlap: {re.escape(shared)}$"):
+            t.conditional(outcome, given)
+    assert t.conditional({"Y": 0}, {"X": 1}) == pytest.approx(0.3 / 0.7)
 
 
 def test_table_rejects_values_out_of_range():
